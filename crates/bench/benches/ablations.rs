@@ -1,5 +1,5 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md §4:
-//! field sensitivity (place granularity) and control-dependence handling,
+//! Ablation benchmarks for two design choices of the analysis: field
+//! sensitivity (place granularity) and control-dependence handling,
 //! measured as their cost on representative functions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

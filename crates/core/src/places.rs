@@ -105,7 +105,7 @@ fn collect_with_derefs(
 ///   through other references, all of which must themselves allow mutation).
 /// * With `only_unique = false` it returns every reachable reference, i.e.
 ///   the places a callee could read (shrd-refs in the paper's terminology,
-///   interpreted as "readable", see DESIGN.md).
+///   interpreted as "readable").
 pub fn transitive_refs(
     place: &Place,
     ty: &Ty,

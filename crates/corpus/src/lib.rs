@@ -4,7 +4,7 @@
 //! (Table 1). This crate generates a synthetic stand-in: ten Rox "crates"
 //! whose size and code style echo the originals (see
 //! [`profiles::paper_profiles`]), produced deterministically from a seed so
-//! every figure in EXPERIMENTS.md can be regenerated bit-for-bit.
+//! every figure the `evaluate` binary writes can be regenerated bit-for-bit.
 //!
 //! ```
 //! use flowistry_corpus::{generate_crate, paper_profiles, DEFAULT_SEED};

@@ -6,8 +6,7 @@
 //! style parameters chosen to echo the original's character (a numerics
 //! library uses few references, an HTTP server uses many shared references,
 //! a game engine mutates a lot of state, ...). Absolute sizes are scaled
-//! down ~20× so the full evaluation runs in seconds on a laptop; DESIGN.md
-//! documents this substitution.
+//! down ~20× so the full evaluation runs in seconds on a laptop.
 
 /// Parameters controlling the style of one generated crate.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,8 +121,8 @@ pub fn paper_profiles() -> Vec<CrateProfile> {
     ]
 }
 
-/// The default global seed used by the evaluation (recorded in
-/// EXPERIMENTS.md so results are reproducible).
+/// The default global seed used by the evaluation (`evaluate --seed`
+/// overrides it), so results are reproducible.
 pub const DEFAULT_SEED: u64 = 0xF10A;
 
 #[cfg(test)]

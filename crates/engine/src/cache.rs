@@ -36,10 +36,9 @@
 //! crc32 over the line's payload), in sorted key order so output is
 //! reproducible, and closed by a `footer records:<n> crc:<8-hex>` line
 //! whose checksum covers every record line — so truncation at a record
-//! boundary is detected, not just torn lines. Version 2 shard files (no
-//! checksums, malformed lines skipped leniently) and legacy single-file
-//! v1 caches (header `flowistry-engine-cache v1` at the configured path
-//! itself) still load transparently and are migrated on the next save.
+//! boundary is detected, not just torn lines. A file with any other header
+//! (including the retired v1 and v2 formats) loads cold: its keyspace is
+//! recomputed and rewritten as v3 on the next save.
 //!
 //! A v3 shard that fails verification is **quarantined, not dropped**:
 //! the file is renamed to `summaries.<shard>.corrupt` (preserving the
@@ -83,8 +82,6 @@ impl std::fmt::Display for SummaryKey {
 pub const SHARD_COUNT: usize = 16;
 
 const HEADER_V3: &str = "flowistry-engine-cache v3";
-const HEADER_V2: &str = "flowistry-engine-cache v2";
-const HEADER_V1: &str = "flowistry-engine-cache v1";
 
 /// CRC-32 (IEEE) lookup table, built at compile time.
 const CRC32_TABLE: [u32; 256] = {
@@ -159,11 +156,6 @@ pub struct SummaryCache {
     /// that *did* hold entries is always written, even when empty now:
     /// that is how evictions reach disk.
     ever_nonempty: Vec<AtomicBool>,
-    /// Whether [`SummaryCache::load`] consumed a legacy `v1` single-file
-    /// cache at the configured path. Only then may [`SummaryCache::save`]
-    /// delete that file: a cold engine must not destroy a sibling's v1
-    /// cache it never read (its contents would be re-persisted nowhere).
-    loaded_legacy: AtomicBool,
     generation: AtomicU64,
     /// What recovery work [`SummaryCache::load`] had to do (quarantines,
     /// salvages, temp sweeps) — all zero for a clean load.
@@ -193,7 +185,6 @@ impl Default for SummaryCache {
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             ever_nonempty: (0..SHARD_COUNT).map(|_| AtomicBool::new(false)).collect(),
-            loaded_legacy: AtomicBool::new(false),
             generation: AtomicU64::new(0),
             quarantined_shards: AtomicU64::new(0),
             salvaged_records: AtomicU64::new(0),
@@ -306,20 +297,14 @@ impl SummaryCache {
     }
 
     /// Loads a cache previously written by [`SummaryCache::save`] under the
-    /// configured path `base`: every `v3`/`v2` shard file, plus a legacy
-    /// `v1` single-file cache at `base` itself if one exists. Missing
-    /// files yield an empty cache; files with unknown headers are treated
-    /// as cold. A `v3` shard that fails checksum or footer verification is
+    /// configured path `base`: every `v3` shard file. Missing files yield
+    /// an empty cache; files with any other header are treated as cold. A `v3` shard that fails checksum or footer verification is
     /// quarantined to `summaries.<shard>.corrupt` with its valid record
     /// prefix salvaged into the cache (see [`SummaryCache::load_stats`]),
     /// and orphaned `.tmp` files from crashed writers are swept.
     pub fn load(base: &Path) -> io::Result<SummaryCache> {
         let cache = SummaryCache::new();
         cache.sweep_orphan_temps(base);
-        let consumed_legacy = cache.load_legacy_file(base)?;
-        cache
-            .loaded_legacy
-            .store(consumed_legacy, Ordering::Relaxed);
         for shard in 0..SHARD_COUNT {
             cache.load_shard_file(&SummaryCache::shard_file(base, shard))?;
         }
@@ -355,15 +340,12 @@ impl SummaryCache {
         let Ok(entries) = std::fs::read_dir(dir) else {
             return;
         };
-        let mut prefixes: Vec<String> = (0..SHARD_COUNT)
+        let prefixes: Vec<String> = (0..SHARD_COUNT)
             .filter_map(|s| {
                 let file = SummaryCache::shard_file(base, s);
                 Some(format!("{}.", file.file_name()?.to_string_lossy()))
             })
             .collect();
-        if let Some(name) = base.file_name() {
-            prefixes.push(format!("{}.", name.to_string_lossy()));
-        }
         for entry in entries.filter_map(|e| e.ok()) {
             let name = entry.file_name().to_string_lossy().into_owned();
             if !name.ends_with(".tmp") {
@@ -377,34 +359,10 @@ impl SummaryCache {
         }
     }
 
-    /// Merges a legacy single-file v1 cache at `base` into the cache.
-    /// Returns whether a v1 file was actually consumed.
-    fn load_legacy_file(&self, path: &Path) -> io::Result<bool> {
-        let file = match std::fs::File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(false),
-            Err(e) => return Err(e),
-        };
-        let mut lines = io::BufReader::new(file).lines();
-        match lines.next() {
-            Some(Ok(header)) if header == HEADER_V1 => {}
-            // Unknown version or unreadable header: treat as cold.
-            _ => return Ok(false),
-        }
-        for line in lines {
-            if let Some((key, value)) = parse_line(&line?) {
-                self.insert_loaded(key, value);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Merges one shard file into the cache, dispatching on its header:
-    /// `v3` with checksum verification and quarantine-on-corruption, `v2`
-    /// leniently (malformed lines skipped — the format has no checksums to
-    /// verify). Entries land in the shard their key hashes to regardless
-    /// of which file carried them, so a layout change can never misplace
-    /// an entry.
+    /// Merges one `v3` shard file into the cache, with checksum
+    /// verification and quarantine-on-corruption. Entries land in the
+    /// shard their key hashes to regardless of which file carried them, so
+    /// a layout change can never misplace an entry.
     fn load_shard_file(&self, path: &Path) -> io::Result<()> {
         match flowistry_fault::check(sites::CACHE_SHARD_READ) {
             Fault::None | Fault::PartialWrite(_) => {}
@@ -430,13 +388,6 @@ impl SummaryCache {
             Some(Ok(header)) if header == HEADER_V3 => {
                 if let Err((salvaged, reason)) = self.load_v3_records(lines) {
                     self.quarantine(path, salvaged, &reason);
-                }
-            }
-            Some(Ok(header)) if header == HEADER_V2 => {
-                for line in lines {
-                    if let Some((key, value)) = parse_line(&line?) {
-                        self.insert_loaded(key, value);
-                    }
                 }
             }
             // Unknown version or unreadable header: treat as cold.
@@ -545,10 +496,8 @@ impl SummaryCache {
     /// Writes the cache under the configured path `base`: one file per
     /// shard (see the module docs for naming and format), each produced
     /// atomically via a uniquely named sibling temp file, in sorted key
-    /// order so the output is reproducible. A legacy single-file `v1`
-    /// cache at `base` that this cache *loaded* is removed — its contents
-    /// are now safely re-persisted in the sharded layout; a v1 file this
-    /// cache never read is left untouched.
+    /// order so the output is reproducible. Nothing is written at `base`
+    /// itself.
     ///
     /// Shards that are empty *and* never held an entry in this process are
     /// skipped entirely: persistence is last-writer-wins per shard, so a
@@ -627,19 +576,12 @@ impl SummaryCache {
                 return Err(e);
             }
         }
-        // Migration cleanup, but only for a legacy file *this cache read*:
-        // its entries are now re-persisted in the shard files above. A cold
-        // cache that never loaded `base` must leave a sibling's v1 file
-        // alone — deleting it would destroy data persisted nowhere else.
-        if self.loaded_legacy.load(Ordering::Relaxed) {
-            remove_legacy_file(base);
-        }
         Ok(written)
     }
 }
 
-/// Parses one `<key> <boundary> <summary>` cache line (shared between the
-/// v1 and v2 formats). Returns `None` for malformed lines.
+/// Parses the `<key> <boundary> <summary>` payload of a v3 record.
+/// Returns `None` for malformed payloads.
 fn parse_line(line: &str) -> Option<(SummaryKey, CachedSummary)> {
     let mut parts = line.splitn(3, ' ');
     let (key, boundary, body) = (parts.next()?, parts.next()?, parts.next()?);
@@ -682,18 +624,6 @@ fn unique_temp_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(format!(".{}.{seq}.tmp", std::process::id()));
     path.with_file_name(name)
-}
-
-/// Deletes a legacy v1 cache file at `base` (only if it really is one —
-/// the header is checked first so an unrelated file is never removed).
-fn remove_legacy_file(base: &Path) {
-    let Ok(file) = std::fs::File::open(base) else {
-        return;
-    };
-    let mut header = String::new();
-    if io::BufReader::new(file).read_line(&mut header).is_ok() && header.trim_end() == HEADER_V1 {
-        let _ = std::fs::remove_file(base);
-    }
 }
 
 #[cfg(test)]
@@ -779,7 +709,7 @@ mod tests {
         cache.save(&path).unwrap();
 
         // The sharded layout, not a single file.
-        assert!(!path.exists(), "v2 must not write the legacy single file");
+        assert!(!path.exists(), "nothing may be written at the base path");
         assert!(SummaryCache::shard_file(&path, 0).exists());
         assert_eq!(
             SummaryCache::shard_file(&path, 3).file_name().unwrap(),
@@ -807,34 +737,43 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The retired v1 (single file at the base path) and v2 (unchecksummed
+    /// shard) formats load cold — no quarantine, no panic — and the next
+    /// save writes v3 without touching the old base file.
     #[test]
-    fn legacy_v1_single_file_loads_and_migrates() {
-        let dir = temp_dir("legacy");
+    fn retired_formats_load_cold_and_the_next_save_writes_v3() {
+        let dir = temp_dir("retired");
         let path = dir.join("summaries.cache");
         let entry = sample_entry();
+        let v1 = format!(
+            "flowistry-engine-cache v1\n{} 1 {}\n",
+            SummaryKey(0xDEAD),
+            entry.summary.encode()
+        );
+        std::fs::write(&path, &v1).unwrap();
+        let shard0 = SummaryCache::shard_file(&path, 0);
         std::fs::write(
-            &path,
-            format!(
-                "{HEADER_V1}\n{} 1 {}\n{} 0 ret:\n",
-                SummaryKey(0xDEAD),
-                entry.summary.encode(),
-                SummaryKey(0xF000_0000_0000_0001),
-            ),
+            &shard0,
+            "flowistry-engine-cache v2\n00000000000000aa 0 ret:1\n",
         )
         .unwrap();
 
         let cache = SummaryCache::load(&path).unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(SummaryKey(0xDEAD)), Some(entry));
-        assert!(cache.get(SummaryKey(0xF000_0000_0000_0001)).is_some());
+        assert!(cache.is_empty());
+        assert_eq!(cache.load_stats(), LoadStats::default());
 
-        // Saving migrates: shard files appear, the v1 file is removed, and
-        // a reload sees the same entries.
+        cache.insert(SummaryKey(0xBB), entry);
         cache.save(&path).unwrap();
-        assert!(!path.exists(), "legacy file must be removed after save");
+        let written = std::fs::read_to_string(&shard0).unwrap();
+        assert!(written.starts_with(&format!("{HEADER_V3}\n")), "{written}");
         let reloaded = SummaryCache::load(&path).unwrap();
-        assert_eq!(reloaded.len(), 2);
-        assert!(reloaded.get(SummaryKey(0xDEAD)).is_some());
+        assert_eq!(reloaded.len(), 1);
+        assert!(reloaded.get(SummaryKey(0xBB)).is_some());
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            v1,
+            "a save deleted or rewrote the file at the base path"
+        );
 
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -937,30 +876,6 @@ mod tests {
         assert!(loaded.get(SummaryKey(0xF000_0000_0000_00BB)).is_some());
         assert!(loaded.get(SummaryKey(0x3000_0000_0000_00CC)).is_some());
 
-        // A cold save must also leave a sibling's *legacy v1* file alone:
-        // nothing re-persists its contents, so deleting it loses data.
-        let legacy_dir = temp_dir("coldsave-legacy");
-        let legacy = legacy_dir.join("summaries.cache");
-        let entry = sample_entry();
-        std::fs::write(
-            &legacy,
-            format!(
-                "{HEADER_V1}\n{} 1 {}\n",
-                SummaryKey(0xDEAD),
-                entry.summary.encode()
-            ),
-        )
-        .unwrap();
-        let never_loaded = SummaryCache::new();
-        never_loaded.insert(SummaryKey(0x3000_0000_0000_00CC), sample_entry());
-        never_loaded.save(&legacy).unwrap();
-        assert!(
-            legacy.exists(),
-            "cold save deleted a sibling's legacy v1 cache"
-        );
-        assert_eq!(SummaryCache::load(&legacy).unwrap().len(), 2);
-        std::fs::remove_dir_all(&legacy_dir).unwrap();
-
         // An engine whose load degraded to empty (corrupt shard headers)
         // behaves like a cold one: saving writes nothing and wipes nothing.
         let other = temp_dir("coldsave-corrupt");
@@ -1049,29 +964,14 @@ mod tests {
         let path = dir.join("summaries.cache");
         std::fs::write(&path, "some-other-format v9\ngarbage\n").unwrap();
         // A v1-style header in a *shard* file is also rejected: shard files
-        // must carry the v2 header.
+        // must carry the v3 header.
         std::fs::write(
             SummaryCache::shard_file(&path, 0),
-            format!("{HEADER_V1}\n0000000000000001 0 ret:\n"),
+            "flowistry-engine-cache v1\n0000000000000001 0 ret:\n",
         )
         .unwrap();
         let cache = SummaryCache::load(&path).unwrap();
         assert!(cache.is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_lines_are_skipped() {
-        let dir = temp_dir("corrupt");
-        let path = dir.join("summaries.cache");
-        std::fs::write(
-            SummaryCache::shard_file(&path, 0),
-            format!("{HEADER_V2}\nnot-hex 0 ret:\n00000000000000aa 0 ret:1\nzz\n"),
-        )
-        .unwrap();
-        let cache = SummaryCache::load(&path).unwrap();
-        assert_eq!(cache.len(), 1);
-        assert!(cache.get(SummaryKey(0xaa)).is_some());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -13,14 +13,13 @@
 //!   ready components from per-worker deques (stealing when empty), and a
 //!   finished summary publishes into a concurrent store and immediately
 //!   releases its callers — no level barriers, so wall-clock is bounded by
-//!   the condensation's critical path (the legacy level-barrier schedule is
-//!   kept behind [`SchedulerKind::LevelBarrier`] for comparison);
+//!   the condensation's critical path;
 //! * each summary is stored in a [`SummaryCache`] — sharded by key prefix,
 //!   one lock and one persistence file per shard — keyed by a stable
 //!   content hash of the function's MIR plus its callees' keys, so
 //!   re-running after an edit re-analyzes only the edited function and its
 //!   transitive callers — everything else is a cache hit (optionally warm
-//!   from disk, including legacy single-file caches).
+//!   from disk).
 //!
 //! The API is split into three layers, none of which borrows the program:
 //!
@@ -83,19 +82,17 @@ pub mod service;
 pub mod snapshot;
 
 pub use cache::{LoadStats, SummaryCache, SummaryKey, SHARD_COUNT};
-pub use scheduler::{ConcurrentSummaryStore, SchedulerKind};
+pub use scheduler::ConcurrentSummaryStore;
 pub use service::{
     FlowService, QueryEnvelope, QueryRequest, QueryResponse, ServiceConfig, ServiceStats, Ticket,
 };
 pub use snapshot::AnalysisSnapshot;
 
-use flowistry_core::{
-    compute_summary_with_results, AnalysisParams, CachedSummary, FunctionSummary, InfoFlowResults,
-};
+use flowistry_core::{AnalysisParams, FunctionSummary};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::{function_content_hash, CallGraph, CompiledProgram, StableHasher};
-use flowistry_obs::{Counter, Histogram, Registry, Span};
-use std::collections::{BTreeSet, HashMap};
+use flowistry_obs::{Counter, Histogram, Registry};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -109,9 +106,6 @@ pub struct EngineConfig {
     /// forcing a worker count in CI) and otherwise the machine's available
     /// parallelism; `1` runs strictly sequentially on the calling thread.
     pub threads: usize,
-    /// How `analyze_all` orders summary computation (work stealing by
-    /// default; the legacy level-barrier schedule is kept for comparison).
-    pub scheduler: SchedulerKind,
     /// When set, the summary cache is loaded from this file on construction
     /// and written back after every [`AnalysisEngine::analyze_all`].
     pub cache_path: Option<PathBuf>,
@@ -139,7 +133,6 @@ impl Default for EngineConfig {
         EngineConfig {
             params: AnalysisParams::default(),
             threads: 0,
-            scheduler: SchedulerKind::default(),
             cache_path: None,
             cache_retention: 8,
             results_capacity: 4096,
@@ -158,12 +151,6 @@ impl EngineConfig {
     /// Sets the worker thread count (`0` = auto, `1` = sequential).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Selects the scheduling strategy.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -244,15 +231,6 @@ impl EngineMetrics {
         }
     }
 }
-
-/// What a schedule hands back to `analyze_all`: every summary, the full
-/// results of freshly analyzed functions (to seed the snapshot memo), and
-/// the run counters.
-type ScheduleOutput = (
-    HashMap<FuncId, CachedSummary>,
-    Vec<(FuncId, Arc<InfoFlowResults>)>,
-    RunStats,
-);
 
 /// What one [`AnalysisEngine::analyze_all`] run did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -446,21 +424,31 @@ impl AnalysisEngine {
     }
 
     /// Computes (or fetches) the summary of every available function,
-    /// bottom-up over the call graph — with the work-stealing scheduler by
-    /// default, or per-level parallel fan-out under
-    /// [`SchedulerKind::LevelBarrier`] — publishes a fresh
-    /// [`AnalysisSnapshot`], and persists the cache if a path is
-    /// configured.
+    /// bottom-up over the call graph with the work-stealing
+    /// [`scheduler`], publishes a fresh [`AnalysisSnapshot`], and persists
+    /// the cache if a path is configured.
     pub fn analyze_all(&mut self) -> RunStats {
-        let threads = scheduler::resolve_worker_threads(self.config.threads);
-        let (summaries, results_seed, stats) = match self.config.scheduler {
-            SchedulerKind::WorkStealing => self.analyze_all_work_stealing(threads),
-            SchedulerKind::LevelBarrier => self.analyze_all_barrier(threads),
+        let outcome = scheduler::run_work_stealing(
+            &self.program,
+            &self.call_graph,
+            &self.config.params,
+            &self.keys,
+            &self.cache,
+            scheduler::resolve_worker_threads(self.config.threads),
+            self.config.results_capacity,
+            &self.metrics,
+        );
+        let stats = RunStats {
+            analyzed: outcome.analyzed,
+            cache_hits: outcome.cache_hits,
+            levels: self.call_graph.critical_path_len(),
+            threads: outcome.threads,
+            steals: outcome.steals,
         };
 
         // Close the run: mark every key this program version uses (hits and
         // fresh inserts alike) and evict entries idle for too many runs.
-        let used: Vec<SummaryKey> = summaries.keys().map(|&f| self.key(f)).collect();
+        let used: Vec<SummaryKey> = outcome.summaries.keys().map(|&f| self.key(f)).collect();
         self.cache.touch(used);
         let evicted = self.cache.end_generation(self.config.cache_retention);
 
@@ -491,13 +479,13 @@ impl AnalysisEngine {
             Some(prev) => prev.carryover_results(&self.keys),
             None => Vec::new(),
         };
-        seed.extend(results_seed);
+        seed.extend(outcome.results);
         let snapshot = AnalysisSnapshot::new(
             self.program.clone(),
             self.config.params.clone(),
             self.call_graph.clone(),
             self.keys.clone(),
-            summaries,
+            outcome.summaries,
             self.config.results_capacity,
             self.epoch,
             stats,
@@ -540,118 +528,6 @@ impl AnalysisEngine {
             "snapshot is stale: run analyze_all() after update_program()"
         );
         snapshot
-    }
-
-    /// The work-stealing schedule: see [`scheduler`].
-    fn analyze_all_work_stealing(&mut self, threads: usize) -> ScheduleOutput {
-        let outcome = scheduler::run_work_stealing(
-            &self.program,
-            &self.call_graph,
-            &self.config.params,
-            &self.keys,
-            &self.cache,
-            threads,
-            self.config.results_capacity,
-            &self.metrics,
-        );
-        let stats = RunStats {
-            analyzed: outcome.analyzed,
-            cache_hits: outcome.cache_hits,
-            levels: self.call_graph.critical_path_len(),
-            threads: outcome.threads,
-            steals: outcome.steals,
-        };
-        (outcome.summaries, outcome.results, stats)
-    }
-
-    /// The legacy level-barrier schedule: every callee level completes
-    /// before the next level starts.
-    fn analyze_all_barrier(&mut self, max_threads: usize) -> ScheduleOutput {
-        let levels = self.call_graph.schedule_levels();
-        let mut summaries: HashMap<FuncId, CachedSummary> = HashMap::new();
-        let mut results_seed: Vec<(FuncId, Arc<InfoFlowResults>)> = Vec::new();
-        let mut stats = RunStats {
-            levels: levels.len(),
-            ..RunStats::default()
-        };
-
-        for level in &levels {
-            // Partition the level's components across workers. The snapshot
-            // of `summaries` holds every lower level already (the levels are
-            // barriers), which is exactly the seed set each function needs.
-            let work: Vec<FuncId> = level
-                .iter()
-                .flat_map(|&scc| self.call_graph.sccs()[scc].iter().copied())
-                .filter(|&f| self.config.params.body_available(f))
-                .collect();
-            if work.is_empty() {
-                continue;
-            }
-            let threads = max_threads.min(work.len()).max(1);
-            stats.threads = stats.threads.max(threads);
-            let computed = if threads == 1 {
-                self.run_chunk(&work, &summaries)
-            } else {
-                let chunk_size = work.len().div_ceil(threads);
-                let mut out = Vec::with_capacity(work.len());
-                let summaries_ref = &summaries;
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = work
-                        .chunks(chunk_size)
-                        .map(|chunk| s.spawn(|| self.run_chunk(chunk, summaries_ref)))
-                        .collect();
-                    for handle in handles {
-                        out.extend(handle.join().expect("engine worker panicked"));
-                    }
-                });
-                out
-            };
-            for (func, entry, full) in computed {
-                match full {
-                    None => stats.cache_hits += 1,
-                    Some(full) => {
-                        stats.analyzed += 1;
-                        self.cache.insert(self.key(func), entry.clone());
-                        // Same bound as the work-stealing path: the memo
-                        // caps at results_capacity, so don't retain more.
-                        if results_seed.len() < self.config.results_capacity {
-                            results_seed.push((func, full));
-                        }
-                    }
-                }
-                summaries.insert(func, entry);
-            }
-        }
-        (summaries, results_seed, stats)
-    }
-
-    /// One worker's share of a level: resolve each function against the
-    /// cache, analyzing on a miss (keeping the full results alongside the
-    /// extracted summary). Runs with `summaries` frozen at the previous
-    /// level boundary.
-    fn run_chunk(
-        &self,
-        chunk: &[FuncId],
-        summaries: &HashMap<FuncId, CachedSummary>,
-    ) -> Vec<(FuncId, CachedSummary, Option<Arc<InfoFlowResults>>)> {
-        chunk
-            .iter()
-            .map(|&func| match self.cache.get(self.key(func)) {
-                Some(entry) => (func, entry, None),
-                None => {
-                    let _span =
-                        Span::enter_with("summary_compute", self.program.body(func).name.as_str())
-                            .with_histogram(self.metrics.summary_compute.clone());
-                    let (entry, full) = compute_summary_with_results(
-                        &self.program,
-                        func,
-                        &self.config.params,
-                        summaries,
-                    );
-                    (func, entry, Some(Arc::new(full)))
-                }
-            })
-            .collect()
     }
 
     /// The cached summary of `func` in the current snapshot, if

@@ -1,12 +1,11 @@
 //! The dependency-counting work-stealing scheduler.
 //!
-//! The level-barrier schedule ([`SchedulerKind::LevelBarrier`]) computes
-//! [`CallGraph::schedule_levels`] and joins every worker at each level
-//! boundary, so one slow component stalls the whole level: wall-clock is
-//! the *sum of per-level maxima*. The paper's modularity result implies a
-//! strictly weaker requirement — a component is ready as soon as its callee
-//! components are summarized, regardless of what else is in flight. This
-//! module schedules exactly that:
+//! A schedule that groups components into levels and joins every worker at
+//! each level boundary lets one slow component stall the whole level:
+//! wall-clock is the *sum of per-level maxima*. The paper's modularity
+//! result implies a strictly weaker requirement — a component is ready as
+//! soon as its callee components are summarized, regardless of what else
+//! is in flight. This module schedules exactly that:
 //!
 //! * every SCC of the condensation carries an atomic count of unfinished
 //!   callee components (seeded from
@@ -21,12 +20,12 @@
 //!
 //! There are no barriers, so wall-clock is bounded by the critical path of
 //! the condensation instead of the sum of per-level maxima. Results are
-//! bit-identical to the barrier schedule (and to direct
+//! bit-identical to a sequential run (and to direct
 //! [`analyze`](flowistry_core::analyze)): the members of a component are
-//! analyzed against exactly the summaries of its callee components — the
-//! same seed set a barrier run sees — and publication happens only after
-//! the *whole* component is done, so mutually recursive partners never
-//! observe each other's freshly computed summaries.
+//! analyzed against exactly the summaries of its callee components, and
+//! publication happens only after the *whole* component is done, so
+//! mutually recursive partners never observe each other's freshly computed
+//! summaries.
 
 use crate::cache::SummaryCache;
 use crate::{EngineMetrics, SummaryKey};
@@ -38,21 +37,6 @@ use flowistry_lang::{CallGraph, CompiledProgram};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-
-/// Which strategy [`AnalysisEngine::analyze_all`](crate::AnalysisEngine::analyze_all)
-/// uses to order summary computation over the call-graph condensation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Dependency-counting work stealing (the default): a component runs as
-    /// soon as its callee components are summarized; wall-clock is bounded
-    /// by the condensation's critical path.
-    #[default]
-    WorkStealing,
-    /// The legacy schedule: group components into levels and join all
-    /// workers at every level boundary. Kept for comparison benchmarks and
-    /// as a conservative fallback.
-    LevelBarrier,
-}
 
 /// Resolves a configured worker-thread count the way every pool in this
 /// crate does: `0` means the `FLOWISTRY_ENGINE_THREADS` environment
@@ -224,7 +208,7 @@ pub(crate) fn run_work_stealing(
     // never finished, so without this flag its siblings would spin on the
     // idle path forever. The first panic is stashed here; everyone else
     // drains out at the next loop check and the payload is re-thrown on
-    // the caller's thread (matching the barrier path's fail-fast join).
+    // the caller's thread, failing fast like a scoped-thread join.
     let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
 
     type WorkerTally = (usize, usize, Vec<(FuncId, Arc<InfoFlowResults>)>);
@@ -258,8 +242,8 @@ pub(crate) fn run_work_stealing(
 
             // Resolve the whole component against the cache/store before
             // publishing anything: partners of a recursion cycle must not
-            // see each other's summaries (that would diverge from both the
-            // barrier schedule and direct analysis, which recurse into
+            // see each other's summaries (that would diverge from a
+            // sequential run and from direct analysis, which recurse into
             // partner bodies naively). `AssertUnwindSafe` is fine: on a
             // panic the whole run is abandoned, never resumed.
             type Produced = (FuncId, CachedSummary, Option<Arc<InfoFlowResults>>);

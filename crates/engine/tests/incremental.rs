@@ -12,7 +12,7 @@
 
 use flowistry_core::{analyze, AnalysisParams, Condition};
 use flowistry_corpus::{generate_crate, paper_profiles, DEFAULT_SEED};
-use flowistry_engine::{AnalysisEngine, EngineConfig, SchedulerKind};
+use flowistry_engine::{AnalysisEngine, EngineConfig};
 use flowistry_ifc::{IfcChecker, IfcPolicy};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::CompiledProgram;
@@ -195,10 +195,10 @@ fn disk_cache_survives_engine_restarts() {
 }
 
 #[test]
-fn work_stealing_and_barrier_schedules_agree_on_the_corpus() {
+fn work_stealing_agrees_with_sequential_and_direct_analysis_on_the_corpus() {
     // The acceptance bar: the work-stealing scheduler must produce results
-    // bit-identical to both the level-barrier engine and direct analyze()
-    // over the evaluation corpus.
+    // bit-identical to a sequential run and to direct analyze() over the
+    // evaluation corpus, at every worker count.
     let profile = &paper_profiles()[0];
     let krate = generate_crate(profile, DEFAULT_SEED);
     let program = Arc::new(krate.program.clone());
@@ -207,36 +207,40 @@ fn work_stealing_and_barrier_schedules_agree_on_the_corpus() {
         available_bodies: Some(krate.available_bodies()),
         ..AnalysisParams::default()
     };
-    let mut stealing = AnalysisEngine::new(
-        program.clone(),
-        EngineConfig::default()
-            .with_params(params.clone())
-            .with_scheduler(SchedulerKind::WorkStealing)
-            .with_threads(8),
-    );
-    let mut barrier = AnalysisEngine::new(
-        program.clone(),
-        EngineConfig::default()
-            .with_params(params.clone())
-            .with_scheduler(SchedulerKind::LevelBarrier)
-            .with_threads(8),
-    );
-    let ws_stats = stealing.analyze_all();
-    let lb_stats = barrier.analyze_all();
-    assert_eq!(ws_stats.analyzed, lb_stats.analyzed);
-    assert_eq!(ws_stats.cache_hits, lb_stats.cache_hits);
-    assert_eq!(ws_stats.levels, lb_stats.levels, "critical path == levels");
-    assert_eq!(lb_stats.steals, 0, "the barrier schedule never steals");
+    let run = |threads: usize| {
+        let mut engine = AnalysisEngine::new(
+            program.clone(),
+            EngineConfig::default()
+                .with_params(params.clone())
+                .with_threads(threads),
+        );
+        let stats = engine.analyze_all();
+        (engine, stats)
+    };
+    let (sequential, seq_stats) = run(1);
+    assert_eq!(seq_stats.steals, 0, "one worker never steals");
+    for threads in [2, 8] {
+        let (stealing, stats) = run(threads);
+        assert_eq!(stats.analyzed, seq_stats.analyzed);
+        assert_eq!(stats.cache_hits, seq_stats.cache_hits);
+        assert_eq!(stats.levels, seq_stats.levels, "critical path is fixed");
+        for &func in &krate.crate_funcs {
+            assert_eq!(stealing.summary(func), sequential.summary(func));
+            assert_eq!(
+                *stealing.results(func),
+                *sequential.results(func),
+                "{threads} workers diverged from the sequential run on {}",
+                program.body(func).name
+            );
+        }
+    }
     for &func in &krate.crate_funcs {
-        assert_eq!(stealing.summary(func), barrier.summary(func));
-        let direct = analyze(&program, func, &params);
         assert_eq!(
-            *stealing.results(func),
-            direct,
-            "work stealing diverged from direct analyze on {}",
+            *sequential.results(func),
+            analyze(&program, func, &params),
+            "the engine diverged from direct analyze on {}",
             program.body(func).name
         );
-        assert_eq!(*barrier.results(func), direct);
     }
 }
 

@@ -1,10 +1,10 @@
 //! Property-based stress test for the work-stealing scheduler: over random
 //! call DAGs and worker counts, the work-stealing schedule must produce
 //! summaries and results bit-identical to a strictly sequential run (and to
-//! the level-barrier schedule).
+//! direct analysis).
 
 use flowistry_core::{analyze, AnalysisParams, Condition};
-use flowistry_engine::{AnalysisEngine, EngineConfig, SchedulerKind};
+use flowistry_engine::{AnalysisEngine, EngineConfig};
 use flowistry_lang::types::FuncId;
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -66,28 +66,24 @@ proptest! {
         prop_assert_eq!(ref_stats.analyzed, n);
 
         for threads in [2usize, 8] {
-            for scheduler in [SchedulerKind::WorkStealing, SchedulerKind::LevelBarrier] {
-                let mut engine = AnalysisEngine::new(
-                    program.clone(),
-                    EngineConfig::default()
-                        .with_params(params.clone())
-                        .with_threads(threads)
-                        .with_scheduler(scheduler),
+            let mut engine = AnalysisEngine::new(
+                program.clone(),
+                EngineConfig::default()
+                    .with_params(params.clone())
+                    .with_threads(threads),
+            );
+            let stats = engine.analyze_all();
+            prop_assert_eq!(stats.analyzed, ref_stats.analyzed);
+            prop_assert_eq!(stats.cache_hits, 0);
+            for i in 0..n {
+                let func = FuncId(i as u32);
+                prop_assert_eq!(
+                    engine.summary(func),
+                    reference.summary(func),
+                    "summary of f{} diverged with {} threads",
+                    i,
+                    threads
                 );
-                let stats = engine.analyze_all();
-                prop_assert_eq!(stats.analyzed, ref_stats.analyzed);
-                prop_assert_eq!(stats.cache_hits, 0);
-                for i in 0..n {
-                    let func = FuncId(i as u32);
-                    prop_assert_eq!(
-                        engine.summary(func),
-                        reference.summary(func),
-                        "summary of f{} diverged under {:?} with {} threads",
-                        i,
-                        scheduler,
-                        threads
-                    );
-                }
             }
         }
 

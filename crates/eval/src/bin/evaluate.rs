@@ -17,7 +17,8 @@
 //!
 //! Flags:
 //!
-//! * `--seed <hex|dec>` — corpus generation seed;
+//! * `--seed <N>` — corpus generation seed, decimal, or hex with a `0x`
+//!   prefix (a malformed seed is a usage error);
 //! * `--threads <N>` — engine worker threads; overrides the
 //!   `FLOWISTRY_ENGINE_THREADS` environment variable, so sweeps are
 //!   reproducible without env plumbing;
@@ -36,6 +37,21 @@ use flowistry_eval::{
     measure_slowdown, per_crate_stats, CrateMeasurements, VariableRecord,
 };
 use std::path::Path;
+
+/// Parses a `--seed` value: decimal, or hex with a `0x` prefix.
+fn parse_seed(raw: &str) -> Result<u64, String> {
+    let parsed = match raw.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => raw.parse(),
+    };
+    parsed.map_err(|_| format!("malformed --seed {raw:?}: expected decimal or 0x-prefixed hex"))
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("evaluate: {msg}");
+    eprintln!("usage: evaluate [SUBCOMMAND] [--seed N] [--threads N] [--smoke] [--no-baseline]");
+    std::process::exit(2);
+}
 
 /// How much of each experiment to run: the full evaluation or the CI smoke.
 #[derive(Clone, Copy)]
@@ -98,14 +114,11 @@ fn main() {
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--seed" => {
-                if let Some(v) = iter.next() {
-                    let v = v.trim_start_matches("0x");
-                    seed = u64::from_str_radix(v, 16)
-                        .or_else(|_| v.parse())
-                        .unwrap_or(flowistry_corpus::DEFAULT_SEED);
-                }
-            }
+            "--seed" => match iter.next().map(|v| parse_seed(v)) {
+                Some(Ok(v)) => seed = v,
+                Some(Err(msg)) => usage_error(&msg),
+                None => usage_error("--seed needs a value"),
+            },
             "--threads" => {
                 if let Some(n) = iter.next().and_then(|v| v.parse::<usize>().ok()) {
                     // The engine resolves `threads: 0` through this
@@ -404,5 +417,37 @@ fn run_lints(seed: u64, scale: Scale, out_dir: &Path) {
             report.unused_mut_false_positives.len()
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_seed;
+
+    #[test]
+    fn seeds_are_decimal_by_default() {
+        assert_eq!(parse_seed("10"), Ok(10));
+        assert_eq!(parse_seed("0"), Ok(0));
+    }
+
+    #[test]
+    fn seeds_are_hex_only_with_a_prefix() {
+        assert_eq!(parse_seed("0x10"), Ok(16));
+        assert_eq!(parse_seed("0xF10A"), Ok(0xF10A));
+    }
+
+    #[test]
+    fn malformed_seeds_are_rejected() {
+        for raw in [
+            "",
+            "F10A",
+            "0x",
+            "0xZZ",
+            "-1",
+            "1.5",
+            "18446744073709551616",
+        ] {
+            assert!(parse_seed(raw).is_err(), "{raw:?} was accepted");
+        }
     }
 }

@@ -12,16 +12,12 @@
 //! * **edited** — one helper function's body is edited, the crate is
 //!   re-compiled and re-analyzed: only the dirty cone is recomputed;
 //! * **sequential vs parallel** — the same cold run with one worker thread
-//!   versus the machine's available parallelism;
-//! * **barrier vs work-stealing** — the same parallel cold run under the
-//!   legacy level-barrier schedule versus the dependency-counting
-//!   work-stealing scheduler (the difference grows with how skewed the
-//!   per-level component costs are; see the `scheduler_skew` bench for a
-//!   corpus built to maximize it).
+//!   versus the machine's available parallelism (see the `scheduler_skew`
+//!   bench for a corpus built to make the schedule's overlap matter).
 
 use flowistry_core::{AnalysisParams, Condition};
 use flowistry_corpus::generate_crate;
-use flowistry_engine::{AnalysisEngine, EngineConfig, SchedulerKind};
+use flowistry_engine::{AnalysisEngine, EngineConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,15 +47,7 @@ pub struct IncrementalReport {
     pub parallel_speedup: f64,
     /// Worker threads the parallel run used.
     pub threads: usize,
-    /// Seconds for a parallel cold run under the level-barrier schedule.
-    pub barrier_seconds: f64,
-    /// Seconds for the same cold run under the work-stealing scheduler
-    /// (this equals `parallel_seconds` in spirit but is re-measured
-    /// back-to-back with the barrier run for a fair comparison).
-    pub work_stealing_seconds: f64,
-    /// `barrier_seconds / work_stealing_seconds`.
-    pub scheduler_speedup: f64,
-    /// Successful deque steals in the work-stealing cold run.
+    /// Successful deque steals in the parallel cold run.
     pub steals: usize,
 }
 
@@ -130,35 +118,10 @@ pub fn measure_incremental(profile_index: usize, seed: u64) -> IncrementalReport
     sequential.analyze_all();
     let sequential_seconds = start.elapsed().as_secs_f64();
 
-    let mut parallel = AnalysisEngine::new(
-        program.clone(),
-        EngineConfig::default().with_params(params.clone()),
-    );
+    let mut parallel = AnalysisEngine::new(program, EngineConfig::default().with_params(params));
     let start = Instant::now();
     let parallel_stats = parallel.analyze_all();
     let parallel_seconds = start.elapsed().as_secs_f64();
-
-    // Barrier vs work-stealing, measured back-to-back on fresh engines with
-    // the same (auto) thread count.
-    let mut barrier = AnalysisEngine::new(
-        program.clone(),
-        EngineConfig::default()
-            .with_params(params.clone())
-            .with_scheduler(SchedulerKind::LevelBarrier),
-    );
-    let start = Instant::now();
-    barrier.analyze_all();
-    let barrier_seconds = start.elapsed().as_secs_f64();
-
-    let mut stealing = AnalysisEngine::new(
-        program.clone(),
-        EngineConfig::default()
-            .with_params(params)
-            .with_scheduler(SchedulerKind::WorkStealing),
-    );
-    let start = Instant::now();
-    let stealing_stats = stealing.analyze_all();
-    let work_stealing_seconds = start.elapsed().as_secs_f64();
 
     IncrementalReport {
         krate: krate.name.clone(),
@@ -172,10 +135,7 @@ pub fn measure_incremental(profile_index: usize, seed: u64) -> IncrementalReport
         parallel_seconds,
         parallel_speedup: sequential_seconds / parallel_seconds.max(1e-9),
         threads: parallel_stats.threads,
-        barrier_seconds,
-        work_stealing_seconds,
-        scheduler_speedup: barrier_seconds / work_stealing_seconds.max(1e-9),
-        steals: stealing_stats.steals,
+        steals: parallel_stats.steals,
     }
 }
 
@@ -188,9 +148,7 @@ pub fn render_incremental(report: &IncrementalReport) -> String {
            after 1-function edit   {:>10.3} ms  ({} functions dirty)\n\
            edit speedup            {:>10.1}x\n\
            sequential cold         {:>10.3} ms\n\
-           parallel cold           {:>10.3} ms  ({:.2}x)\n\
-           level-barrier cold      {:>10.3} ms\n\
-           work-stealing cold      {:>10.3} ms  ({:.2}x, {} steals)\n",
+           parallel cold           {:>10.3} ms  ({:.2}x, {} steals)\n",
         report.krate,
         report.num_functions,
         report.threads,
@@ -202,9 +160,6 @@ pub fn render_incremental(report: &IncrementalReport) -> String {
         report.sequential_seconds * 1e3,
         report.parallel_seconds * 1e3,
         report.parallel_speedup,
-        report.barrier_seconds * 1e3,
-        report.work_stealing_seconds * 1e3,
-        report.scheduler_speedup,
         report.steals,
     )
 }
@@ -239,12 +194,10 @@ mod tests {
             report.num_functions
         );
         assert!(report.cold_seconds > 0.0);
-        assert!(report.barrier_seconds > 0.0);
-        assert!(report.work_stealing_seconds > 0.0);
-        assert!(report.scheduler_speedup > 0.0);
+        assert!(report.parallel_seconds > 0.0);
         let text = render_incremental(&report);
         assert!(text.contains("edit speedup"));
-        assert!(text.contains("work-stealing cold"));
+        assert!(text.contains("parallel cold"));
         assert!(text.contains(&report.krate));
     }
 }

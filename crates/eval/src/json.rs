@@ -293,12 +293,6 @@ impl ToJson for IncrementalReport {
             ("parallel_seconds", self.parallel_seconds.to_json()),
             ("parallel_speedup", self.parallel_speedup.to_json()),
             ("threads", self.threads.to_json()),
-            ("barrier_seconds", self.barrier_seconds.to_json()),
-            (
-                "work_stealing_seconds",
-                self.work_stealing_seconds.to_json(),
-            ),
-            ("scheduler_speedup", self.scheduler_speedup.to_json()),
             ("steals", self.steals.to_json()),
         ])
     }

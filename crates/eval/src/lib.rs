@@ -14,8 +14,8 @@
 //!   slowdown stress test ([`perf`]);
 //! * **Table 2** — generation configuration ([`report::render_table2`]).
 //!
-//! The `evaluate` binary drives all of this; see EXPERIMENTS.md for the
-//! recorded outputs.
+//! The `evaluate` binary drives all of this; the README's "Building and
+//! testing" section lists its commands.
 
 #![warn(missing_docs)]
 

@@ -125,7 +125,7 @@ pub enum BinOp {
     Gt,
     /// `>=`
     Ge,
-    /// `&&` (evaluated strictly; see DESIGN.md)
+    /// `&&` (evaluated strictly)
     And,
     /// `||` (evaluated strictly)
     Or,
@@ -429,7 +429,8 @@ pub struct FnDef {
     pub span: Span,
 }
 
-/// A struct definition. Struct fields must be reference-free (see DESIGN.md).
+/// A struct definition. Struct fields must be reference-free (the type
+/// checker rejects reference-typed fields).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StructDef {
     /// Struct name.

@@ -16,7 +16,7 @@
 //! Accesses whose path passes through a dereference are treated as accesses
 //! *through* a reference and are not re-checked against other loans; this is
 //! a deliberate simplification (it never rejects valid programs, at the cost
-//! of missing a small class of invalid ones — see DESIGN.md).
+//! of missing a small class of invalid ones).
 
 use crate::ast::Mutability;
 use crate::mir::*;

@@ -3,13 +3,13 @@
 //! The incremental analysis engine exploits the paper's modularity result:
 //! a function's information flow summary depends only on its own body and
 //! the summaries of its callees. Scheduling summary computation therefore
-//! follows the call graph bottom-up — and independent functions in the same
-//! level can be analyzed in parallel.
+//! follows the call graph bottom-up — and components whose callees are all
+//! summarized can be analyzed in parallel.
 //!
 //! [`CallGraph::extract`] reads the `Call` terminators of every MIR body;
 //! [`CallGraph::sccs`] condenses recursion cycles with Tarjan's algorithm;
-//! [`CallGraph::schedule_levels`] groups the condensation into levels such
-//! that every callee of a level-`n` component lives in a level `< n`.
+//! [`CallGraph::scc_dependency_counts`] and [`CallGraph::scc_callers`] drive
+//! a dependency-counting scheduler over the condensation.
 
 use crate::mir::TerminatorKind;
 use crate::types::FuncId;
@@ -136,8 +136,7 @@ impl CallGraph {
     }
 
     /// The length of the condensation's critical path: the number of
-    /// sequential scheduling steps no parallel schedule can avoid. Equals
-    /// the number of levels [`CallGraph::schedule_levels`] produces.
+    /// sequential scheduling steps no parallel schedule can avoid.
     pub fn critical_path_len(&self) -> usize {
         let mut depth = vec![0usize; self.sccs.len()];
         for idx in 0..self.sccs.len() {
@@ -153,38 +152,6 @@ impl CallGraph {
         } else {
             depth.iter().copied().max().unwrap_or(0) + 1
         }
-    }
-
-    /// Groups SCC indices into parallelizable levels: all callees of a
-    /// component in level `n` live in levels `< n`. Level 0 holds the leaf
-    /// functions.
-    pub fn schedule_levels(&self) -> Vec<Vec<usize>> {
-        let mut depth = vec![0usize; self.sccs.len()];
-        // Components are in reverse topological order, so a single pass that
-        // visits callees first (higher scc index… no: reverse topological
-        // means edges point to *lower* indices is not guaranteed by Tarjan;
-        // Tarjan emits components in reverse topological order of the
-        // condensation, i.e. callees receive *smaller* indices here because
-        // our edges go caller → callee and Tarjan finishes callees first).
-        for (idx, members) in self.sccs.iter().enumerate() {
-            let mut d = 0;
-            for &f in members {
-                for &callee in self.callees(f) {
-                    let callee_scc = self.scc_of[callee.0 as usize];
-                    if callee_scc != idx {
-                        d = d.max(depth[callee_scc] + 1);
-                    }
-                }
-            }
-            depth[idx] = d;
-        }
-        let max_depth = depth.iter().copied().max().unwrap_or(0);
-        let mut levels = vec![Vec::new(); max_depth + 1];
-        for (idx, &d) in depth.iter().enumerate() {
-            levels[d].push(idx);
-        }
-        levels.retain(|l| !l.is_empty());
-        levels
     }
 
     /// Every function whose analysis (transitively) depends on `func`:
@@ -312,17 +279,11 @@ mod tests {
     }
 
     #[test]
-    fn levels_are_bottom_up() {
+    fn components_are_indexed_bottom_up() {
         let (prog, cg) = graph(CHAIN);
-        let levels = cg.schedule_levels();
-        assert_eq!(levels.len(), 3);
-        let scc_at = |level: usize, name: &str| {
-            let f = prog.func_id(name).unwrap();
-            levels[level].contains(&cg.scc_index(f))
-        };
-        assert!(scc_at(0, "leaf"));
-        assert!(scc_at(1, "mid"));
-        assert!(scc_at(2, "top"));
+        let scc = |name: &str| cg.scc_index(prog.func_id(name).unwrap());
+        assert!(scc("leaf") < scc("mid"));
+        assert!(scc("mid") < scc("top"));
     }
 
     #[test]
@@ -341,16 +302,7 @@ mod tests {
         assert!(cg.is_recursive(even));
         assert!(!cg.is_recursive(driver));
         // The recursive pair is scheduled before the driver.
-        let levels = cg.schedule_levels();
-        let pair_level = levels
-            .iter()
-            .position(|l| l.contains(&cg.scc_index(even)))
-            .unwrap();
-        let driver_level = levels
-            .iter()
-            .position(|l| l.contains(&cg.scc_index(driver)))
-            .unwrap();
-        assert!(pair_level < driver_level);
+        assert!(cg.scc_index(even) < cg.scc_index(driver));
     }
 
     #[test]
@@ -419,30 +371,20 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_equals_level_count() {
-        for src in [
-            CHAIN,
-            "fn a(x: i32) -> i32 { return x; }",
-            "fn a(x: i32) -> i32 { return b(x) + c(x); }
-             fn b(x: i32) -> i32 { return d(x); }
-             fn c(x: i32) -> i32 { return d(x); }
-             fn d(x: i32) -> i32 { return x; }",
+    fn critical_path_counts_the_longest_component_chain() {
+        for (src, len) in [
+            (CHAIN, 3),
+            ("fn a(x: i32) -> i32 { return x; }", 1),
+            (
+                "fn a(x: i32) -> i32 { return b(x) + c(x); }
+                 fn b(x: i32) -> i32 { return d(x); }
+                 fn c(x: i32) -> i32 { return d(x); }
+                 fn d(x: i32) -> i32 { return x; }",
+                3,
+            ),
         ] {
             let (_, cg) = graph(src);
-            assert_eq!(cg.critical_path_len(), cg.schedule_levels().len());
+            assert_eq!(cg.critical_path_len(), len);
         }
-    }
-
-    #[test]
-    fn every_scc_appears_in_exactly_one_level() {
-        let (_, cg) = graph(CHAIN);
-        let levels = cg.schedule_levels();
-        let mut seen = BTreeSet::new();
-        for level in &levels {
-            for &scc in level {
-                assert!(seen.insert(scc), "scc {scc} scheduled twice");
-            }
-        }
-        assert_eq!(seen.len(), cg.sccs().len());
     }
 }

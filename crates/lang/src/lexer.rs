@@ -1,9 +1,9 @@
 //! Lexer for the Rox surface language.
 //!
 //! Rox is the ownership-typed Rust subset used throughout this reproduction
-//! as the stand-in for Rust itself (see DESIGN.md §1). The lexer turns source
-//! text into a vector of [`Token`]s with [`Span`]s; comments (`// ...`) and
-//! whitespace are skipped.
+//! as the stand-in for Rust itself. The lexer turns source text into a
+//! vector of [`Token`]s with [`Span`]s; comments (`// ...`) and whitespace
+//! are skipped.
 
 use crate::span::{Diagnostic, Span};
 use std::fmt;

@@ -1,10 +1,9 @@
 //! # flowistry-lang: the Rox language front-end
 //!
-//! This crate is the substrate of the Flowistry reproduction (see the
-//! repository's DESIGN.md): a small ownership-typed Rust subset — **Rox** —
-//! with everything the information flow analysis of
-//! *Modular Information Flow through Ownership* (PLDI 2022) needs from a
-//! compiler:
+//! This crate is the substrate of the Flowistry reproduction: a small
+//! ownership-typed Rust subset — **Rox** — with everything the information
+//! flow analysis of *Modular Information Flow through Ownership* (PLDI
+//! 2022) needs from a compiler:
 //!
 //! * a [`lexer`], [`parser`] and [`ast`] for the surface syntax;
 //! * a [`typeck`] pass producing per-expression types and function

@@ -119,7 +119,7 @@ fn build_struct_table(program: &Program) -> Result<StructTable, Diagnostic> {
             if matches!(fty, AstTy::Ref { .. }) {
                 return Err(Diagnostic::error(
                     format!(
-                        "struct field `{}.{fname}` has a reference type; struct fields must be reference-free (see DESIGN.md)",
+                        "struct field `{}.{fname}` has a reference type; struct fields must be reference-free",
                         s.name
                     ),
                     s.span,

@@ -18,9 +18,10 @@
 //! * [`backend`] — one managed replica ([`BackendLauncher`] implementors
 //!   spawn it; the router pools a pipelined data connection and a control
 //!   connection to it, and can kill + relaunch it).
-//! * [`router`] — [`FlowRouter`] itself: the accept loop, per-connection
-//!   ordering, edge budgets (auth / rate / size), the update broadcast,
-//!   and the health supervisor.
+//! * [`router`] — [`FlowRouter`] itself: a handler on `flow-server`'s
+//!   connection edge (which owns the accept loop, per-connection ordering,
+//!   and the auth / rate / size budgets), the routing and retries, the
+//!   update broadcast, and the health supervisor.
 //!
 //! Clients need nothing new: a [`FlowClient`] pointed at the router works
 //! unchanged, because the router preserves per-connection response order

@@ -7,8 +7,8 @@
 //!
 //! A client sees responses in request order, exactly as against a single
 //! server, even though consecutive requests may hit different backends:
-//! the connection's reader attaches a response receiver to each routed
-//! request *in order*, and the connection's writer drains those receivers
+//! the shared connection [`Edge`] queues each routed request's response
+//! receiver *in order*, and the connection's writer drains those receivers
 //! in the same order. Backend-side order holds because each backend's
 //! pooled connection enqueues the reply slot and writes the request under
 //! one lock.
@@ -27,14 +27,15 @@
 use crate::backend::{Backend, BackendLauncher, BackendReply};
 use crate::ring::HashRing;
 use flowistry_engine::{QueryEnvelope, QueryRequest, QueryResponse};
-use flowistry_obs::{Counter, Gauge, Histogram, Registry};
-use flowistry_server::budget::{constant_time_eq, read_line_bounded, BoundedLine, RateLimiter};
-use flowistry_server::codec::{self, Command};
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use flowistry_obs::{Counter, Gauge, Registry};
+use flowistry_server::codec;
+use flowistry_server::edge::{Edge, Handler, Reply};
+use flowistry_server::ServerConfig;
+use std::io::{self, Write};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::Receiver;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -129,27 +130,15 @@ impl RouterConfig {
         self
     }
 
-    fn effective_max_line_bytes(&self) -> usize {
-        if self.max_line_bytes == 0 {
-            1 << 20
-        } else {
-            self.max_line_bytes
-        }
-    }
-
-    fn effective_max_update_bytes(&self) -> usize {
-        if self.max_update_bytes == 0 {
-            16 << 20
-        } else {
-            self.max_update_bytes
-        }
-    }
-
-    fn effective_rate_burst(&self) -> u32 {
-        if self.rate_burst == 0 {
-            64
-        } else {
-            self.rate_burst
+    /// The budgets the shared connection edge enforces at the front.
+    fn edge_config(&self) -> ServerConfig {
+        ServerConfig {
+            max_connections: self.max_connections,
+            auth_token: self.auth_token.clone(),
+            rate_limit: self.rate_limit,
+            rate_burst: self.rate_burst,
+            max_line_bytes: self.max_line_bytes,
+            max_update_bytes: self.max_update_bytes,
         }
     }
 
@@ -190,50 +179,19 @@ impl RouterConfig {
     }
 }
 
-/// Fleet-front counters and latency histograms.
+/// Fleet-front counters beyond the edge's own (which the shared
+/// connection edge registers under the same `flow_router_` prefix).
 struct RouterMetrics {
-    connections: Arc<Counter>,
-    requests: Arc<Counter>,
-    decode_errors: Arc<Counter>,
-    auth_failures: Arc<Counter>,
-    rate_limited: Arc<Counter>,
-    oversize_lines: Arc<Counter>,
     updates: Arc<Counter>,
     update_quorum_failures: Arc<Counter>,
     lost_requests: Arc<Counter>,
     deadline_exceeded: Arc<Counter>,
     history_bytes: Arc<Gauge>,
-    /// Submit-to-flush route latency, one histogram per request kind.
-    route_seconds: Vec<Arc<Histogram>>,
 }
 
 impl RouterMetrics {
     fn new(registry: &Registry) -> RouterMetrics {
         RouterMetrics {
-            connections: registry.counter(
-                "flow_router_connections_total",
-                "Client connections accepted by the router",
-            ),
-            requests: registry.counter(
-                "flow_router_requests_total",
-                "Client command lines successfully decoded",
-            ),
-            decode_errors: registry.counter(
-                "flow_router_decode_errors_total",
-                "Client command lines rejected by the codec",
-            ),
-            auth_failures: registry.counter(
-                "flow_router_auth_failures_total",
-                "Commands rejected for missing or wrong auth preamble",
-            ),
-            rate_limited: registry.counter(
-                "flow_router_rate_limited_total",
-                "Commands rejected by the per-connection rate budget",
-            ),
-            oversize_lines: registry.counter(
-                "flow_router_oversize_lines_total",
-                "Request lines rejected by the per-connection size budget",
-            ),
             updates: registry.counter(
                 "flow_router_updates_total",
                 "Update broadcasts that reached quorum",
@@ -256,15 +214,6 @@ impl RouterMetrics {
                 "Bytes of update state retained for backend catch-up (the \
                  compacted latest program source, not the full history)",
             ),
-            route_seconds: QueryRequest::KINDS
-                .iter()
-                .map(|kind| {
-                    registry.histogram(
-                        &format!("flow_router_route_seconds{{kind=\"{kind}\"}}"),
-                        "Route latency from request decode to response flush",
-                    )
-                })
-                .collect(),
         }
     }
 }
@@ -287,10 +236,6 @@ struct RouterShared {
     latest_update: Mutex<Option<Arc<String>>>,
     /// Round-robin counter spreading non-function-scoped requests.
     round_robin: AtomicU64,
-    shutdown: AtomicBool,
-    active: Mutex<usize>,
-    slot_freed: Condvar,
-    conn_streams: Mutex<Vec<Option<TcpStream>>>,
 }
 
 impl RouterShared {
@@ -299,11 +244,7 @@ impl RouterShared {
     }
 
     fn error_envelope(&self, msg: String) -> String {
-        codec::encode_envelope(&QueryEnvelope {
-            epoch: self.current_epoch(),
-            response: QueryResponse::Error(msg),
-            trace_id: None,
-        })
+        codec::encode_error(self.current_epoch(), msg)
     }
 
     /// The routing key of a query: function-scoped requests pin to their
@@ -458,11 +399,164 @@ fn apply_update(backend: &Backend, source: &str, target_epoch: Option<u64>) -> i
     }
 }
 
+/// A routed request in flight: the receiver its response arrives on, plus
+/// everything needed to retry it if the backend dies mid-flight.
+struct Routed {
+    rx: Receiver<BackendReply>,
+    /// The verbatim request line, for retries.
+    line: String,
+    /// Fallback order across backends (ring chain of the routing key).
+    chain: Vec<usize>,
+    /// Position in `chain` the current attempt used.
+    position: usize,
+    /// Attempts used so far (first send counts as one).
+    attempts: u32,
+    /// When the client's `deadline=` budget runs out (None = no deadline).
+    /// Bounds both the wait on a backend and the failover retries: once
+    /// spent, the client gets `error deadline exceeded` instead of a late
+    /// answer it no longer wants.
+    deadline: Option<Instant>,
+}
+
+/// The router's side of the edge: queries are routed to backends, updates
+/// broadcast to all of them.
+impl Handler for RouterShared {
+    type Pending = Routed;
+    const TIER: &'static str = "router";
+    const LATENCY_SERIES: &'static str = "flow_router_route_seconds";
+    // The router runs in one process with its in-process replicas in the
+    // chaos gauntlet, sharing one failpoint registry: torn frames at the
+    // front would count as violations that are not bugs.
+    const FRAME_FAULTS: bool = false;
+    // `metrics` is answered from the router's own registry.
+    const BYTE_COUNTERS: bool = false;
+
+    fn epoch(&self) -> u64 {
+        self.current_epoch()
+    }
+
+    fn query(
+        &self,
+        request: QueryRequest,
+        trace_id: Option<String>,
+        deadline_ms: Option<u64>,
+        line: &str,
+        decoded_at: Instant,
+    ) -> Reply<Routed> {
+        if matches!(request, QueryRequest::Metrics) {
+            // The router answers `metrics` itself: its registry carries the
+            // fleet's routing/health series. Backend engine metrics are
+            // scraped per backend.
+            return Reply::Line(codec::encode_envelope(&QueryEnvelope {
+                epoch: self.current_epoch(),
+                response: QueryResponse::Metrics(self.registry.render_prometheus()),
+                trace_id,
+            }));
+        }
+        let key = self.routing_key(&request);
+        let chain: Vec<usize> = self.ring.route_chain(&key).collect();
+        match self.send_via_chain(&chain, 0, line) {
+            Some((index, rx)) => {
+                let position = chain.iter().position(|&i| i == index).unwrap_or(0);
+                Reply::Pending(Routed {
+                    rx,
+                    line: line.to_string(),
+                    chain,
+                    position,
+                    attempts: 1,
+                    // The raw line (deadline attr included) is what gets
+                    // forwarded, so the backend sees the same budget and
+                    // sheds on its own.
+                    deadline: deadline_ms.map(|ms| decoded_at + Duration::from_millis(ms)),
+                })
+            }
+            None => {
+                self.metrics.lost_requests.inc();
+                Reply::Line(self.error_envelope("router: no backend available".to_string()))
+            }
+        }
+    }
+
+    /// A client-supplied `epoch=` pin is ignored at the front: the router
+    /// owns the fleet's epoch numbering.
+    fn update(&self, source: String, _epoch: Option<u64>) -> String {
+        self.broadcast_update(source)
+    }
+
+    /// Waits for a routed response. A request whose backend died
+    /// mid-flight is retried here, synchronously — this response is the
+    /// next one due on the wire anyway, so blocking on the retry preserves
+    /// order for free. A request carrying a `deadline=` budget waits no
+    /// longer than that budget, on backends and retries combined.
+    fn resolve(&self, routed: Routed) -> String {
+        let Routed {
+            mut rx,
+            line,
+            chain,
+            mut position,
+            mut attempts,
+            deadline,
+        } = routed;
+        let max_attempts = self.config.effective_retry_attempts();
+        let breaker_threshold = self.config.effective_breaker_threshold();
+        loop {
+            let current = &self.backends[chain[position % chain.len()]];
+            let received = match deadline {
+                None => rx.recv().map_err(|_| false),
+                Some(d) => {
+                    let budget = d.saturating_duration_since(Instant::now());
+                    rx.recv_timeout(budget)
+                        .map_err(|e| matches!(e, std::sync::mpsc::RecvTimeoutError::Timeout))
+                }
+            };
+            match received {
+                Ok(BackendReply::Line(response)) => {
+                    current.record_send_success();
+                    return response;
+                }
+                Err(true) => {
+                    // The budget ran out while a backend still held the
+                    // request. Answer now — a late response on the pooled
+                    // connection is discarded by its (dropped) receiver.
+                    self.metrics.deadline_exceeded.inc();
+                    return self.error_envelope("deadline exceeded".to_string());
+                }
+                Err(false) => {
+                    // The backend died with this request in flight. Rotate
+                    // to the key's next ring successor and try again —
+                    // unless the deadline budget is already spent.
+                    current.metrics.retries.inc();
+                    current.record_send_failure(breaker_threshold);
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        self.metrics.deadline_exceeded.inc();
+                        return self.error_envelope("deadline exceeded".to_string());
+                    }
+                    if attempts >= max_attempts {
+                        self.metrics.lost_requests.inc();
+                        return self.error_envelope(format!(
+                            "router: request lost after {attempts} attempts"
+                        ));
+                    }
+                    attempts += 1;
+                    match self.send_via_chain(&chain, position + 1, &line) {
+                        Some((index, new_rx)) => {
+                            position = chain.iter().position(|&i| i == index).unwrap_or(position);
+                            rx = new_rx;
+                        }
+                        None => {
+                            self.metrics.lost_requests.inc();
+                            return self.error_envelope("router: no backend available".to_string());
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The running fleet front: see the [module docs](self).
 pub struct FlowRouter {
-    shared: Arc<RouterShared>,
-    local_addr: SocketAddr,
-    accept_handle: Option<JoinHandle<()>>,
+    edge: Edge<RouterShared>,
     health_handle: Option<JoinHandle<()>>,
 }
 
@@ -493,72 +587,62 @@ impl FlowRouter {
                 &registry,
             )?));
         }
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let max_connections =
-            flowistry_engine::scheduler::resolve_worker_threads(config.max_connections);
         let ring = HashRing::new(backends.len(), config.vnodes);
         let metrics = RouterMetrics::new(&registry);
+        let edge_config = config.edge_config();
         let shared = Arc::new(RouterShared {
             backends,
             ring,
             config,
-            registry,
+            registry: registry.clone(),
             metrics,
             epoch: AtomicU64::new(0),
             latest_update: Mutex::new(None),
             round_robin: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            active: Mutex::new(0),
-            slot_freed: Condvar::new(),
-            conn_streams: Mutex::new(Vec::new()),
         });
-        let accept_handle = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("flow-router-accept".to_string())
-                .spawn(move || accept_loop(&shared, &listener, max_connections))
-                .expect("spawn router accept loop")
-        };
+        let edge = Edge::bind(shared.clone(), addr, edge_config, &registry)?;
         let health_handle = {
-            let shared = shared.clone();
+            let stop = edge.shutdown_flag();
             std::thread::Builder::new()
                 .name("flow-router-health".to_string())
-                .spawn(move || health_loop(&shared))
+                .spawn(move || health_loop(&shared, &stop))
                 .expect("spawn router health loop")
         };
         Ok(FlowRouter {
-            shared,
-            local_addr,
-            accept_handle: Some(accept_handle),
+            edge,
             health_handle: Some(health_handle),
         })
     }
 
     /// The address the router listens on.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.edge.local_addr()
     }
 
     /// The registry holding every router metric (what the wire `metrics`
     /// command renders).
     pub fn metrics_registry(&self) -> &Arc<Registry> {
-        &self.shared.registry
+        &self.edge.handler().registry
     }
 
     /// Number of backends in the fleet.
     pub fn backend_count(&self) -> usize {
-        self.shared.backends.len()
+        self.edge.handler().backends.len()
     }
 
     /// The current address of backend `index` (`None` while it is down).
     pub fn backend_addr(&self, index: usize) -> Option<SocketAddr> {
-        self.shared.backends.get(index).and_then(|b| b.addr())
+        self.edge
+            .handler()
+            .backends
+            .get(index)
+            .and_then(|b| b.addr())
     }
 
     /// Whether backend `index` currently serves traffic.
     pub fn backend_healthy(&self, index: usize) -> bool {
-        self.shared
+        self.edge
+            .handler()
             .backends
             .get(index)
             .is_some_and(|b| b.is_healthy())
@@ -567,7 +651,8 @@ impl FlowRouter {
     /// Backend `index`'s circuit-breaker state: 0 closed, 1 open, 2
     /// half-open (mirrors the `flow_breaker_state` gauge).
     pub fn backend_breaker_state(&self, index: usize) -> u8 {
-        self.shared
+        self.edge
+            .handler()
             .backends
             .get(index)
             .map_or(0, |b| b.breaker_state())
@@ -577,7 +662,7 @@ impl FlowRouter {
     /// fleet, exactly as a crash would. The supervisor is left to notice
     /// and respawn it.
     pub fn kill_backend(&self, index: usize) {
-        if let Some(backend) = self.shared.backends.get(index) {
+        if let Some(backend) = self.edge.handler().backends.get(index) {
             if let Some(handle) = backend.handle.lock().expect("handle lock").as_mut() {
                 handle.kill();
             }
@@ -587,490 +672,50 @@ impl FlowRouter {
     /// Whether a shutdown has been initiated (wire `shutdown` or
     /// [`FlowRouter::shutdown`]).
     pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.edge.is_shutdown()
     }
 
     /// Initiates a graceful shutdown: stop accepting, cut client readers
     /// loose (their writers still flush), stop the supervisor, tear the
     /// backends down.
     pub fn shutdown(&self) {
-        initiate_shutdown(&self.shared, self.local_addr);
+        self.edge.shutdown();
     }
 
     /// Blocks until the router has shut down.
     pub fn wait(mut self) {
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
+        self.edge.wait();
     }
 }
 
 impl Drop for FlowRouter {
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
+        self.edge.wait();
         if let Some(handle) = self.health_handle.take() {
             let _ = handle.join();
         }
-        let mut active = self.shared.active.lock().expect("router active lock");
-        while *active > 0 {
-            active = self
-                .shared
-                .slot_freed
-                .wait(active)
-                .expect("router active lock");
-        }
-        // Backends (and their child processes / in-process servers) die
-        // with the shared state when the last Arc drops — which is now,
-        // barring a straggling connection thread that still holds one.
-    }
-}
-
-fn initiate_shutdown(shared: &RouterShared, local_addr: SocketAddr) {
-    let first = !shared.shutdown.swap(true, Ordering::SeqCst);
-    let _ = TcpStream::connect(local_addr);
-    {
-        let _guard = shared.active.lock().expect("router active lock");
-        shared.slot_freed.notify_all();
-    }
-    if !first {
-        return;
-    }
-    let streams = shared.conn_streams.lock().expect("conn stream lock");
-    for stream in streams.iter().flatten() {
-        let _ = stream.shutdown(Shutdown::Read);
-    }
-}
-
-fn register_stream(shared: &RouterShared, stream: &TcpStream) -> Option<usize> {
-    let clone = stream.try_clone().ok()?;
-    let mut streams = shared.conn_streams.lock().expect("conn stream lock");
-    match streams.iter().position(Option::is_none) {
-        Some(i) => {
-            streams[i] = Some(clone);
-            Some(i)
-        }
-        None => {
-            streams.push(Some(clone));
-            Some(streams.len() - 1)
-        }
-    }
-}
-
-fn unregister_stream(shared: &RouterShared, slot: Option<usize>) {
-    if let Some(i) = slot {
-        shared.conn_streams.lock().expect("conn stream lock")[i] = None;
-    }
-}
-
-fn release_slot(shared: &RouterShared) {
-    let mut active = shared.active.lock().expect("router active lock");
-    *active -= 1;
-    shared.slot_freed.notify_all();
-}
-
-fn accept_loop(shared: &Arc<RouterShared>, listener: &TcpListener, max_connections: usize) {
-    loop {
-        {
-            let mut active = shared.active.lock().expect("router active lock");
-            while *active >= max_connections && !shared.shutdown.load(Ordering::SeqCst) {
-                active = shared.slot_freed.wait(active).expect("router active lock");
-            }
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            *active += 1;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(_) => {
-                release_slot(shared);
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            release_slot(shared);
-            break;
-        }
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-        let Some(slot) = register_stream(shared, &stream) else {
-            drop(stream);
-            release_slot(shared);
-            continue;
-        };
-        let slot = Some(slot);
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = stream.shutdown(Shutdown::Both);
-            unregister_stream(shared, slot);
-            release_slot(shared);
-            break;
-        }
-        let shared_for_conn = shared.clone();
-        let spawned = std::thread::Builder::new()
-            .name("flow-router-conn".to_string())
-            .spawn(move || {
-                handle_connection(&shared_for_conn, stream);
-                unregister_stream(&shared_for_conn, slot);
-                release_slot(&shared_for_conn);
-            });
-        if spawned.is_err() {
-            unregister_stream(shared, slot);
-            release_slot(shared);
-        }
-    }
-}
-
-/// What the connection's reader hands its writer, in request order.
-enum Pending {
-    /// A pre-rendered response line (local answers, errors, acks, `bye`).
-    Line(String),
-    /// A routed request: the receiver its response arrives on, plus
-    /// everything needed to retry it if the backend dies mid-flight.
-    Routed {
-        rx: Receiver<BackendReply>,
-        /// The verbatim request line, for retries.
-        line: String,
-        /// Fallback order across backends (ring chain of the routing key).
-        chain: Vec<usize>,
-        /// Position in `chain` the current attempt used.
-        position: usize,
-        /// Attempts used so far (first send counts as one).
-        attempts: u32,
-        decoded_at: Instant,
-        /// When the client's `deadline=` budget runs out (None = no
-        /// deadline). Bounds both the wait on a backend and the failover
-        /// retries: once spent, the client gets `error deadline exceeded`
-        /// instead of a late answer it no longer wants.
-        deadline: Option<Instant>,
-        kind: usize,
-    },
-}
-
-fn handle_connection(shared: &Arc<RouterShared>, stream: TcpStream) {
-    let reader = match stream.try_clone() {
-        Ok(clone) => BufReader::new(clone),
-        Err(_) => return,
-    };
-    let (tx, rx) = std::sync::mpsc::channel::<Pending>();
-    let writer_stream = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
-    shared.metrics.connections.inc();
-    let shared_for_writer = shared.clone();
-    let writer = std::thread::Builder::new()
-        .name("flow-router-conn-writer".to_string())
-        .spawn(move || writer_loop(&shared_for_writer, writer_stream, rx));
-    let Ok(writer) = writer else { return };
-
-    let shutdown_requested = reader_loop(shared, reader, &tx);
-
-    drop(tx);
-    let _ = writer.join();
-    if shutdown_requested {
-        let addr = stream
-            .local_addr()
-            .unwrap_or_else(|_| SocketAddr::from(([127, 0, 0, 1], 0)));
-        initiate_shutdown(shared, addr);
-    }
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Reads client request lines, enforcing the edge budgets, routing queries
-/// and broadcasting updates. Returns whether a fleet shutdown was
-/// requested.
-fn reader_loop(
-    shared: &Arc<RouterShared>,
-    mut reader: BufReader<TcpStream>,
-    tx: &Sender<Pending>,
-) -> bool {
-    let mut line = String::new();
-    let max_line = shared.config.effective_max_line_bytes();
-    let mut limiter = RateLimiter::new(
-        shared.config.rate_limit,
-        shared.config.effective_rate_burst(),
-    );
-    let mut authed = shared.config.auth_token.is_none();
-    loop {
-        match read_line_bounded(&mut reader, &mut line, max_line) {
-            Err(_) | Ok(BoundedLine::Eof) => return false,
-            Ok(BoundedLine::Line(_)) => {}
-            Ok(BoundedLine::TooLong(_)) => {
-                shared.metrics.oversize_lines.inc();
-                let reply = shared
-                    .error_envelope(format!("request line exceeds the {max_line}-byte budget"));
-                if tx.send(Pending::Line(reply)).is_err() {
-                    return false;
-                }
-                continue;
-            }
-        }
-        if line.is_empty() {
-            continue;
-        }
-        if !limiter.allow() {
-            shared.metrics.rate_limited.inc();
-            let reply = shared.error_envelope(format!(
-                "rate limit exceeded ({} requests/s)",
-                shared.config.rate_limit
-            ));
-            if tx.send(Pending::Line(reply)).is_err() {
-                return false;
-            }
-            continue;
-        }
-        let decoded_at = Instant::now();
-        let command = codec::decode_command(&line);
-        if !authed && !matches!(command, Ok(Command::Auth { .. })) {
-            shared.metrics.auth_failures.inc();
-            let reply = shared
-                .error_envelope("authentication required: send `auth <token>` first".to_string());
-            if tx.send(Pending::Line(reply)).is_err() {
-                return false;
-            }
-            continue;
-        }
-        let pending = match command {
-            Err(msg) => {
-                shared.metrics.decode_errors.inc();
-                Pending::Line(shared.error_envelope(format!("malformed request: {msg}")))
-            }
-            Ok(Command::Auth { token }) => {
-                shared.metrics.requests.inc();
-                let accepted = match &shared.config.auth_token {
-                    Some(expected) => constant_time_eq(expected.as_bytes(), token.as_bytes()),
-                    None => true,
-                };
-                if accepted {
-                    authed = true;
-                    Pending::Line(codec::AUTHED_LINE.to_string())
-                } else {
-                    shared.metrics.auth_failures.inc();
-                    Pending::Line(shared.error_envelope("bad auth token".to_string()))
-                }
-            }
-            Ok(Command::Query {
-                request,
-                trace_id,
-                deadline_ms,
-            }) => {
-                shared.metrics.requests.inc();
-                if matches!(request, QueryRequest::Metrics) {
-                    // The router answers `metrics` itself: its registry
-                    // carries the fleet's routing/health series. Backend
-                    // engine metrics are scraped per backend.
-                    Pending::Line(codec::encode_envelope(&QueryEnvelope {
-                        epoch: shared.current_epoch(),
-                        response: QueryResponse::Metrics(shared.registry.render_prometheus()),
-                        trace_id,
-                    }))
-                } else {
-                    let key = shared.routing_key(&request);
-                    let chain: Vec<usize> = shared.ring.route_chain(&key).collect();
-                    let kind = request.kind_index();
-                    match shared.send_via_chain(&chain, 0, &line) {
-                        Some((index, rx)) => {
-                            let position = chain.iter().position(|&i| i == index).unwrap_or(0);
-                            Pending::Routed {
-                                rx,
-                                line: line.clone(),
-                                chain,
-                                position,
-                                attempts: 1,
-                                decoded_at,
-                                // The raw line (deadline attr included) is
-                                // what gets forwarded, so the backend sees
-                                // the same budget and sheds on its own.
-                                deadline: deadline_ms
-                                    .map(|ms| decoded_at + Duration::from_millis(ms)),
-                                kind,
-                            }
-                        }
-                        None => {
-                            shared.metrics.lost_requests.inc();
-                            Pending::Line(
-                                shared.error_envelope("router: no backend available".to_string()),
-                            )
-                        }
-                    }
-                }
-            }
-            Ok(Command::Update { bytes, epoch: _ }) => {
-                // A client-supplied `epoch=` pin is ignored at the front:
-                // the router owns the fleet's epoch numbering.
-                shared.metrics.requests.inc();
-                Pending::Line(read_and_broadcast_update(shared, &mut reader, bytes))
-            }
-            Ok(Command::Shutdown) => {
-                shared.metrics.requests.inc();
-                let _ = tx.send(Pending::Line(codec::BYE_LINE.to_string()));
-                return true;
-            }
-        };
-        if tx.send(pending).is_err() {
-            return false;
-        }
-    }
-}
-
-/// Reads an `update` body off the client connection and broadcasts it.
-/// Returns the response line.
-fn read_and_broadcast_update(
-    shared: &RouterShared,
-    reader: &mut BufReader<TcpStream>,
-    bytes: usize,
-) -> String {
-    let max_update_bytes = shared.config.effective_max_update_bytes();
-    if bytes > max_update_bytes {
-        if io::copy(&mut reader.by_ref().take(bytes as u64), &mut io::sink()).is_err() {
-            return shared.error_envelope("update source truncated".to_string());
-        }
-        let _ = consume_newline(reader);
-        return shared.error_envelope(format!(
-            "update of {bytes} bytes exceeds {max_update_bytes}"
-        ));
-    }
-    let mut source = vec![0u8; bytes];
-    if reader.read_exact(&mut source).is_err() {
-        return shared.error_envelope("update source truncated".to_string());
-    }
-    if let Err(msg) = consume_newline(reader) {
-        return shared.error_envelope(msg);
-    }
-    let source = match String::from_utf8(source) {
-        Ok(s) => s,
-        Err(_) => return shared.error_envelope("update source is not UTF-8".to_string()),
-    };
-    shared.broadcast_update(source)
-}
-
-/// Consumes the newline terminating an `update` body (only if present, to
-/// preserve framing when clients miscount).
-fn consume_newline(reader: &mut BufReader<TcpStream>) -> Result<(), String> {
-    match reader.fill_buf() {
-        Ok(buf) if buf.first() == Some(&b'\n') => {
-            reader.consume(1);
-            Ok(())
-        }
-        Ok([]) => Ok(()),
-        Ok(_) => Err("update source not followed by a newline (check <nbytes>)".to_string()),
-        Err(_) => Err("update source truncated".to_string()),
-    }
-}
-
-/// Writes responses in request order. A routed request whose backend died
-/// mid-flight is retried here, synchronously — this response is the next
-/// one due on the wire anyway, so blocking on the retry preserves order
-/// for free. A request carrying a `deadline=` budget waits no longer than
-/// that budget, on backends and retries combined.
-fn writer_loop(shared: &Arc<RouterShared>, stream: TcpStream, rx: Receiver<Pending>) {
-    let mut out = io::BufWriter::new(stream);
-    for pending in rx {
-        let (line, observed) = match pending {
-            Pending::Line(line) => (line, None),
-            Pending::Routed {
-                mut rx,
-                line,
-                chain,
-                mut position,
-                mut attempts,
-                decoded_at,
-                deadline,
-                kind,
-            } => {
-                let max_attempts = shared.config.effective_retry_attempts();
-                let breaker_threshold = shared.config.effective_breaker_threshold();
-                let response = loop {
-                    let current = &shared.backends[chain[position % chain.len()]];
-                    let received = match deadline {
-                        None => rx.recv().map_err(|_| false),
-                        Some(d) => {
-                            let budget = d.saturating_duration_since(Instant::now());
-                            rx.recv_timeout(budget).map_err(|e| {
-                                matches!(e, std::sync::mpsc::RecvTimeoutError::Timeout)
-                            })
-                        }
-                    };
-                    match received {
-                        Ok(BackendReply::Line(response)) => {
-                            current.record_send_success();
-                            break response;
-                        }
-                        Err(true) => {
-                            // The budget ran out while a backend still
-                            // held the request. Answer now — a late
-                            // response on the pooled connection is
-                            // discarded by its (dropped) receiver.
-                            shared.metrics.deadline_exceeded.inc();
-                            break shared.error_envelope("deadline exceeded".to_string());
-                        }
-                        Err(false) => {
-                            // The backend died with this request in
-                            // flight. Rotate to the key's next ring
-                            // successor and try again — unless the
-                            // deadline budget is already spent.
-                            current.metrics.retries.inc();
-                            current.record_send_failure(breaker_threshold);
-                            if deadline.is_some_and(|d| Instant::now() >= d) {
-                                shared.metrics.deadline_exceeded.inc();
-                                break shared.error_envelope("deadline exceeded".to_string());
-                            }
-                            if attempts >= max_attempts {
-                                shared.metrics.lost_requests.inc();
-                                break shared.error_envelope(format!(
-                                    "router: request lost after {attempts} attempts"
-                                ));
-                            }
-                            attempts += 1;
-                            match shared.send_via_chain(&chain, position + 1, &line) {
-                                Some((index, new_rx)) => {
-                                    position =
-                                        chain.iter().position(|&i| i == index).unwrap_or(position);
-                                    rx = new_rx;
-                                }
-                                None => {
-                                    shared.metrics.lost_requests.inc();
-                                    break shared.error_envelope(
-                                        "router: no backend available".to_string(),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                };
-                (response, Some((decoded_at, kind)))
-            }
-        };
-        if writeln!(out, "{line}").is_err() || out.flush().is_err() {
-            return; // client went away
-        }
-        if let Some((decoded_at, kind)) = observed {
-            shared.metrics.route_seconds[kind].observe(decoded_at.elapsed());
-        }
+        // Dropping the edge then waits for every client connection; the
+        // backends (and their child processes / in-process servers) die
+        // with the shared state when the last Arc drops.
     }
 }
 
 /// The supervisor: probes every backend's control connection with `stats`,
 /// and after enough consecutive misses kills + relaunches the instance,
 /// replays the update history into it, and returns it to the ring.
-fn health_loop(shared: &Arc<RouterShared>) {
+fn health_loop(shared: &RouterShared, stop: &AtomicBool) {
     let interval = shared.config.effective_health_interval();
     let probe_timeout = shared.config.effective_probe_timeout();
     let threshold = shared.config.effective_failure_threshold();
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !stop.load(Ordering::SeqCst) {
         // Sleep in short slices: a long probe interval must not hold the
         // router's shutdown hostage (Drop joins this thread).
         let wake = Instant::now() + interval;
-        while Instant::now() < wake && !shared.shutdown.load(Ordering::SeqCst) {
+        while Instant::now() < wake && !stop.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(25).min(interval));
         }
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if stop.load(Ordering::SeqCst) {
             break;
         }
         for backend in &shared.backends {

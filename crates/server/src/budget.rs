@@ -1,12 +1,8 @@
-//! Per-connection budget primitives shared by [`FlowServer`](crate::FlowServer)
-//! and the `flow-router` fleet front: a token-bucket request-rate limiter, a
-//! bounded line reader (so one hostile client cannot buffer an unbounded
-//! request line), and a constant-time token comparison for the `auth`
-//! connection preamble.
-//!
-//! These live in one module because the router applies the *same* budgets at
-//! the fleet edge that the server applies per backend — the two fronts must
-//! not drift apart in what they consider over-budget.
+//! Per-connection budget primitives enforced by the connection
+//! [`edge`](crate::edge) of both `flow-server` and the `flow-router` fleet
+//! front: a token-bucket request-rate limiter, a bounded line reader (so one
+//! hostile client cannot buffer an unbounded request line), and a
+//! constant-time token comparison for the `auth` connection preamble.
 
 use std::io::{self, BufRead};
 use std::time::Instant;

@@ -1012,6 +1012,15 @@ pub fn decode_command(line: &str) -> Result<Command, String> {
 // ---------------------------------------------------------------------------
 // Envelopes
 
+/// Renders an untraced `error` envelope stamped with `epoch`.
+pub fn encode_error(epoch: u64, message: String) -> String {
+    encode_envelope(&QueryEnvelope {
+        epoch,
+        response: QueryResponse::Error(message),
+        trace_id: None,
+    })
+}
+
 /// Renders a [`QueryEnvelope`] as one response line (without the trailing
 /// newline).
 pub fn encode_envelope(envelope: &QueryEnvelope) -> String {

@@ -7,19 +7,22 @@
 //! line-oriented text codec in the spirit of `FunctionSummary::encode` (the
 //! build has no serialization or async crates).
 //!
-//! Three layers:
+//! The layers:
 //!
 //! * [`codec`] — the wire grammar: one request line in, one response line
 //!   out, every [`QueryRequest`] and [`QueryEnvelope`] variant round-trips
 //!   exactly (the loopback stress test checks served answers bit-for-bit
 //!   against direct analyses).
-//! * [`FlowServer`] — the accept loop (bounded thread-per-connection, sized
-//!   by the same `FLOWISTRY_ENGINE_THREADS` knob as every engine pool) and
-//!   per-connection reader/writer pairs that pipeline requests through
-//!   [`FlowService::submit`]. The `update` command recompiles submitted
-//!   source server-side and swaps snapshots without dropping queries; the
-//!   `shutdown` command stops the server gracefully, answering everything
-//!   it accepted.
+//! * [`edge`] — the connection edge this server and the `flow-router`
+//!   fleet front share: the accept loop (bounded thread-per-connection,
+//!   sized by the same `FLOWISTRY_ENGINE_THREADS` knob as every engine
+//!   pool), per-connection reader/writer pairs that pipeline requests in
+//!   order, and the [`budget`]s every connection is held to.
+//! * [`FlowServer`] — the edge's [`Handler`](edge::Handler) over one
+//!   service: queries go through [`FlowService::submit`], the `update`
+//!   command recompiles submitted source server-side and swaps snapshots
+//!   without dropping queries, and the `shutdown` command stops the server
+//!   gracefully, answering everything it accepted.
 //! * [`FlowClient`] — a blocking client mirroring the service API:
 //!   `query`, `submit`/`recv` pipelining, `update`, `stats`.
 //!
@@ -58,6 +61,7 @@
 pub mod budget;
 pub mod client;
 pub mod codec;
+pub mod edge;
 pub mod server;
 
 pub use budget::{constant_time_eq, read_line_bounded, BoundedLine, RateLimiter};

@@ -1,27 +1,15 @@
-//! The TCP front: an accept loop feeding per-connection threads that speak
-//! the [`codec`](crate::codec) protocol against one shared [`FlowService`].
+//! The TCP front over one shared [`FlowService`]: a [`Handler`] plugged
+//! into the shared connection [`Edge`](crate::edge), which owns admission,
+//! budgets, auth, framing and response order (see its module docs).
 //!
-//! # Connection model
+//! Each query is submitted to the service as soon as its line is decoded
+//! ([`FlowService::submit`] — non-blocking up to the service queue's
+//! backpressure); the connection's writer waits on the resulting [`Ticket`]
+//! when the reply's turn comes, so pipelined requests run across the
+//! service's worker pool.
 //!
-//! The accept loop admits at most `max_connections` live connections
-//! (resolved by [`resolve_worker_threads`], the same knob that sizes the
-//! service's query pool); further clients wait in the OS accept backlog.
-//! Each connection runs **two** threads so requests pipeline for real:
-//!
-//! * the *reader* parses request lines and immediately submits each query
-//!   to the service ([`FlowService::submit`] — non-blocking up to the
-//!   service queue's backpressure), pushing the resulting [`Ticket`] into
-//!   an in-order reply channel;
-//! * the *writer* pops tickets in submission order, waits for each answer,
-//!   and writes the encoded envelope back.
-//!
-//! A client that sends ten requests without reading has all ten in flight
-//! across the service's worker pool, yet always receives responses in
-//! request order. Malformed lines never kill the connection: they produce
-//! an `error` response in order, and the reader keeps going.
-//!
-//! `update <nbytes>` reads the new source inline, compiles it server-side,
-//! and routes it through [`FlowService::update`]; the reader then blocks in
+//! `update <nbytes>` compiles the new source server-side and routes it
+//! through [`FlowService::update`]; the reader then blocks in
 //! [`FlowService::wait_for_epoch`] until the new snapshot serves, making an
 //! update a per-connection sync point — the `updated <epoch>` ack and every
 //! request pipelined after it reflect the pushed epoch (or later), while
@@ -29,18 +17,13 @@
 //! gracefully stops the whole server: the listener closes, live connections
 //! are shut down, and dropping the service drains every outstanding ticket.
 
-use crate::budget::{constant_time_eq, read_line_bounded, BoundedLine, RateLimiter};
-use crate::codec::{self, Command};
-use flowistry_engine::scheduler::resolve_worker_threads;
-use flowistry_engine::{FlowService, QueryEnvelope, QueryRequest, QueryResponse, Ticket};
-use flowistry_fault::{sites as fault_sites, Fault};
-use flowistry_obs::{Counter, Histogram, Registry};
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use crate::codec;
+use crate::edge::{Edge, Handler, Reply};
+use flowistry_engine::{FlowService, QueryRequest, Ticket};
+use flowistry_obs::Registry;
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of a [`FlowServer`].
@@ -131,115 +114,77 @@ impl ServerConfig {
     }
 }
 
-/// Wire-level counters and latency histograms, registered on the same
-/// [`Registry`] the service and engine report into so one `metrics` scrape
-/// covers the whole stack.
-struct ServerMetrics {
-    connections: Arc<Counter>,
-    requests: Arc<Counter>,
-    decode_errors: Arc<Counter>,
-    auth_failures: Arc<Counter>,
-    rate_limited: Arc<Counter>,
-    oversize_lines: Arc<Counter>,
-    bytes_read: Arc<Counter>,
-    bytes_written: Arc<Counter>,
-    /// Decode-to-flush wire latency, one histogram per request kind
-    /// (indexed by [`QueryRequest::kind_index`]).
-    request_wire: Vec<Arc<Histogram>>,
-}
-
-impl ServerMetrics {
-    fn new(registry: &Registry) -> ServerMetrics {
-        ServerMetrics {
-            connections: registry.counter(
-                "flow_server_connections_total",
-                "TCP connections accepted and served",
-            ),
-            requests: registry.counter(
-                "flow_server_requests_total",
-                "Wire command lines successfully decoded",
-            ),
-            decode_errors: registry.counter(
-                "flow_server_decode_errors_total",
-                "Wire command lines rejected by the codec",
-            ),
-            auth_failures: registry.counter(
-                "flow_server_auth_failures_total",
-                "Commands rejected for missing or wrong auth preamble",
-            ),
-            rate_limited: registry.counter(
-                "flow_server_rate_limited_total",
-                "Commands rejected by the per-connection rate budget",
-            ),
-            oversize_lines: registry.counter(
-                "flow_server_oversize_lines_total",
-                "Request lines rejected by the per-connection size budget",
-            ),
-            bytes_read: registry.counter(
-                "flow_server_bytes_read_total",
-                "Bytes read from clients (command lines and update bodies)",
-            ),
-            bytes_written: registry.counter(
-                "flow_server_bytes_written_total",
-                "Bytes written to clients (response lines)",
-            ),
-            request_wire: QueryRequest::KINDS
-                .iter()
-                .map(|kind| {
-                    registry.histogram(
-                        &format!("flow_server_request_wire_seconds{{kind=\"{kind}\"}}"),
-                        "Wire latency from request decode to response flush",
-                    )
-                })
-                .collect(),
-        }
-    }
-}
-
-/// State shared by the accept loop and every connection thread.
-struct ServerShared {
+/// The server's side of the edge: queries become service tickets.
+struct ServerHandler {
     service: FlowService,
-    metrics: ServerMetrics,
-    /// Auth and budget knobs, consulted by every connection reader.
-    config: ServerConfig,
-    shutdown: AtomicBool,
-    /// Live connection count, gating the accept loop at `max_connections`.
-    active: Mutex<usize>,
-    slot_freed: Condvar,
-    /// One stream clone per live connection (slot-indexed, `None` when the
-    /// connection ended), so shutdown can cut blocked readers loose.
-    conn_streams: Mutex<Vec<Option<TcpStream>>>,
 }
 
-/// Registers a clone of `stream` for shutdown to cut loose; returns the
-/// slot to clear when the connection ends.
-fn register_stream(shared: &ServerShared, stream: &TcpStream) -> Option<usize> {
-    let clone = stream.try_clone().ok()?;
-    let mut streams = shared.conn_streams.lock().expect("conn stream lock");
-    match streams.iter().position(Option::is_none) {
-        Some(i) => {
-            streams[i] = Some(clone);
-            Some(i)
-        }
-        None => {
-            streams.push(Some(clone));
-            Some(streams.len() - 1)
-        }
+impl Handler for ServerHandler {
+    type Pending = Ticket;
+    const TIER: &'static str = "server";
+    const LATENCY_SERIES: &'static str = "flow_server_request_wire_seconds";
+    const FRAME_FAULTS: bool = true;
+    const BYTE_COUNTERS: bool = true;
+
+    fn epoch(&self) -> u64 {
+        self.service.current_epoch()
     }
-}
 
-fn unregister_stream(shared: &ServerShared, slot: Option<usize>) {
-    if let Some(i) = slot {
-        shared.conn_streams.lock().expect("conn stream lock")[i] = None;
+    fn query(
+        &self,
+        request: QueryRequest,
+        trace_id: Option<String>,
+        deadline_ms: Option<u64>,
+        _line: &str,
+        _decoded_at: Instant,
+    ) -> Reply<Ticket> {
+        Reply::Pending(self.service.submit_with_deadline(
+            request,
+            trace_id,
+            deadline_ms.map(Duration::from_millis),
+        ))
+    }
+
+    fn update(&self, source: String, target_epoch: Option<u64>) -> String {
+        let program = match flowistry_lang::compile(&source) {
+            Ok(program) => program,
+            Err(diag) => {
+                return codec::encode_error(
+                    self.epoch(),
+                    format!("update failed to compile: {}", diag.message),
+                )
+            }
+        };
+        let epoch = self.service.update_at(program, target_epoch);
+        // An update is a sync point for *this connection*: requests
+        // pipelined after it must be served from the new epoch (or a later
+        // one), so don't touch the next line until the swap happened. Other
+        // connections keep querying the old snapshot throughout — this
+        // holds back one reader, not the service.
+        self.service.wait_for_epoch(epoch);
+        // The epoch counter advances even when the background re-analysis
+        // panicked (so waiters never hang) — but then the snapshot did NOT
+        // change, and acknowledging success would be a lie. Tell the client
+        // instead.
+        let serving = self.service.snapshot().epoch();
+        if serving < epoch {
+            return codec::encode_error(
+                serving,
+                format!("update {epoch} failed during re-analysis; epoch {serving} still serving"),
+            );
+        }
+        codec::encode_update_ack(epoch)
+    }
+
+    fn resolve(&self, ticket: Ticket) -> String {
+        codec::encode_envelope(&ticket.wait())
     }
 }
 
 /// A running TCP front over one [`FlowService`]: see the [module
 /// docs](self).
 pub struct FlowServer {
-    shared: Arc<ServerShared>,
-    local_addr: SocketAddr,
-    accept_handle: Option<JoinHandle<()>>,
+    edge: Edge<ServerHandler>,
 }
 
 impl FlowServer {
@@ -250,541 +195,42 @@ impl FlowServer {
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> io::Result<FlowServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let max_connections = resolve_worker_threads(config.max_connections);
-        let metrics = ServerMetrics::new(service.metrics_registry());
-        let shared = Arc::new(ServerShared {
-            service,
-            metrics,
-            config,
-            shutdown: AtomicBool::new(false),
-            active: Mutex::new(0),
-            slot_freed: Condvar::new(),
-            conn_streams: Mutex::new(Vec::new()),
-        });
-        let accept_handle = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("flow-accept".to_string())
-                .spawn(move || accept_loop(&shared, &listener, max_connections))
-                .expect("spawn accept loop")
-        };
-        Ok(FlowServer {
-            shared,
-            local_addr,
-            accept_handle: Some(accept_handle),
-        })
+        let registry = service.metrics_registry().clone();
+        let handler = Arc::new(ServerHandler { service });
+        let edge = Edge::bind(handler, addr, config, &registry)?;
+        Ok(FlowServer { edge })
     }
 
     /// The address the server is listening on (with the real port when
     /// bound to port `0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.edge.local_addr()
     }
 
     /// The metrics registry the whole stack (engine, service, and this
     /// server's wire layer) reports into — what the wire `metrics` command
     /// renders.
     pub fn metrics_registry(&self) -> &Arc<Registry> {
-        self.shared.service.metrics_registry()
+        self.edge.handler().service.metrics_registry()
     }
 
     /// Whether a `shutdown` command (or [`FlowServer::shutdown`]) has been
     /// received.
     pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.edge.is_shutdown()
     }
 
     /// Blocks until the server has shut down (via the wire `shutdown`
     /// command or a concurrent [`FlowServer::shutdown`] call) and every
     /// connection has been answered and closed.
     pub fn wait(mut self) {
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
-        // Dropping `self` runs the rest of the teardown (idempotently).
+        self.edge.wait();
+        // Dropping the edge runs the rest of the teardown.
     }
 
     /// Initiates a graceful shutdown: stop accepting, cut live connections
     /// loose, and (on drop) drain every outstanding ticket.
     pub fn shutdown(&self) {
-        initiate_shutdown(&self.shared, self.local_addr);
-    }
-}
-
-impl Drop for FlowServer {
-    fn drop(&mut self) {
-        self.shutdown();
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
-        // Wait for every connection thread to finish: they hold the shared
-        // state alive, and their tickets are answered by the service (or by
-        // its drain-on-drop) before the server is considered gone.
-        let mut active = self.shared.active.lock().expect("server active lock");
-        while *active > 0 {
-            active = self
-                .shared
-                .slot_freed
-                .wait(active)
-                .expect("server active lock");
-        }
-    }
-}
-
-/// Flips the shutdown flag and wakes everyone who might be blocked: the
-/// accept loop (via a loopback connect), blocked connection readers (via a
-/// read-side shutdown of their streams — writers keep flushing), and the
-/// slot condvar.
-fn initiate_shutdown(shared: &ServerShared, local_addr: SocketAddr) {
-    let first = !shared.shutdown.swap(true, Ordering::SeqCst);
-    // Wake a (possibly) blocked `accept` with a throwaway connection, on
-    // *every* call: the first attempt can fail under fd pressure (connect
-    // needs a free descriptor), and the retry from a later drop()/wait()
-    // is then what stands between a parked accept thread and a permanent
-    // hang. Extra wakeups are harmless — the accept loop just closes them.
-    // If the listener is already gone the connect simply fails.
-    let _ = TcpStream::connect(local_addr);
-    {
-        let _guard = shared.active.lock().expect("server active lock");
-        shared.slot_freed.notify_all();
-    }
-    if !first {
-        return;
-    }
-    // Cut only the *read* side: parked readers unblock (read_line returns
-    // 0) and stop ingesting new requests, but each connection's writer can
-    // still flush responses for everything already accepted — the
-    // "answered before the listener goes away" guarantee depends on the
-    // write side staying open.
-    let streams = shared.conn_streams.lock().expect("conn stream lock");
-    for stream in streams.iter().flatten() {
-        let _ = stream.shutdown(Shutdown::Read);
-    }
-}
-
-fn accept_loop(shared: &Arc<ServerShared>, listener: &TcpListener, max_connections: usize) {
-    loop {
-        // Admission control: at most `max_connections` live connections.
-        {
-            let mut active = shared.active.lock().expect("server active lock");
-            while *active >= max_connections && !shared.shutdown.load(Ordering::SeqCst) {
-                active = shared.slot_freed.wait(active).expect("server active lock");
-            }
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            *active += 1;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(_) => {
-                release_slot(shared);
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                // Persistent accept errors (fd exhaustion) must not turn
-                // this thread into a hot spin loop next to the workers.
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // The wakeup connect (or a client racing the shutdown): close
-            // it without serving.
-            release_slot(shared);
-            break;
-        }
-        // Writers must be able to finish flushing during shutdown (the
-        // sweep leaves the write side open for exactly that), so a client
-        // that stops reading cannot be allowed to park a writer forever
-        // and wedge teardown: bound every send.
-        let _ = stream.set_write_timeout(Some(std::time::Duration::from_secs(30)));
-        // A connection shutdown() cannot reach must not be served at all:
-        // its reader could block in read_line forever and hang the final
-        // active-count wait. Refuse it instead (try_clone only fails under
-        // fd exhaustion, where shedding load is the right move anyway).
-        let Some(slot) = register_stream(shared, &stream) else {
-            drop(stream);
-            release_slot(shared);
-            continue;
-        };
-        let slot = Some(slot);
-        // Re-check *after* registering: a shutdown that raced in between
-        // may have swept conn_streams before this stream was in it, and the
-        // sweep runs only once — cut the straggler ourselves or its reader
-        // would park forever and wedge the final active-count wait.
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = stream.shutdown(Shutdown::Both);
-            unregister_stream(shared, slot);
-            release_slot(shared);
-            break;
-        }
-        let shared_for_conn = shared.clone();
-        let spawned = std::thread::Builder::new()
-            .name("flow-conn".to_string())
-            .spawn(move || {
-                handle_connection(&shared_for_conn, stream);
-                unregister_stream(&shared_for_conn, slot);
-                release_slot(&shared_for_conn);
-            });
-        if spawned.is_err() {
-            unregister_stream(shared, slot);
-            release_slot(shared);
-        }
-    }
-    // No more connections will be admitted; dropping the listener (by
-    // returning) closes the socket.
-}
-
-fn release_slot(shared: &ServerShared) {
-    let mut active = shared.active.lock().expect("server active lock");
-    *active -= 1;
-    shared.slot_freed.notify_all();
-}
-
-/// What the reader hands the writer, in request order.
-enum Pending {
-    /// A submitted query: wait on the ticket, encode the envelope. Carries
-    /// the decode timestamp and request-kind index so the writer can
-    /// observe decode-to-flush wire latency.
-    Query(Ticket, Instant, usize),
-    /// An accepted update, already applied: the reader waited for the epoch
-    /// swap (the connection's sync point), so the ack just gets written.
-    Update(u64),
-    /// A pre-rendered line (decode errors, `bye`).
-    Line(String),
-}
-
-fn handle_connection(shared: &Arc<ServerShared>, stream: TcpStream) {
-    let reader = match stream.try_clone() {
-        Ok(clone) => BufReader::new(clone),
-        Err(_) => return,
-    };
-    let (tx, rx) = std::sync::mpsc::channel::<Pending>();
-    let writer_stream = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
-    shared.metrics.connections.inc();
-    let shared_for_writer = shared.clone();
-    // If the writer dies first — a write error, an injected fault, a panic —
-    // the socket must close with it: the reader clone would otherwise keep
-    // the connection half-open with nobody left to answer, and a peer
-    // blocked on a response would wait forever instead of seeing EOF.
-    struct CloseOnExit(Option<TcpStream>);
-    impl Drop for CloseOnExit {
-        fn drop(&mut self) {
-            if let Some(stream) = &self.0 {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        }
-    }
-    let writer_guard = CloseOnExit(writer_stream.try_clone().ok());
-    let writer = std::thread::Builder::new()
-        .name("flow-conn-writer".to_string())
-        .spawn(move || {
-            let _guard = writer_guard;
-            writer_loop(&shared_for_writer, writer_stream, rx);
-        });
-    let Ok(writer) = writer else { return };
-
-    let shutdown_requested = reader_loop(shared, reader, &tx);
-
-    // Close the reply channel: the writer drains what is pending (including
-    // the `bye` acknowledging a shutdown command), then exits. Only after
-    // the client has its answers does a requested shutdown start tearing
-    // other connections down.
-    drop(tx);
-    let _ = writer.join();
-    if shutdown_requested {
-        let addr = stream
-            .local_addr()
-            .unwrap_or_else(|_| SocketAddr::from(([127, 0, 0, 1], 0)));
-        initiate_shutdown(shared, addr);
-    }
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Reads request lines until EOF, error, or `shutdown`, submitting work and
-/// queueing replies in order. Returns whether a server shutdown was
-/// requested.
-fn reader_loop(
-    shared: &Arc<ServerShared>,
-    mut reader: BufReader<TcpStream>,
-    tx: &Sender<Pending>,
-) -> bool {
-    let mut line = String::new();
-    let max_line = shared.config.effective_max_line_bytes();
-    let mut limiter = RateLimiter::new(
-        shared.config.rate_limit,
-        shared.config.effective_rate_burst(),
-    );
-    // Connections are born authenticated when no token is configured.
-    let mut authed = shared.config.auth_token.is_none();
-    let error_line = |msg: String| {
-        Pending::Line(codec::encode_envelope(&QueryEnvelope {
-            epoch: shared.service.current_epoch(),
-            response: QueryResponse::Error(msg),
-            trace_id: None,
-        }))
-    };
-    loop {
-        match read_line_bounded(&mut reader, &mut line, max_line) {
-            Err(_) | Ok(BoundedLine::Eof) => return false, // EOF or a cut connection
-            Ok(BoundedLine::Line(n)) => shared.metrics.bytes_read.add(n as u64),
-            Ok(BoundedLine::TooLong(n)) => {
-                shared.metrics.bytes_read.add(n as u64);
-                shared.metrics.oversize_lines.inc();
-                let pending =
-                    error_line(format!("request line exceeds the {max_line}-byte budget"));
-                if tx.send(pending).is_err() {
-                    return false;
-                }
-                continue;
-            }
-        }
-        if line.is_empty() {
-            continue; // blank keep-alive lines are ignored
-        }
-        // The rate budget admits *command lines*, well-formed or not: a
-        // client spraying garbage spends budget exactly like a legitimate
-        // one. Rejected commands are answered, not dropped — and never
-        // forwarded to the service.
-        if !limiter.allow() {
-            shared.metrics.rate_limited.inc();
-            let pending = error_line(format!(
-                "rate limit exceeded ({} requests/s)",
-                shared.config.rate_limit
-            ));
-            if tx.send(pending).is_err() {
-                return false;
-            }
-            continue;
-        }
-        let trimmed = line.as_str();
-        let decoded_at = Instant::now();
-        // The frame-read failpoint: `err` models an undecodable frame
-        // (the client gets the same structured error a real decode
-        // failure produces), `delay` a stalled read, `panic` a reader
-        // crash — the connection drops, never the server.
-        match flowistry_fault::check(fault_sites::CODEC_FRAME_READ) {
-            Fault::None | Fault::PartialWrite(_) => {}
-            Fault::Delay(d) => std::thread::sleep(d),
-            Fault::Err => {
-                shared.metrics.decode_errors.inc();
-                let pending = error_line(format!(
-                    "malformed request: injected fault {}",
-                    fault_sites::CODEC_FRAME_READ
-                ));
-                if tx.send(pending).is_err() {
-                    return false;
-                }
-                continue;
-            }
-            Fault::Panic => {
-                panic!(
-                    "failpoint {}: injected panic",
-                    fault_sites::CODEC_FRAME_READ
-                )
-            }
-        }
-        let command = codec::decode_command(trimmed);
-        // The auth preamble gates everything but itself: before a valid
-        // token arrives, every other command — including malformed lines,
-        // updates, and shutdowns — answers the same structured error.
-        if !authed && !matches!(command, Ok(Command::Auth { .. })) {
-            shared.metrics.auth_failures.inc();
-            let pending = error_line("authentication required: send `auth <token>` first".into());
-            if tx.send(pending).is_err() {
-                return false;
-            }
-            continue;
-        }
-        let pending = match command {
-            Err(msg) => {
-                shared.metrics.decode_errors.inc();
-                error_line(format!("malformed request: {msg}"))
-            }
-            Ok(Command::Auth { token }) => {
-                shared.metrics.requests.inc();
-                let accepted = match &shared.config.auth_token {
-                    // Constant-time compare: an `auth` probe learns nothing
-                    // about *where* its guess diverged.
-                    Some(expected) => constant_time_eq(expected.as_bytes(), token.as_bytes()),
-                    // No token configured: acknowledge, so clients can send
-                    // the preamble unconditionally.
-                    None => true,
-                };
-                if accepted {
-                    authed = true;
-                    Pending::Line(codec::AUTHED_LINE.to_string())
-                } else {
-                    shared.metrics.auth_failures.inc();
-                    error_line("bad auth token".to_string())
-                }
-            }
-            Ok(Command::Query {
-                request,
-                trace_id,
-                deadline_ms,
-            }) => {
-                shared.metrics.requests.inc();
-                let kind = request.kind_index();
-                Pending::Query(
-                    shared.service.submit_with_deadline(
-                        request,
-                        trace_id,
-                        deadline_ms.map(Duration::from_millis),
-                    ),
-                    decoded_at,
-                    kind,
-                )
-            }
-            Ok(Command::Update { bytes, epoch }) => {
-                shared.metrics.requests.inc();
-                let mut pending = read_update(shared, &mut reader, bytes, epoch);
-                // An update is a sync point for *this connection*: requests
-                // pipelined after it must be served from the new epoch (or a
-                // later one), so don't touch the next line until the swap
-                // happened. Other connections keep querying the old snapshot
-                // throughout — this holds back one reader, not the service.
-                if let Pending::Update(epoch) = &pending {
-                    let epoch = *epoch;
-                    shared.service.wait_for_epoch(epoch);
-                    // The epoch counter advances even when the background
-                    // re-analysis panicked (so waiters never hang) — but
-                    // then the snapshot did NOT change, and acknowledging
-                    // success would be a lie. Tell the client instead.
-                    let serving = shared.service.snapshot().epoch();
-                    if serving < epoch {
-                        pending = Pending::Line(codec::encode_envelope(&QueryEnvelope {
-                            epoch: serving,
-                            response: QueryResponse::Error(format!(
-                                "update {epoch} failed during re-analysis; \
-                                 epoch {serving} still serving"
-                            )),
-                            trace_id: None,
-                        }));
-                    }
-                }
-                pending
-            }
-            Ok(Command::Shutdown) => {
-                shared.metrics.requests.inc();
-                let _ = tx.send(Pending::Line(codec::BYE_LINE.to_string()));
-                return true;
-            }
-        };
-        if tx.send(pending).is_err() {
-            return false; // writer is gone (connection cut)
-        }
-    }
-}
-
-/// Reads the `bytes` source bytes of an `update` command (plus the
-/// terminating newline), compiles, and schedules the swap.
-fn read_update(
-    shared: &ServerShared,
-    reader: &mut BufReader<TcpStream>,
-    bytes: usize,
-    target_epoch: Option<u64>,
-) -> Pending {
-    let max_update_bytes = shared.config.effective_max_update_bytes();
-    let error = |msg: String| {
-        Pending::Line(codec::encode_envelope(&QueryEnvelope {
-            epoch: shared.service.current_epoch(),
-            response: QueryResponse::Error(msg),
-            trace_id: None,
-        }))
-    };
-    if bytes > max_update_bytes {
-        // Drain the announced body before answering, or the rest of the
-        // connection would parse megabytes of source text as command lines.
-        if io::copy(&mut reader.by_ref().take(bytes as u64), &mut io::sink()).is_err() {
-            return error("update source truncated".to_string());
-        }
-        shared.metrics.bytes_read.add(bytes as u64);
-        let _ = consume_newline(reader);
-        return error(format!(
-            "update of {bytes} bytes exceeds {max_update_bytes}"
-        ));
-    }
-    let mut source = vec![0u8; bytes];
-    if reader.read_exact(&mut source).is_err() {
-        return error("update source truncated".to_string());
-    }
-    shared.metrics.bytes_read.add(bytes as u64);
-    if let Err(msg) = consume_newline(reader) {
-        return error(msg);
-    }
-    let source = match String::from_utf8(source) {
-        Ok(s) => s,
-        Err(_) => return error("update source is not UTF-8".to_string()),
-    };
-    match flowistry_lang::compile(&source) {
-        Ok(program) => Pending::Update(shared.service.update_at(program, target_epoch)),
-        Err(diag) => error(format!("update failed to compile: {}", diag.message)),
-    }
-}
-
-/// Consumes the newline terminating an `update` source block. The newline
-/// is consumed only if it is actually there: blindly eating one byte would
-/// silently desync the line framing when a client miscounts `<nbytes>`
-/// (the next command's first byte would vanish).
-fn consume_newline(reader: &mut BufReader<TcpStream>) -> Result<(), String> {
-    match reader.fill_buf() {
-        Ok(buf) if buf.first() == Some(&b'\n') => {
-            reader.consume(1);
-            Ok(())
-        }
-        Ok([]) => Ok(()), // EOF right after the body; the connection is ending
-        Ok(_) => Err("update source not followed by a newline (check <nbytes>)".to_string()),
-        Err(_) => Err("update source truncated".to_string()),
-    }
-}
-
-/// Writes replies in request order, waiting on each in turn.
-fn writer_loop(shared: &ServerShared, stream: TcpStream, rx: Receiver<Pending>) {
-    let mut out = io::BufWriter::new(stream);
-    for pending in rx {
-        let mut wire = None;
-        let line = match pending {
-            Pending::Query(ticket, decoded_at, kind) => {
-                wire = Some((decoded_at, kind));
-                codec::encode_envelope(&ticket.wait())
-            }
-            Pending::Update(epoch) => codec::encode_update_ack(epoch),
-            Pending::Line(line) => line,
-        };
-        // The frame-write failpoint. `partial_write` flushes a torn
-        // frame and drops the connection — the client sees a line with
-        // no newline, exactly what a peer crash mid-write produces;
-        // `err`/`panic` drop the connection whole.
-        match flowistry_fault::check(fault_sites::CODEC_FRAME_WRITE) {
-            Fault::None => {}
-            Fault::Delay(d) => std::thread::sleep(d),
-            Fault::Err => return,
-            Fault::Panic => {
-                panic!(
-                    "failpoint {}: injected panic",
-                    fault_sites::CODEC_FRAME_WRITE
-                )
-            }
-            Fault::PartialWrite(frac) => {
-                let cut = (line.len() as f64 * frac) as usize;
-                let _ = out.write_all(&line.as_bytes()[..cut]);
-                let _ = out.flush();
-                return;
-            }
-        }
-        if writeln!(out, "{line}").is_err() || out.flush().is_err() {
-            return; // client went away; pending tickets still resolve server-side
-        }
-        shared.metrics.bytes_written.add(line.len() as u64 + 1);
-        if let Some((decoded_at, kind)) = wire {
-            shared.metrics.request_wire[kind].observe(decoded_at.elapsed());
-        }
+        self.edge.shutdown();
     }
 }

@@ -24,7 +24,8 @@
 //! * [`eval`] — the harness regenerating the paper's tables and figures.
 //!
 //! See the `examples/` directory for runnable end-to-end demonstrations and
-//! DESIGN.md / EXPERIMENTS.md for the reproduction methodology.
+//! the README's "Building and testing" section for regenerating the
+//! evaluation.
 //!
 //! ```
 //! use flowistry::prelude::*;
