@@ -32,7 +32,7 @@
 //!   cheaply cloneable (two `Arc` bumps) and answer
 //!   [`results`](AnalysisSnapshot::results),
 //!   [`backward_slice`](AnalysisSnapshot::backward_slice), and
-//!   [`check_ifc`](AnalysisSnapshot::check_ifc) queries from any thread,
+//!   [`check_policy`](AnalysisSnapshot::check_policy) queries from any thread,
 //!   producing results identical to a from-scratch
 //!   [`analyze`](flowistry_core::analyze).
 //! * [`FlowService`] is the **service front**: it owns the current
@@ -262,7 +262,7 @@ pub struct RunStats {
 ///
 /// For convenience the builder forwards the snapshot query API
 /// ([`AnalysisEngine::results`], [`AnalysisEngine::backward_slice`],
-/// [`AnalysisEngine::check_ifc`], …) to its most recent snapshot; callers
+/// [`AnalysisEngine::slicer`], …) to its most recent snapshot; callers
 /// that serve concurrent traffic should take an
 /// [`AnalysisEngine::snapshot`] (or put a [`FlowService`] in front) instead
 /// of sharing the builder.
@@ -345,17 +345,12 @@ impl AnalysisEngine {
         self.keys[func.0 as usize]
     }
 
-    /// Settles the epoch after a *failed* update attempt so the attempt
-    /// still consumes exactly one epoch — the invariant the `FlowService`
-    /// epoch promises rely on. `before` is the epoch observed before the
-    /// attempt: if the failure struck before
-    /// [`AnalysisEngine::update_program_at`] advanced the counter (e.g. an
-    /// injected fault ahead of the recompile), this advances it now; if it
-    /// struck mid re-analysis, the counter already moved and is left
-    /// alone. Returns the epoch the failed attempt lands on.
-    pub fn settle_failed_update(&mut self, before: u64, target_epoch: Option<u64>) -> u64 {
-        self.epoch = self.epoch.max(before + 1).max(target_epoch.unwrap_or(0));
-        self.epoch
+    /// Settles the epoch after a *failed* update attempt: the attempt
+    /// still lands on `epoch`, the epoch the `FlowService` promised it,
+    /// whether the failure struck before or after
+    /// [`AnalysisEngine::update_program_at`] advanced the counter.
+    pub fn settle_failed_update(&mut self, epoch: u64) {
+        self.epoch = epoch;
     }
 
     /// Swaps in a re-compiled program (after a source edit) and returns the
@@ -387,10 +382,8 @@ impl AnalysisEngine {
     ) -> u64 {
         let program = program.into();
         // Advance the epoch before anything that can panic (call-graph
-        // extraction, key computation): callers that number updates by
-        // epoch — the FlowService promises `base + n` for the n-th update —
-        // rely on every update attempt consuming exactly one epoch, failed
-        // or not.
+        // extraction, key computation), so a failed attempt has already
+        // consumed its epoch.
         self.epoch += 1;
         if let Some(target) = target_epoch {
             self.epoch = self.epoch.max(target);
@@ -578,11 +571,6 @@ impl AnalysisEngine {
     /// Forwards to [`AnalysisSnapshot::slicer`] on the current snapshot.
     pub fn slicer(&self, func: FuncId) -> flowistry_slicer::Slicer<'_> {
         self.current_snapshot().slicer(func)
-    }
-
-    /// Forwards to [`AnalysisSnapshot::check_ifc`] on the current snapshot.
-    pub fn check_ifc(&self, policy: flowistry_ifc::IfcPolicy) -> Vec<flowistry_ifc::IfcReport> {
-        self.current_snapshot().check_ifc(policy)
     }
 
     /// The set of functions whose summary would have to be recomputed if

@@ -52,7 +52,7 @@ use crate::scheduler::resolve_worker_threads;
 use crate::{AnalysisEngine, AnalysisSnapshot, RunStats};
 use flowistry_core::{FunctionSummary, InfoFlowResults};
 use flowistry_fault::{sites as fault_sites, Fault};
-use flowistry_ifc::{IfcDiagnostic, IfcPolicy, IfcReport, Policy};
+use flowistry_ifc::{IfcDiagnostic, Policy};
 use flowistry_lang::mir::{Location, Place};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::CompiledProgram;
@@ -127,8 +127,6 @@ pub enum QueryRequest {
         /// The location just before which dependencies are taken.
         loc: Location,
     },
-    /// Whole-program IFC check ([`AnalysisSnapshot::check_ifc`]).
-    CheckIfc(IfcPolicy),
     /// Lattice-based IFC policy check
     /// ([`AnalysisSnapshot::check_policy`]): the client ships a [`Policy`]
     /// and gets structured diagnostics with flow witnesses back.
@@ -147,8 +145,8 @@ impl QueryRequest {
     /// The request-kind labels, in [`QueryRequest::kind_index`] order —
     /// what the per-kind metric series (`flow_service_requests_total{kind=…}`
     /// and friends) are labeled with.
-    pub const KINDS: [&'static str; 9] = [
-        "summary", "results", "slice", "slice_at", "ifc", "policy", "lint", "stats", "metrics",
+    pub const KINDS: [&'static str; 8] = [
+        "summary", "results", "slice", "slice_at", "policy", "lint", "stats", "metrics",
     ];
 
     /// Index of this request's kind into [`QueryRequest::KINDS`].
@@ -158,11 +156,10 @@ impl QueryRequest {
             QueryRequest::Results(_) => 1,
             QueryRequest::BackwardSlice { .. } => 2,
             QueryRequest::BackwardSliceAt { .. } => 3,
-            QueryRequest::CheckIfc(_) => 4,
-            QueryRequest::CheckPolicy(_) => 5,
-            QueryRequest::Lint(_) => 6,
-            QueryRequest::Stats => 7,
-            QueryRequest::Metrics => 8,
+            QueryRequest::CheckPolicy(_) => 4,
+            QueryRequest::Lint(_) => 5,
+            QueryRequest::Stats => 6,
+            QueryRequest::Metrics => 7,
         }
     }
 
@@ -184,8 +181,6 @@ pub enum QueryResponse {
     BackwardSlice(Option<flowistry_slicer::Slice>),
     /// Answer to [`QueryRequest::BackwardSliceAt`].
     BackwardSliceAt(BTreeSet<Location>),
-    /// Answer to [`QueryRequest::CheckIfc`]: every report with violations.
-    CheckIfc(Vec<IfcReport>),
     /// Answer to [`QueryRequest::CheckPolicy`]: all diagnostics, with flow
     /// witnesses. (An invalid policy comes back as
     /// [`QueryResponse::Error`].)
@@ -399,7 +394,7 @@ struct ServiceShared {
     queue_capacity: usize,
     not_empty: Condvar,
     not_full: Condvar,
-    updates: Mutex<VecDeque<(Arc<CompiledProgram>, Option<u64>)>>,
+    updates: Mutex<UpdateQueue>,
     update_pending: Condvar,
     snapshot: RwLock<AnalysisSnapshot>,
     engine: Mutex<AnalysisEngine>,
@@ -416,12 +411,19 @@ struct ServiceShared {
     metrics: ServiceMetrics,
 }
 
+/// Background updates awaiting the updater, each with the epoch promised
+/// to its submitter.
+struct UpdateQueue {
+    pending: VecDeque<(Arc<CompiledProgram>, u64)>,
+    /// The highest epoch promised so far; the next update is promised at
+    /// least one more.
+    last_promised: u64,
+}
+
 /// A long-lived query service over one evolving program: see the [module
 /// docs](self).
 pub struct FlowService {
     shared: Arc<ServiceShared>,
-    base_epoch: u64,
-    updates_submitted: AtomicU64,
     worker_handles: Vec<JoinHandle<()>>,
     updater_handle: Option<JoinHandle<()>>,
 }
@@ -437,6 +439,7 @@ impl FlowService {
         }
         let snapshot = engine.snapshot();
         let base_epoch = snapshot.epoch();
+        let last_promised = engine.epoch();
         let workers = resolve_worker_threads(config.workers);
         let registry = engine.metrics_registry().clone();
         let metrics = ServiceMetrics::new(&registry);
@@ -445,7 +448,10 @@ impl FlowService {
             queue_capacity: config.queue_capacity.max(1),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            updates: Mutex::new(VecDeque::new()),
+            updates: Mutex::new(UpdateQueue {
+                pending: VecDeque::new(),
+                last_promised,
+            }),
             update_pending: Condvar::new(),
             snapshot: RwLock::new(snapshot),
             engine: Mutex::new(engine),
@@ -479,8 +485,6 @@ impl FlowService {
 
         FlowService {
             shared,
-            base_epoch,
-            updates_submitted: AtomicU64::new(0),
             worker_handles,
             updater_handle: Some(updater_handle),
         }
@@ -576,13 +580,13 @@ impl FlowService {
         target_epoch: Option<u64>,
     ) -> u64 {
         let program = program.into();
-        // Allocate the epoch and enqueue under one lock: the updater
-        // assigns epochs in pop order, so the position promised here must
-        // be the position the program actually lands in.
+        // Allocate the epoch and enqueue under one lock: the updater pins
+        // the engine to the queued epoch whether the update succeeds or
+        // fails, so every promise is exactly the epoch its update lands on.
         let mut updates = self.shared.updates.lock().expect("service update lock");
-        let epoch = self.base_epoch + self.updates_submitted.fetch_add(1, Ordering::SeqCst) + 1;
-        let epoch = epoch.max(target_epoch.unwrap_or(0));
-        updates.push_back((program, target_epoch));
+        let epoch = (updates.last_promised + 1).max(target_epoch.unwrap_or(0));
+        updates.last_promised = epoch;
+        updates.pending.push_back((program, epoch));
         drop(updates);
         self.shared.update_pending.notify_one();
         epoch
@@ -617,6 +621,7 @@ impl FlowService {
                         .updates
                         .lock()
                         .expect("service update lock")
+                        .pending
                         .len()
                 );
             }
@@ -751,7 +756,6 @@ fn serve(
                 Err(e) => e,
             }
         }
-        QueryRequest::CheckIfc(policy) => QueryResponse::CheckIfc(snapshot.check_ifc(policy)),
         QueryRequest::CheckPolicy(policy) => {
             shared.metrics.ifc_policy_checks.inc();
             match snapshot.check_policy(policy) {
@@ -940,7 +944,7 @@ fn updater_loop(shared: &ServiceShared) {
         let pending = {
             let mut updates = shared.updates.lock().expect("service update lock");
             loop {
-                if let Some(pending) = updates.pop_front() {
+                if let Some(pending) = updates.pending.pop_front() {
                     break Some(pending);
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -952,7 +956,7 @@ fn updater_loop(shared: &ServiceShared) {
                     .expect("service update lock");
             }
         };
-        let Some((program, target_epoch)) = pending else {
+        let Some((program, epoch)) = pending else {
             break;
         };
         let swap_started = Instant::now();
@@ -967,7 +971,6 @@ fn updater_loop(shared: &ServiceShared) {
         // snapshot, whose envelopes still carry *its* epoch.
         let outcome = {
             let mut engine = shared.engine.lock().expect("service engine lock");
-            let epoch_before = engine.epoch();
             let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 // The update-recompile failpoint: every mode lands in the
                 // existing failed-update path (catch_unwind below), which
@@ -986,24 +989,20 @@ fn updater_loop(shared: &ServiceShared) {
                         )
                     }
                 }
-                let epoch = engine.update_program_at(program, target_epoch);
+                engine.update_program_at(program, Some(epoch));
                 engine.analyze_all();
-                (engine.snapshot(), epoch)
+                engine.snapshot()
             }));
-            // A failed attempt must consume exactly one engine epoch, just
-            // like a successful one: the epoch promised at submission is
-            // position-based (`base + n`), so if failures skipped the
-            // engine counter, later successes would land on epochs below
-            // their promise and `wait_for_epoch` callers would hang.
-            attempt.map_err(|payload| {
-                (
-                    payload,
-                    engine.settle_failed_update(epoch_before, target_epoch),
-                )
-            })
+            // A failed attempt lands on its promised epoch too, so later
+            // updates stay on their promises and `wait_for_epoch` callers
+            // never hang.
+            if attempt.is_err() {
+                engine.settle_failed_update(epoch);
+            }
+            attempt
         };
-        let epoch = match outcome {
-            Ok((snapshot, epoch)) => {
+        match outcome {
+            Ok(snapshot) => {
                 // The atomic swap: requests started before this instant keep
                 // their clone of the old snapshot; requests started after
                 // see the new one.
@@ -1011,9 +1010,8 @@ fn updater_loop(shared: &ServiceShared) {
                 shared.updates_applied.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.updates_applied.inc();
                 shared.metrics.update_swap.observe(swap_started.elapsed());
-                epoch
             }
-            Err((payload, settled_epoch)) => {
+            Err(payload) => {
                 shared.updates_failed.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.updates_failed.inc();
                 flowistry_obs::warn!(
@@ -1023,13 +1021,11 @@ fn updater_loop(shared: &ServiceShared) {
                         .map(|msg| format!(" ({msg})"))
                         .unwrap_or_default()
                 );
-                settled_epoch
             }
-        };
-        let mut current = shared.current_epoch.lock().expect("epoch lock");
-        // Epochs never move backward: a pinned update can fast-forward the
-        // counter past later promises, and those must stay satisfied.
-        *current = (*current).max(epoch);
+        }
+        // Promises strictly increase in queue order, so this only moves
+        // the epoch forward.
+        *shared.current_epoch.lock().expect("epoch lock") = epoch;
         shared.epoch_advanced.notify_all();
     }
 }

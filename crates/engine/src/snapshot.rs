@@ -17,9 +17,7 @@ use crate::{RunStats, SummaryKey};
 use flowistry_core::{
     analyze_with_summaries, AnalysisParams, CachedSummary, FunctionSummary, InfoFlowResults,
 };
-use flowistry_ifc::{
-    IfcChecker, IfcDiagnostic, IfcPolicy, IfcReport, Policy, PolicyChecker, PolicyError,
-};
+use flowistry_ifc::{IfcDiagnostic, Policy, PolicyChecker, PolicyError};
 use flowistry_lang::mir::{Location, Place};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::{CallGraph, CompiledProgram};
@@ -224,21 +222,6 @@ impl AnalysisSnapshot {
     /// the snapshot's memo does).
     pub fn slicer(&self, func: FuncId) -> Slicer<'_> {
         Slicer::from_results(&self.inner.program, func, self.results(func))
-    }
-
-    /// Checks every function of the program against `policy`, serving each
-    /// function's analysis from the snapshot, and returns the reports that
-    /// contain violations (snapshot-backed counterpart of
-    /// [`IfcChecker::check_program`]).
-    pub fn check_ifc(&self, policy: IfcPolicy) -> Vec<IfcReport> {
-        let checker = IfcChecker::new(&self.inner.program, policy);
-        (0..self.inner.program.bodies.len())
-            .map(|i| {
-                let func = FuncId(i as u32);
-                checker.check_with_results(func, &self.results(func))
-            })
-            .filter(|r| !r.is_clean())
-            .collect()
     }
 
     /// Checks every function against a lattice [`Policy`] and returns the

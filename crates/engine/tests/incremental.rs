@@ -13,7 +13,7 @@
 use flowistry_core::{analyze, AnalysisParams, Condition};
 use flowistry_corpus::{generate_crate, paper_profiles, DEFAULT_SEED};
 use flowistry_engine::{AnalysisEngine, EngineConfig};
-use flowistry_ifc::{IfcChecker, IfcPolicy};
+use flowistry_ifc::{IfcDiagnostic, Policy, PolicyChecker};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::CompiledProgram;
 use std::fmt::Write as _;
@@ -315,10 +315,10 @@ fn batch_queries_share_one_engine() {
     assert_eq!(ret.criterion, "<return>");
 
     // IFC query on the same engine instance.
-    let policy = flowistry_ifc::IfcPolicy::from_conventions(&program);
-    let reports = engine.check_ifc(policy);
-    assert_eq!(reports.len(), 1);
-    assert_eq!(reports[0].function, "audit");
+    let policy = Policy::from_conventions(&program);
+    let diagnostics = engine.snapshot().check_policy(policy).unwrap();
+    assert_eq!(diagnostics.len(), 1);
+    assert_eq!(diagnostics[0].in_function, "audit");
 
     // Raw location-level slice.
     let body = program.body(compute);
@@ -590,12 +590,30 @@ fn availability_fingerprint_is_stable_under_id_shifts() {
     }
 }
 
+/// What [`AnalysisSnapshot::check_policy`] must serve: the direct
+/// checker's diagnostics over every function, flattened.
+///
+/// [`AnalysisSnapshot::check_policy`]: flowistry_engine::AnalysisSnapshot::check_policy
+fn direct_policy_check(
+    program: &CompiledProgram,
+    policy: Policy,
+    params: AnalysisParams,
+) -> Vec<IfcDiagnostic> {
+    PolicyChecker::new(program, policy)
+        .unwrap()
+        .with_params(params)
+        .check_program()
+        .into_iter()
+        .flat_map(|r| r.diagnostics)
+        .collect()
+}
+
 #[test]
-fn check_ifc_matches_the_checker_under_restricted_availability() {
-    // `check_ifc` iterates *all* bodies — including functions excluded by
-    // `available_bodies` (their analyses see callees as opaque signatures,
-    // exactly like `IfcChecker::check_program` under the same params).
-    // This pins the two against each other.
+fn check_policy_matches_the_checker_under_restricted_availability() {
+    // `check_policy` iterates *all* bodies — including functions excluded
+    // by `available_bodies` (their analyses see callees as opaque
+    // signatures, exactly like `PolicyChecker::check_program` under the
+    // same params). This pins the two against each other.
     let src = "
         fn read_password() -> i32 { return 1234; }
         fn insecure_print(x: i32) { }
@@ -610,7 +628,7 @@ fn check_ifc_matches_the_checker_under_restricted_availability() {
         }
     ";
     let program = compile(src);
-    let policy = IfcPolicy::from_conventions(&program);
+    let policy = Policy::from_conventions(&program);
     // Restrict availability to `audit` and `relay`: the callee bodies are
     // opaque, but both functions are still checked.
     let params = AnalysisParams {
@@ -629,23 +647,28 @@ fn check_ifc_matches_the_checker_under_restricted_availability() {
         EngineConfig::default().with_params(params.clone()),
     );
     engine.analyze_all();
-    let engine_reports = engine.check_ifc(policy.clone());
-    let direct_reports = IfcChecker::new(&program, policy)
-        .with_params(params)
-        .check_program();
-    assert_eq!(engine_reports, direct_reports);
+    let engine_diagnostics = engine.snapshot().check_policy(policy.clone()).unwrap();
+    assert_eq!(
+        engine_diagnostics,
+        direct_policy_check(&program, policy, params)
+    );
     // The conventions still catch the password flow into the sink.
-    assert!(engine_reports.iter().any(|r| r.function == "audit"));
+    assert!(engine_diagnostics.iter().any(|d| d.in_function == "audit"));
 }
 
 #[test]
-fn check_ifc_under_full_availability_matches_too() {
+fn check_policy_under_full_availability_matches_too() {
     let profile = &paper_profiles()[0];
     let krate = generate_crate(profile, DEFAULT_SEED);
     let program = Arc::new(krate.program.clone());
-    let policy = IfcPolicy::from_conventions(&program)
-        .with_secure_param("helper_0", "x")
-        .with_sink("helper_1");
+    let helper = program.body_by_name("helper_0").unwrap();
+    let param = helper
+        .args()
+        .find_map(|a| helper.local_decl(a).name.clone())
+        .unwrap();
+    let policy = Policy::from_conventions(&program)
+        .with_param_label("helper_0", param, "Secret")
+        .with_sink("helper_1", "Public");
     let params = AnalysisParams {
         condition: Condition::WHOLE_PROGRAM,
         available_bodies: Some(krate.available_bodies()),
@@ -657,10 +680,8 @@ fn check_ifc_under_full_availability_matches_too() {
     );
     engine.analyze_all();
     assert_eq!(
-        engine.check_ifc(policy.clone()),
-        IfcChecker::new(&program, policy)
-            .with_params(params)
-            .check_program()
+        engine.snapshot().check_policy(policy.clone()).unwrap(),
+        direct_policy_check(&program, policy, params)
     );
 }
 

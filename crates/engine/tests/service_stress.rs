@@ -12,7 +12,7 @@ use flowistry_core::{analyze, AnalysisParams, Condition, FunctionSummary};
 use flowistry_engine::{
     AnalysisEngine, EngineConfig, FlowService, QueryRequest, QueryResponse, ServiceConfig,
 };
-use flowistry_ifc::{IfcChecker, IfcPolicy, IfcReport};
+use flowistry_ifc::{IfcDiagnostic, Policy, PolicyChecker};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::CompiledProgram;
 use flowistry_slicer::{Slice, Slicer};
@@ -61,7 +61,7 @@ struct Expected {
     results: Vec<flowistry_core::InfoFlowResults>,
     summaries: Vec<FunctionSummary>,
     slices: Vec<Option<Slice>>,
-    ifc: Vec<IfcReport>,
+    policy: Vec<IfcDiagnostic>,
 }
 
 fn expected_for(program: Arc<CompiledProgram>, params: &AnalysisParams) -> Expected {
@@ -80,15 +80,20 @@ fn expected_for(program: Arc<CompiledProgram>, params: &AnalysisParams) -> Expec
     let slices: Vec<_> = (0..n)
         .map(|i| Slicer::new(&program, FuncId(i as u32), params.clone()).backward_slice_of_var("v"))
         .collect();
-    let ifc = IfcChecker::new(&program, IfcPolicy::from_conventions(&program))
+    // What `check_policy` serves: every function's diagnostics, flattened.
+    let policy = PolicyChecker::new(&program, Policy::from_conventions(&program))
+        .expect("convention policy resolves")
         .with_params(params.clone())
-        .check_program();
+        .check_program()
+        .into_iter()
+        .flat_map(|r| r.diagnostics)
+        .collect();
     Expected {
         program,
         results,
         summaries,
         slices,
-        ifc,
+        policy,
     }
 }
 
@@ -161,11 +166,11 @@ fn hammer_with_updates(workers: usize) {
                     func.0
                 );
             }
-            (QueryRequest::CheckIfc(_), QueryResponse::CheckIfc(got)) => {
+            (QueryRequest::CheckPolicy(_), QueryResponse::CheckPolicy(got)) => {
                 // The whole-program answer must equal exactly this epoch's
-                // report set — a half-swapped snapshot would mix versions
+                // diagnostics — a half-swapped snapshot would mix versions
                 // and match neither.
-                assert_eq!(got, &exp.ifc, "CheckIfc diverged at epoch {epoch}");
+                assert_eq!(got, &exp.policy, "CheckPolicy diverged at epoch {epoch}");
             }
             (QueryRequest::Stats, QueryResponse::Stats(stats)) => {
                 assert_eq!(stats.epoch, epoch);
@@ -194,7 +199,7 @@ fn hammer_with_updates(workers: usize) {
                             func,
                             var: "v".to_string(),
                         },
-                        3 => QueryRequest::CheckIfc(IfcPolicy::from_conventions(
+                        3 => QueryRequest::CheckPolicy(Policy::from_conventions(
                             service.snapshot().program(),
                         )),
                         _ => QueryRequest::Stats,

@@ -1,14 +1,13 @@
 //! Epoch bookkeeping under injected update failures.
 //!
 //! Regression for a silent connection hang: [`FlowService::update_at`]
-//! promises position-based epochs (`base + n` for the n-th submission),
-//! while applied epochs come from the engine's own counter. The
+//! promises an epoch to every update, and `wait_for_epoch` on that promise
+//! must return only once the update has been applied (or has failed). The
 //! `update.recompile` failpoint strikes *before* the engine consumes an
-//! epoch, so failed attempts used to skip the engine counter — after F
-//! failures every later promise sat F ahead of anything a success could
-//! produce, and `wait_for_epoch` callers waited forever while the
-//! connection they held stayed silently open. A failed attempt must
-//! consume exactly one epoch, just like a successful one.
+//! epoch, so failed attempts once skipped the engine counter and left
+//! later promises unreachable; and two updates pinned to the same target
+//! were once promised the same epoch while landing on two. Every attempt,
+//! failed or not, must land exactly on its promise.
 //!
 //! Failpoint state is process-global: these tests live in their own test
 //! binary and serialize on a local mutex.
@@ -51,9 +50,9 @@ fn service() -> (Arc<CompiledProgram>, FlowService) {
 }
 
 /// The router-retry shape that used to hang: two pinned replay attempts
-/// fail, the third succeeds. The success's position-based promise is by
-/// then *above* the pin target, and before the fix its applied epoch came
-/// out below the promise — `wait_for_epoch` on it never returned.
+/// fail, the third succeeds. Each attempt is promised a distinct epoch and
+/// lands exactly on it, so waiting on the retry's promise returns only
+/// after the retry is served.
 #[test]
 fn failed_updates_consume_epochs_so_promises_stay_reachable() {
     let _guard = lock();
@@ -64,33 +63,26 @@ fn failed_updates_consume_epochs_so_promises_stay_reachable() {
     let p2 = service.update_at(compile(2), Some(2));
     service.wait_for_epoch(p1);
     service.wait_for_epoch(p2);
-    // Both promises pin to the same epoch, so the waits can return after
-    // the first attempt settles — wait until the second is counted too
-    // before swapping the failpoint config out from under it.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while service.stats().updates_failed < 2 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
     flowistry_fault::clear();
 
     // Both attempts failed: the snapshot still serves the seed program,
-    // but each consumed one epoch past the pin target.
+    // and the second failure landed exactly on its promise.
     let stats = service.stats();
     assert_eq!(stats.updates_failed, 2, "both injected attempts must fail");
-    assert!(
-        service.current_epoch() >= p2,
-        "failed attempts left the epoch at {} < promise {p2}",
-        service.current_epoch()
+    assert_eq!(
+        service.current_epoch(),
+        p2,
+        "failed attempts left the epoch off the promise {p2}"
     );
 
-    // The clean retry lands at-or-above its promise (pre-fix: below, and
-    // this wait hung forever).
+    // The clean retry is served on exactly its promise: the wait cannot
+    // return before the retry is applied.
     let p3 = service.update_at(compile(3), Some(2));
     service.wait_for_epoch(p3);
     let envelope = service.query(QueryRequest::Stats);
-    assert!(
-        envelope.epoch >= p3,
-        "retry served epoch {} below its promise {p3}",
+    assert_eq!(
+        envelope.epoch, p3,
+        "retry served epoch {} instead of its promise {p3}",
         envelope.epoch
     );
     assert!(matches!(envelope.response, QueryResponse::Stats(_)));

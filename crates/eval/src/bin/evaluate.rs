@@ -390,9 +390,8 @@ fn run_ifc(seed: u64, scale: Scale, out_dir: &Path) {
     write_json(out_dir.join("ifc.json"), &report);
     if !report.is_clean() {
         eprintln!(
-            "IFC differential FAILED: {} interference mismatches, {} legacy mismatches",
-            report.interference_mismatches.len(),
-            report.legacy_mismatches.len()
+            "IFC differential FAILED: {} interference mismatches",
+            report.interference_mismatches.len()
         );
         std::process::exit(1);
     }

@@ -1,27 +1,21 @@
 //! The IFC differential experiment: checks the lattice policy checker
-//! against the interpreter and against the legacy two-point checker.
+//! against the interpreter.
 //!
-//! Two claims are tested over the labeled corpus
-//! ([`flowistry_corpus::labeled`]):
-//!
-//! 1. **Noninterference of "secure" verdicts.** Every driver the checker
-//!    reports secure is executed on input pairs differing only in its high
-//!    inputs; the traces of sink calls must agree. Drivers with
-//!    `#[declassify]` points are excluded (released data legitimately
-//!    varies).
-//! 2. **Two-point legacy equivalence.** The lattice checker under
-//!    [`Policy::from_legacy`] must report bit-identical verdicts to the
-//!    legacy [`IfcChecker`] on every function without declassification.
+//! The claim is tested over the labeled corpus
+//! ([`flowistry_corpus::labeled`]): **noninterference of "secure"
+//! verdicts.** Every driver the checker reports secure is executed on input
+//! pairs differing only in its high inputs; the traces of sink calls must
+//! agree. Drivers with `#[declassify]` points are excluded (released data
+//! legitimately varies).
 //!
 //! Any mismatch is recorded verbatim; the `evaluate ifc` subcommand exits
-//! nonzero if either list is nonempty.
+//! nonzero if the list is nonempty.
 
 use crate::json::{Json, ToJson};
-use flowistry_core::{analyze, AnalysisParams, Condition};
+use flowistry_core::{AnalysisParams, Condition};
 use flowistry_corpus::generate_labeled_corpus;
-use flowistry_ifc::{IfcChecker, IfcPolicy, Policy, PolicyChecker};
+use flowistry_ifc::{Policy, PolicyChecker};
 use flowistry_interp::{CallEvent, Interpreter, Rng, Value};
-use flowistry_lang::types::FuncId;
 use std::fmt::Write as _;
 
 /// Results of one differential run.
@@ -42,19 +36,15 @@ pub struct IfcDifferentialReport {
     pub declassifying_drivers: usize,
     /// Interpreter execution pairs compared.
     pub executions_compared: usize,
-    /// Functions compared between the legacy and lattice checkers.
-    pub equivalence_functions: usize,
-    /// Observed interference in analysis-secure drivers (must be empty).
+    /// Observed interference in analysis-secure drivers, and programs whose
+    /// policy was rejected so the oracle could not run (must be empty).
     pub interference_mismatches: Vec<String>,
-    /// Verdict differences between the legacy and lattice checkers (must
-    /// be empty).
-    pub legacy_mismatches: Vec<String>,
 }
 
 impl IfcDifferentialReport {
-    /// Whether both differentials came back clean.
+    /// Whether the differential came back clean.
     pub fn is_clean(&self) -> bool {
-        self.interference_mismatches.is_empty() && self.legacy_mismatches.is_empty()
+        self.interference_mismatches.is_empty()
     }
 }
 
@@ -85,9 +75,7 @@ pub fn measure_ifc_differential(
         violating_drivers: 0,
         declassifying_drivers: 0,
         executions_compared: 0,
-        equivalence_functions: 0,
         interference_mismatches: Vec::new(),
-        legacy_mismatches: Vec::new(),
     };
 
     for p in &corpus {
@@ -95,7 +83,7 @@ pub fn measure_ifc_differential(
             Ok(policy) => policy,
             Err(e) => {
                 report
-                    .legacy_mismatches
+                    .interference_mismatches
                     .push(format!("{}: annotations rejected: {e}", p.name));
                 continue;
             }
@@ -104,7 +92,7 @@ pub fn measure_ifc_differential(
             Ok(c) => c.with_params(params.clone()),
             Err(e) => {
                 report
-                    .legacy_mismatches
+                    .interference_mismatches
                     .push(format!("{}: policy rejected: {e}", p.name));
                 continue;
             }
@@ -157,66 +145,15 @@ pub fn measure_ifc_differential(
                 }
             }
         }
-
-        check_legacy_equivalence(p, &params, &mut report);
     }
 
     report
 }
 
-/// Compares the legacy checker with the lattice checker under the legacy
-/// embedding on every function of `p` without declassification points.
-fn check_legacy_equivalence(
-    p: &flowistry_corpus::LabeledProgram,
-    params: &AnalysisParams,
-    report: &mut IfcDifferentialReport,
-) {
-    let legacy_policy = IfcPolicy::from_conventions(&p.program);
-    let legacy = IfcChecker::new(&p.program, legacy_policy.clone()).with_params(params.clone());
-    let lattice = match PolicyChecker::new(&p.program, Policy::from_legacy(&legacy_policy)) {
-        Ok(c) => c.with_params(params.clone()),
-        Err(e) => {
-            report
-                .legacy_mismatches
-                .push(format!("{}: legacy embedding rejected: {e}", p.name));
-            return;
-        }
-    };
-    for i in 0..p.program.bodies.len() {
-        if !p.program.bodies[i].declassified_calls.is_empty() {
-            continue;
-        }
-        let func = FuncId(i as u32);
-        let results = analyze(&p.program, func, params);
-        let lr = legacy.check_with_results(func, &results);
-        let pr = lattice.check_with_results(func, &results);
-        report.equivalence_functions += 1;
-        let fname = &p.program.signatures[i].name;
-        let agree = lr.sink_calls_checked == pr.sink_calls_checked
-            && lr.violations.len() == pr.diagnostics.len()
-            && lr.violations.iter().zip(&pr.diagnostics).all(|(v, d)| {
-                v.in_function == d.in_function
-                    && v.sink == d.sink
-                    && v.location == d.location
-                    && v.line == d.line
-                    && v.sources == d.sources
-            });
-        if !agree {
-            report.legacy_mismatches.push(format!(
-                "{}::{fname}: legacy {:?} vs lattice {:?}",
-                p.name, lr.violations, pr.diagnostics
-            ));
-        }
-    }
-}
-
 /// Renders the report as the section the `evaluate` binary prints.
 pub fn render_ifc_differential(report: &IfcDifferentialReport) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "IFC differential (lattice checker vs interpreter vs legacy checker)"
-    );
+    let _ = writeln!(out, "IFC differential (lattice checker vs interpreter)");
     let _ = writeln!(
         out,
         "  {} labeled programs, {} drivers: {} secure, {} violating, {} declassifying",
@@ -232,17 +169,7 @@ pub fn render_ifc_differential(report: &IfcDifferentialReport) -> String {
         report.executions_compared,
         report.interference_mismatches.len()
     );
-    let _ = writeln!(
-        out,
-        "  two-point equivalence: {} functions compared, {} mismatches",
-        report.equivalence_functions,
-        report.legacy_mismatches.len()
-    );
-    for m in report
-        .interference_mismatches
-        .iter()
-        .chain(&report.legacy_mismatches)
-    {
+    for m in &report.interference_mismatches {
         let _ = writeln!(out, "  MISMATCH {m}");
     }
     out
@@ -271,22 +198,9 @@ impl ToJson for IfcDifferentialReport {
                 Json::Num(self.executions_compared as f64),
             ),
             (
-                "equivalence_functions".into(),
-                Json::Num(self.equivalence_functions as f64),
-            ),
-            (
                 "interference_mismatches".into(),
                 Json::Arr(
                     self.interference_mismatches
-                        .iter()
-                        .map(|s| Json::Str(s.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "legacy_mismatches".into(),
-                Json::Arr(
-                    self.legacy_mismatches
                         .iter()
                         .map(|s| Json::Str(s.clone()))
                         .collect(),
@@ -308,7 +222,6 @@ mod tests {
         assert!(report.secure_drivers > 0);
         assert!(report.violating_drivers > 0);
         assert!(report.executions_compared > 0);
-        assert!(report.equivalence_functions > 0);
     }
 
     #[test]
@@ -317,6 +230,6 @@ mod tests {
         let text = render_ifc_differential(&report);
         assert!(text.contains("interference oracle"));
         let json = report.to_json().pretty();
-        assert!(json.contains("\"legacy_mismatches\""));
+        assert!(json.contains("\"interference_mismatches\""));
     }
 }

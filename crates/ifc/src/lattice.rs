@@ -15,19 +15,14 @@
 //!
 //! Policies can be written in the source itself (`#![lattice(multi_level)]`,
 //! `#[label(High)]`, `#[sink(Low)]`, `#[declassify]`; see
-//! [`Policy::from_annotations`]), derived from the legacy naming conventions
-//! ([`Policy::from_conventions`]), or built programmatically.
-//!
-//! The legacy [`crate::IfcPolicy`] embeds exactly as the two-point instance
-//! via [`Policy::from_legacy`]; the differential test suite asserts the two
-//! checkers agree bit-for-bit on that embedding.
+//! [`Policy::from_annotations`]), derived from naming conventions as a
+//! two-point policy ([`Policy::from_conventions`]), or built
+//! programmatically.
 
 use flowistry_core::{analyze, AnalysisParams, Dep, DepSet, InfoFlowResults, ThetaExt};
 use flowistry_lang::mir::{Body, Local, Location, TerminatorKind};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::CompiledProgram;
-
-use crate::IfcPolicy;
 
 // ---------------------------------------------------------------------------
 // Labels and lattices
@@ -308,40 +303,39 @@ pub struct Policy {
 }
 
 impl Policy {
-    /// Embeds a legacy two-point [`IfcPolicy`]: secure things become
-    /// `Secret`, sinks get clearance `Public`.
-    pub fn from_legacy(legacy: &IfcPolicy) -> Policy {
-        Policy {
-            lattice: LatticeSpec::TwoPoint,
-            default_label: None,
-            fn_labels: legacy
-                .secure_producers
-                .iter()
-                .map(|f| (f.clone(), "Secret".to_string()))
-                .collect(),
-            param_labels: legacy
-                .secure_params
-                .iter()
-                .map(|(f, p)| (f.clone(), p.clone(), "Secret".to_string()))
-                .collect(),
-            local_labels: legacy
-                .secure_locals
-                .iter()
-                .map(|(f, v)| (f.clone(), v.clone(), "Secret".to_string()))
-                .collect(),
-            sink_clearances: legacy
-                .insecure_sinks
-                .iter()
-                .map(|f| (f.clone(), "Public".to_string()))
-                .collect(),
-            declassify: Vec::new(),
-        }
-    }
-
-    /// Derives the naming-convention policy (the legacy default) as a
-    /// two-point lattice policy.
+    /// Derives a two-point policy from naming conventions, the closest
+    /// analogue of the paper's `Secure`/`Insecure` traits that Rox
+    /// supports: functions whose name starts with `insecure_` are sinks
+    /// cleared for `Public`, and functions or local variables whose name
+    /// has `password`/`secret` as its first or last `_`-separated segment
+    /// (or the `secure_` prefix) are `Secret`. Substrings inside a segment
+    /// do not count: `secretary` and `not_secret_len` are public.
     pub fn from_conventions(program: &CompiledProgram) -> Policy {
-        Policy::from_legacy(&IfcPolicy::from_conventions(program))
+        let mut policy = Policy::default();
+        for sig in &program.signatures {
+            if sig.name.starts_with("insecure_") {
+                policy
+                    .sink_clearances
+                    .push((sig.name.clone(), "Public".to_string()));
+            }
+            if crate::is_sensitive_name(&sig.name) {
+                policy
+                    .fn_labels
+                    .push((sig.name.clone(), "Secret".to_string()));
+            }
+        }
+        for body in &program.bodies {
+            for name in body.local_decls.iter().filter_map(|d| d.name.as_ref()) {
+                if crate::is_sensitive_name(name) {
+                    policy.local_labels.push((
+                        body.name.clone(),
+                        name.clone(),
+                        "Secret".to_string(),
+                    ));
+                }
+            }
+        }
+        policy
     }
 
     /// Reads the policy written in the program's own annotations:
@@ -816,8 +810,7 @@ impl<'a> PolicyChecker<'a> {
             };
             // What flows into the sink: the arguments' dependencies plus
             // the control dependencies of the call site (visible in the
-            // destination's row after the call) — same formula as the
-            // legacy checker, so the two-point instance agrees with it.
+            // destination's row after the call).
             let before = results.state_before(loc);
             let mut incoming = DepSet::new();
             for arg in args {
@@ -897,9 +890,8 @@ fn line_of(body: &Body, source: &str, loc: Location) -> usize {
     span.line_of(source)
 }
 
-/// Validates every name a policy mentions, shared by [`PolicyChecker::new`]
-/// and the legacy checker's strict entry points.
-pub(crate) fn validate_policy(
+/// Validates every name a policy mentions (see [`PolicyChecker::new`]).
+fn validate_policy(
     program: &CompiledProgram,
     policy: &Policy,
     lattice: &SecurityLattice,
@@ -1326,35 +1318,126 @@ mod tests {
         assert!(PolicyChecker::new(&prog, policy).is_ok());
     }
 
-    // ---------------- legacy embedding ----------------
+    // ---------------- naming conventions ----------------
+
+    const PASSWORD_PROGRAM: &str = "
+        fn read_password() -> i32 { return 1234; }
+        fn insecure_print(x: i32) { }
+        fn check(input: i32) -> bool {
+            let password = read_password();
+            if input == password { insecure_print(1); return true; }
+            return false;
+        }
+        fn safe(input: i32) {
+            insecure_print(input);
+        }
+    ";
 
     #[test]
-    fn legacy_embedding_matches_legacy_checker() {
+    fn conventions_flag_only_the_implicit_password_flow() {
+        let prog = flowistry_lang::compile(PASSWORD_PROGRAM).unwrap();
+        let policy = Policy::from_conventions(&prog);
+        assert_eq!(policy.lattice, LatticeSpec::TwoPoint);
+        assert_eq!(
+            policy.sink_clearances,
+            [("insecure_print".to_string(), "Public".to_string())]
+        );
+        assert_eq!(
+            policy.fn_labels,
+            [("read_password".to_string(), "Secret".to_string())]
+        );
+        assert_eq!(
+            policy.local_labels,
+            [("check".into(), "password".into(), "Secret".into())]
+        );
+        let checker = PolicyChecker::new(&prog, policy).unwrap();
+        let reports = checker.check_program();
+        assert_eq!(reports.len(), 1, "{reports:?}");
+        assert_eq!(reports[0].function, "check");
+        assert_eq!(reports[0].sink_calls_checked, 1);
+        assert_eq!(
+            reports[0].diagnostics[0].sources,
+            ["call to `read_password`", "variable `password`"]
+        );
+        assert_eq!(
+            checker.check_function("safe").unwrap().sink_calls_checked,
+            1
+        );
+        assert!(checker.check_function("ghost").is_none());
+    }
+
+    #[test]
+    fn conventions_do_not_flag_lookalike_names() {
         let src = "
-            fn read_password() -> i32 { return 1234; }
+            fn secretary() -> i32 { return 1; }
             fn insecure_print(x: i32) { }
-            fn check(input: i32) -> bool {
-                let password = read_password();
-                if input == password { insecure_print(1); return true; }
-                return false;
+            fn office() {
+                let not_secret_len = secretary();
+                insecure_print(not_secret_len);
             }
         ";
         let prog = flowistry_lang::compile(src).unwrap();
-        let legacy_policy = IfcPolicy::from_conventions(&prog);
-        let legacy = crate::IfcChecker::new(&prog, legacy_policy.clone());
-        let modern = PolicyChecker::new(&prog, Policy::from_legacy(&legacy_policy)).unwrap();
-        for sig in &prog.signatures {
-            let old = legacy.check_function(&sig.name).unwrap();
-            let new = modern.check_function(&sig.name).unwrap();
-            assert_eq!(old.sink_calls_checked, new.sink_calls_checked);
-            assert_eq!(old.violations.len(), new.diagnostics.len());
-            for (v, d) in old.violations.iter().zip(&new.diagnostics) {
-                assert_eq!(v.in_function, d.in_function);
-                assert_eq!(v.sink, d.sink);
-                assert_eq!(v.location, d.location);
-                assert_eq!(v.line, d.line);
-                assert_eq!(v.sources, d.sources);
+        let policy = Policy::from_conventions(&prog);
+        assert!(policy.fn_labels.is_empty(), "{policy:?}");
+        assert!(policy.local_labels.is_empty(), "{policy:?}");
+        let reports = PolicyChecker::new(&prog, policy).unwrap().check_program();
+        assert!(reports.is_empty(), "{reports:?}");
+    }
+
+    #[test]
+    fn whole_program_params_can_be_used() {
+        let prog = flowistry_lang::compile(PASSWORD_PROGRAM).unwrap();
+        let params = AnalysisParams::for_condition(flowistry_core::Condition::WHOLE_PROGRAM);
+        let report = PolicyChecker::new(&prog, Policy::from_conventions(&prog))
+            .unwrap()
+            .with_params(params)
+            .check_function("check")
+            .unwrap();
+        assert!(!report.is_clean());
+    }
+
+    #[test]
+    fn secret_parameter_taints_only_its_own_flows() {
+        let src = "
+            fn insecure_send(x: i32) { }
+            fn leaky(token: i32, other: i32) { insecure_send(token + 1); }
+            fn tidy(token: i32, other: i32) { insecure_send(other); }
+        ";
+        let prog = flowistry_lang::compile(src).unwrap();
+        let policy = Policy::default()
+            .with_sink("insecure_send", "Public")
+            .with_param_label("leaky", "token", "Secret")
+            .with_param_label("tidy", "token", "Secret");
+        let checker = PolicyChecker::new(&prog, policy).unwrap();
+        let leaky = checker.check_function("leaky").unwrap();
+        assert_eq!(leaky.diagnostics.len(), 1, "{:?}", leaky.diagnostics);
+        assert_eq!(leaky.diagnostics[0].sources, ["parameter `token`"]);
+        let tidy = checker.check_function("tidy").unwrap();
+        assert!(tidy.is_clean(), "{:?}", tidy.diagnostics);
+        assert_eq!(tidy.sink_calls_checked, 1);
+    }
+
+    #[test]
+    fn flows_laundered_through_mutation_are_caught() {
+        let src = "
+            fn insecure_send(x: i32) { }
+            fn get_secret() -> i32 { return 99; }
+            fn launder() {
+                let secret_value = get_secret();
+                let mut copy = 0;
+                let p = &mut copy;
+                *p = secret_value;
+                insecure_send(copy);
             }
-        }
+        ";
+        let prog = flowistry_lang::compile(src).unwrap();
+        let policy = Policy::default()
+            .with_sink("insecure_send", "Public")
+            .with_fn_label("get_secret", "Secret");
+        let report = PolicyChecker::new(&prog, policy)
+            .unwrap()
+            .check_function("launder")
+            .unwrap();
+        assert!(!report.is_clean());
     }
 }

@@ -7,13 +7,15 @@
 //! as in the paper's example where `insecure_print` is called under a branch
 //! that read a password.
 //!
-//! Rox has no attribute system, so the policy is provided programmatically
-//! (or parsed from naming conventions with [`IfcPolicy::from_conventions`]):
-//! secure *sources* are parameters, locals, or producer functions; insecure
-//! *sinks* are functions.
+//! The [`PolicyChecker`] generalises that two-point split to any finite
+//! [`SecurityLattice`] (see [`lattice`]). Rox has no trait system to carry
+//! the paper's markers, so a [`Policy`] is written in source annotations
+//! ([`Policy::from_annotations`]), built programmatically, or derived from
+//! naming conventions ([`Policy::from_conventions`]) as the two-point
+//! `Public < Secret` instance.
 //!
 //! ```
-//! use flowistry_ifc::{IfcChecker, IfcPolicy};
+//! use flowistry_ifc::{Policy, PolicyChecker};
 //! let src = "
 //!     fn read_password() -> i32 { return 1234; }
 //!     fn insecure_print(x: i32) { }
@@ -23,10 +25,9 @@
 //!     }
 //! ";
 //! let program = flowistry_lang::compile(src).unwrap();
-//! let policy = IfcPolicy::from_conventions(&program);
-//! let checker = IfcChecker::new(&program, policy);
+//! let checker = PolicyChecker::new(&program, Policy::from_conventions(&program)).unwrap();
 //! let report = checker.check_function("main_like").unwrap();
-//! assert!(!report.violations.is_empty()); // the implicit flow is flagged
+//! assert!(!report.is_clean()); // the implicit flow is flagged
 //! ```
 
 #![warn(missing_docs)]
@@ -38,18 +39,13 @@ pub use lattice::{
     SecurityLattice, WitnessStep,
 };
 
-use flowistry_core::{analyze, AnalysisParams, Dep, DepSet, ThetaExt};
-use flowistry_lang::mir::{Local, Location, TerminatorKind};
-use flowistry_lang::types::FuncId;
-use flowistry_lang::CompiledProgram;
-
-/// Whether an identifier names sensitive data under the naming conventions.
+/// Whether an identifier names sensitive data under the naming conventions
+/// of [`Policy::from_conventions`].
 ///
-/// The old heuristic used raw substring matching, which flagged `secretary`
-/// and `not_secret_len`. Sensitivity now requires `password` or `secret` to
-/// appear as the **first or last** `_`-separated segment (or the whole
-/// name), or the `secure_` prefix: `read_password`, `secret_key` and
-/// `my_secret` match; `secretary`, `passwords` and `not_secret_len` do not.
+/// Sensitivity requires `password` or `secret` to appear as the **first or
+/// last** `_`-separated segment (or the whole name), or the `secure_`
+/// prefix: `read_password`, `secret_key` and `my_secret` match;
+/// `secretary`, `passwords` and `not_secret_len` do not.
 fn is_sensitive_name(name: &str) -> bool {
     for seg in ["password", "secret"] {
         if name == seg || name.starts_with(&format!("{seg}_")) || name.ends_with(&format!("_{seg}"))
@@ -60,447 +56,9 @@ fn is_sensitive_name(name: &str) -> bool {
     name.starts_with("secure_")
 }
 
-/// What counts as secure data and insecure operations.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IfcPolicy {
-    /// Function parameters holding secure data, as `(function, parameter)`.
-    pub secure_params: Vec<(String, String)>,
-    /// Local variables holding secure data, as `(function, variable)`.
-    pub secure_locals: Vec<(String, String)>,
-    /// Functions whose return value is secure (e.g. `read_password`).
-    pub secure_producers: Vec<String>,
-    /// Functions that must not observe secure data (e.g. `insecure_print`).
-    pub insecure_sinks: Vec<String>,
-}
-
-impl IfcPolicy {
-    /// Builds a policy from naming conventions, the closest analogue of the
-    /// paper's `Secure`/`Insecure` traits that Rox supports: functions whose
-    /// name starts with `insecure_` are sinks, and functions or variables
-    /// whose name has `password`/`secret` as its first or last identifier
-    /// segment (or the `secure_` prefix) are secure. Substrings inside a
-    /// segment do not count: `secretary` and `not_secret_len` are public.
-    pub fn from_conventions(program: &CompiledProgram) -> IfcPolicy {
-        let mut policy = IfcPolicy::default();
-        for sig in &program.signatures {
-            if sig.name.starts_with("insecure_") {
-                policy.insecure_sinks.push(sig.name.clone());
-            }
-            if is_sensitive_name(&sig.name) {
-                policy.secure_producers.push(sig.name.clone());
-            }
-        }
-        for body in &program.bodies {
-            for decl in &body.local_decls {
-                if let Some(name) = &decl.name {
-                    if is_sensitive_name(name) {
-                        policy.secure_locals.push((body.name.clone(), name.clone()));
-                    }
-                }
-            }
-        }
-        policy
-    }
-
-    /// Adds an insecure sink function.
-    pub fn with_sink(mut self, name: impl Into<String>) -> Self {
-        self.insecure_sinks.push(name.into());
-        self
-    }
-
-    /// Adds a secure parameter.
-    pub fn with_secure_param(mut self, func: impl Into<String>, param: impl Into<String>) -> Self {
-        self.secure_params.push((func.into(), param.into()));
-        self
-    }
-
-    /// Adds a secure producer function.
-    pub fn with_secure_producer(mut self, name: impl Into<String>) -> Self {
-        self.secure_producers.push(name.into());
-        self
-    }
-}
-
-/// One detected secure→insecure flow.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// The function containing the flow.
-    pub in_function: String,
-    /// The insecure sink that receives the data.
-    pub sink: String,
-    /// Location of the call to the sink.
-    pub location: Location,
-    /// 1-based source line of the call.
-    pub line: usize,
-    /// Description of the secure sources involved.
-    pub sources: Vec<String>,
-}
-
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "in `{}` (line {}): secure data [{}] flows into insecure sink `{}`",
-            self.in_function,
-            self.line,
-            self.sources.join(", "),
-            self.sink
-        )
-    }
-}
-
-/// The result of checking one function.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IfcReport {
-    /// The checked function.
-    pub function: String,
-    /// All secure→insecure flows found.
-    pub violations: Vec<Violation>,
-    /// Number of sink calls inspected.
-    pub sink_calls_checked: usize,
-}
-
-impl IfcReport {
-    /// Whether the function is free of secure→insecure flows.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// The IFC checker: runs the information flow analysis and matches its
-/// dependency sets against an [`IfcPolicy`].
-pub struct IfcChecker<'a> {
-    program: &'a CompiledProgram,
-    policy: IfcPolicy,
-    params: AnalysisParams,
-}
-
-impl<'a> IfcChecker<'a> {
-    /// Creates a checker with the default (modular) analysis parameters.
-    pub fn new(program: &'a CompiledProgram, policy: IfcPolicy) -> Self {
-        IfcChecker {
-            program,
-            policy,
-            params: AnalysisParams::default(),
-        }
-    }
-
-    /// Overrides the analysis parameters (e.g. to use Whole-program).
-    pub fn with_params(mut self, params: AnalysisParams) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// Validates that every function, parameter and local named by the
-    /// policy actually exists in the program.
-    ///
-    /// # Errors
-    ///
-    /// Returns a descriptive [`PolicyError`] for the first name that does
-    /// not resolve — a misspelled policy entry would otherwise be silently
-    /// ignored and the check would pass vacuously.
-    pub fn validate(&self) -> Result<(), PolicyError> {
-        lattice::validate_policy(
-            self.program,
-            &Policy::from_legacy(&self.policy),
-            &SecurityLattice::two_point(),
-        )
-    }
-
-    /// Checks a single function by name.
-    pub fn check_function(&self, name: &str) -> Option<IfcReport> {
-        let func = self.program.func_id(name)?;
-        Some(self.check(func))
-    }
-
-    /// Checks every function in the program and returns the reports that
-    /// contain violations.
-    pub fn check_program(&self) -> Vec<IfcReport> {
-        (0..self.program.bodies.len())
-            .map(|i| self.check(FuncId(i as u32)))
-            .filter(|r| !r.is_clean())
-            .collect()
-    }
-
-    /// Like [`IfcChecker::check_program`], but first [`validate`]s the
-    /// policy so that entries naming nonexistent functions, parameters or
-    /// locals are reported instead of silently ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`PolicyError`] from validation.
-    ///
-    /// [`validate`]: IfcChecker::validate
-    pub fn check_program_strict(&self) -> Result<Vec<IfcReport>, PolicyError> {
-        self.validate()?;
-        Ok(self.check_program())
-    }
-
-    fn check(&self, func: FuncId) -> IfcReport {
-        let results = analyze(self.program, func, &self.params);
-        self.check_with_results(func, &results)
-    }
-
-    /// Checks `func` against the policy using precomputed analysis results
-    /// (e.g. served by the incremental analysis engine) instead of running
-    /// the analysis here.
-    pub fn check_with_results(
-        &self,
-        func: FuncId,
-        results: &flowistry_core::InfoFlowResults,
-    ) -> IfcReport {
-        let body = self.program.body(func);
-
-        // Identify the secure sources of this function as dependency values.
-        let mut secure_deps: Vec<(Dep, String)> = Vec::new();
-        for (fname, pname) in &self.policy.secure_params {
-            if fname == &body.name {
-                for (i, arg) in body.args().enumerate() {
-                    if body.local_decl(arg).name.as_deref() == Some(pname.as_str()) {
-                        secure_deps.push((Dep::Arg(arg), format!("parameter `{pname}`")));
-                        let _ = i;
-                    }
-                }
-            }
-        }
-        // Secure locals: every location that assigns into them.
-        let secure_locals: Vec<(Local, String)> = self
-            .policy
-            .secure_locals
-            .iter()
-            .filter(|(fname, _)| fname == &body.name)
-            .filter_map(|(_, vname)| {
-                body.local_decls
-                    .iter()
-                    .position(|d| d.name.as_deref() == Some(vname.as_str()))
-                    .map(|i| (Local(i as u32), format!("variable `{vname}`")))
-            })
-            .collect();
-        // Secure producers: the locations of calls to them.
-        for bb in body.block_ids() {
-            let data = body.block(bb);
-            if let TerminatorKind::Call { func: callee, .. } = &data.terminator().kind {
-                let callee_name = &self.program.signature(*callee).name;
-                if self.policy.secure_producers.contains(callee_name) {
-                    let loc = Location {
-                        block: bb,
-                        statement_index: data.statements.len(),
-                    };
-                    secure_deps.push((Dep::Instr(loc), format!("call to `{callee_name}`")));
-                }
-            }
-        }
-
-        let describe = |deps: &DepSet| -> Vec<String> {
-            let mut out = Vec::new();
-            for (dep, desc) in &secure_deps {
-                if deps.contains(dep) {
-                    out.push(desc.clone());
-                }
-            }
-            for (local, desc) in &secure_locals {
-                // The secure local's value flows here if any dependency is a
-                // location that assigned the secure local, approximated by:
-                // the local's own exit dependencies intersect `deps`.
-                let local_deps = results.exit_deps_of_local(*local);
-                if deps.intersection(&local_deps).next().is_some() {
-                    out.push(desc.clone());
-                }
-            }
-            out.sort();
-            out.dedup();
-            out
-        };
-
-        // Inspect every call to an insecure sink.
-        let mut violations = Vec::new();
-        let mut sink_calls_checked = 0;
-        for bb in body.block_ids() {
-            let data = body.block(bb);
-            let TerminatorKind::Call {
-                func: callee, args, ..
-            } = &data.terminator().kind
-            else {
-                continue;
-            };
-            let callee_name = self.program.signature(*callee).name.clone();
-            if !self.policy.insecure_sinks.contains(&callee_name) {
-                continue;
-            }
-            sink_calls_checked += 1;
-            let loc = Location {
-                block: bb,
-                statement_index: data.statements.len(),
-            };
-            // What flows into the sink: the arguments' dependencies plus the
-            // control dependencies of the call site — both are visible in the
-            // state *after* executing the call, where the destination's
-            // dependency set was just written. We recompute conservatively
-            // from the state before the call.
-            let before = results.state_before(loc);
-            let mut incoming = DepSet::new();
-            for arg in args {
-                if let Some(place) = arg.place() {
-                    incoming.extend(before.read_conflicts(place));
-                }
-            }
-            // Control context: the dependencies of the destination after the
-            // call include the control κ; reuse them.
-            if let TerminatorKind::Call { destination, .. } = &data.terminator().kind {
-                incoming.extend(results.state_after(loc).read_conflicts(destination));
-            }
-
-            let sources = describe(&incoming);
-            if !sources.is_empty() {
-                let span = data.terminator().span;
-                violations.push(Violation {
-                    in_function: body.name.clone(),
-                    sink: callee_name,
-                    location: loc,
-                    line: span.line_of(&self.program.source),
-                    sources,
-                });
-            }
-        }
-
-        IfcReport {
-            function: body.name.clone(),
-            violations,
-            sink_calls_checked,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const PASSWORD_PROGRAM: &str = "
-        fn read_password() -> i32 { return 1234; }
-        fn insecure_print(x: i32) { }
-        fn check(input: i32) -> bool {
-            let password = read_password();
-            if input == password { insecure_print(1); return true; }
-            return false;
-        }
-        fn safe(input: i32) {
-            insecure_print(input);
-        }
-    ";
-
-    fn checked(func: &str) -> IfcReport {
-        let prog = flowistry_lang::compile(PASSWORD_PROGRAM).unwrap();
-        let policy = IfcPolicy::from_conventions(&prog);
-        IfcChecker::new(&prog, policy).check_function(func).unwrap()
-    }
-
-    #[test]
-    fn implicit_flow_through_branch_is_flagged() {
-        let report = checked("check");
-        assert!(!report.is_clean(), "expected a violation");
-        assert_eq!(report.sink_calls_checked, 1);
-        let v = &report.violations[0];
-        assert_eq!(v.sink, "insecure_print");
-        assert!(v.to_string().contains("insecure_print"));
-        assert!(
-            v.sources
-                .iter()
-                .any(|s| s.contains("password") || s.contains("read_password")),
-            "sources: {:?}",
-            v.sources
-        );
-    }
-
-    #[test]
-    fn non_secret_data_is_not_flagged() {
-        let report = checked("safe");
-        assert!(report.is_clean(), "violations: {:?}", report.violations);
-        assert_eq!(report.sink_calls_checked, 1);
-    }
-
-    #[test]
-    fn check_program_reports_only_offending_functions() {
-        let prog = flowistry_lang::compile(PASSWORD_PROGRAM).unwrap();
-        let policy = IfcPolicy::from_conventions(&prog);
-        let reports = IfcChecker::new(&prog, policy).check_program();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].function, "check");
-    }
-
-    #[test]
-    fn explicit_flow_of_secure_parameter_is_flagged() {
-        let src = "
-            fn insecure_send(x: i32) { }
-            fn handler(token: i32, other: i32) {
-                insecure_send(token + 1);
-            }
-        ";
-        let prog = flowistry_lang::compile(src).unwrap();
-        let policy = IfcPolicy::default()
-            .with_sink("insecure_send")
-            .with_secure_param("handler", "token");
-        let report = IfcChecker::new(&prog, policy)
-            .check_function("handler")
-            .unwrap();
-        assert!(!report.is_clean());
-    }
-
-    #[test]
-    fn unrelated_secure_parameter_is_not_flagged() {
-        let src = "
-            fn insecure_send(x: i32) { }
-            fn handler(token: i32, other: i32) {
-                insecure_send(other);
-            }
-        ";
-        let prog = flowistry_lang::compile(src).unwrap();
-        let policy = IfcPolicy::default()
-            .with_sink("insecure_send")
-            .with_secure_param("handler", "token");
-        let report = IfcChecker::new(&prog, policy)
-            .check_function("handler")
-            .unwrap();
-        assert!(report.is_clean(), "violations: {:?}", report.violations);
-    }
-
-    #[test]
-    fn flows_laundered_through_mutation_are_caught() {
-        let src = "
-            fn insecure_send(x: i32) { }
-            fn get_secret() -> i32 { return 99; }
-            fn launder() {
-                let secret_value = get_secret();
-                let mut copy = 0;
-                let p = &mut copy;
-                *p = secret_value;
-                insecure_send(copy);
-            }
-        ";
-        let prog = flowistry_lang::compile(src).unwrap();
-        let policy = IfcPolicy::default()
-            .with_sink("insecure_send")
-            .with_secure_producer("get_secret");
-        let report = IfcChecker::new(&prog, policy)
-            .check_function("launder")
-            .unwrap();
-        assert!(!report.is_clean());
-    }
-
-    #[test]
-    fn conventions_detect_names() {
-        let prog = flowistry_lang::compile(PASSWORD_PROGRAM).unwrap();
-        let policy = IfcPolicy::from_conventions(&prog);
-        assert!(policy
-            .insecure_sinks
-            .contains(&"insecure_print".to_string()));
-        assert!(policy
-            .secure_producers
-            .contains(&"read_password".to_string()));
-        assert!(policy
-            .secure_locals
-            .iter()
-            .any(|(f, v)| f == "check" && v == "password"));
-    }
 
     #[test]
     fn sensitive_name_matching_is_segment_based() {
@@ -525,63 +83,5 @@ mod tests {
         ] {
             assert!(!is_sensitive_name(name), "`{name}` should not be sensitive");
         }
-    }
-
-    #[test]
-    fn conventions_do_not_flag_lookalike_names() {
-        let src = "
-            fn secretary() -> i32 { return 1; }
-            fn insecure_print(x: i32) { }
-            fn office() {
-                let not_secret_len = secretary();
-                insecure_print(not_secret_len);
-            }
-        ";
-        let prog = flowistry_lang::compile(src).unwrap();
-        let policy = IfcPolicy::from_conventions(&prog);
-        assert!(policy.secure_producers.is_empty(), "{policy:?}");
-        assert!(policy.secure_locals.is_empty(), "{policy:?}");
-        let reports = IfcChecker::new(&prog, policy).check_program();
-        assert!(reports.is_empty(), "{reports:?}");
-    }
-
-    #[test]
-    fn validate_rejects_unknown_policy_names() {
-        let prog = flowistry_lang::compile("fn f(x: i32) { }").unwrap();
-        let checker = IfcChecker::new(
-            &prog,
-            IfcPolicy::default().with_secure_producer("read_ghost"),
-        );
-        let err = checker.check_program_strict().unwrap_err();
-        assert!(err.to_string().contains("read_ghost"), "{err}");
-
-        let checker = IfcChecker::new(
-            &prog,
-            IfcPolicy::default().with_secure_param("f", "missing"),
-        );
-        let err = checker.validate().unwrap_err();
-        assert!(err.to_string().contains("missing"), "{err}");
-
-        let checker = IfcChecker::new(&prog, IfcPolicy::default().with_sink("f"));
-        assert!(checker.check_program_strict().is_ok());
-    }
-
-    #[test]
-    fn missing_function_returns_none() {
-        let prog = flowistry_lang::compile("fn f() {}").unwrap();
-        let checker = IfcChecker::new(&prog, IfcPolicy::default());
-        assert!(checker.check_function("ghost").is_none());
-    }
-
-    #[test]
-    fn whole_program_params_can_be_used() {
-        let prog = flowistry_lang::compile(PASSWORD_PROGRAM).unwrap();
-        let policy = IfcPolicy::from_conventions(&prog);
-        let params = AnalysisParams::for_condition(flowistry_core::Condition::WHOLE_PROGRAM);
-        let report = IfcChecker::new(&prog, policy)
-            .with_params(params)
-            .check_function("check")
-            .unwrap();
-        assert!(!report.is_clean());
     }
 }

@@ -44,7 +44,7 @@
 #![warn(missing_docs)]
 
 use flowistry_core::{Dep, DepSet, FunctionSummary, InfoFlowResults, ThetaExt};
-use flowistry_ifc::{IfcPolicy, Policy, WitnessStep};
+use flowistry_ifc::{Policy, WitnessStep};
 use flowistry_lang::mir::{Body, Local, Location, Place, StatementKind, TerminatorKind};
 use flowistry_lang::types::{FuncId, Ty};
 use flowistry_lang::{CallGraph, CompiledProgram};
@@ -139,8 +139,8 @@ pub struct LintFinding {
 ///
 /// Construction derives the sink/secret sets once — from annotations when
 /// present ([`Policy::from_annotations`], including `#![module_policy]`
-/// composition) with the legacy naming conventions
-/// ([`IfcPolicy::from_conventions`]) layered in — and precomputes transitive
+/// composition) with the naming conventions
+/// ([`Policy::from_conventions`]) layered in — and precomputes transitive
 /// sink reachability over the call graph. Per-function entry points then
 /// only need that function's summary and flow results.
 pub struct Linter<'a> {
@@ -173,10 +173,15 @@ impl<'a> Linter<'a> {
         let mut sinks = BTreeSet::new();
         let mut debug_sinks = BTreeSet::new();
 
-        // Lattice-aware annotation policy, when the module's lattice
-        // resolves. Labels that do not exist in the lattice are simply not
-        // secret here; the policy checker reports them properly.
-        if let Ok(policy) = Policy::from_annotations(program) {
+        // The annotation policy, when the module's lattice resolves, and
+        // the naming-convention policy compose, each over its own lattice.
+        // Labels that do not exist in a lattice are simply not secret here;
+        // the policy checker reports them properly.
+        let policies = Policy::from_annotations(program)
+            .ok()
+            .into_iter()
+            .chain([Policy::from_conventions(program)]);
+        for policy in policies {
             let lattice = policy.lattice.build();
             let bottom = lattice.bottom();
             let above_bottom =
@@ -212,34 +217,6 @@ impl<'a> Linter<'a> {
                         debug_sinks.insert(id);
                     }
                 }
-            }
-        }
-
-        // Legacy naming conventions compose in (two-point lattice: every
-        // convention sink has bottom clearance).
-        let legacy = IfcPolicy::from_conventions(program);
-        for f in &legacy.secure_producers {
-            if let Some(id) = program.func_id(f) {
-                secret_fns.insert(id);
-            }
-        }
-        for (f, p) in &legacy.secure_params {
-            if let (Some(id), Some(body)) = (program.func_id(f), program.body_by_name(f)) {
-                if let Some(local) = body
-                    .args()
-                    .find(|a| body.local_decl(*a).name.as_deref() == Some(p.as_str()))
-                {
-                    secret_params.insert((id, local));
-                }
-            }
-        }
-        for (f, v) in &legacy.secure_locals {
-            secret_locals.insert((f.clone(), v.clone()));
-        }
-        for f in &legacy.insecure_sinks {
-            if let Some(id) = program.func_id(f) {
-                sinks.insert(id);
-                debug_sinks.insert(id);
             }
         }
 

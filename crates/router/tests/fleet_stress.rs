@@ -20,7 +20,7 @@
 
 use flowistry_core::{analyze, AnalysisParams, Condition, FunctionSummary};
 use flowistry_engine::{QueryRequest, QueryResponse};
-use flowistry_ifc::{IfcChecker, IfcPolicy, IfcReport};
+use flowistry_ifc::{IfcDiagnostic, Policy, PolicyChecker};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::{CallGraph, CompiledProgram};
 use flowistry_lint::{LintFinding, Linter};
@@ -89,7 +89,7 @@ struct Expected {
     results: Vec<flowistry_core::InfoFlowResults>,
     summaries: Vec<FunctionSummary>,
     slices: Vec<Option<Slice>>,
-    ifc: Vec<IfcReport>,
+    policy: Vec<IfcDiagnostic>,
     lints: Vec<Vec<LintFinding>>,
 }
 
@@ -109,9 +109,14 @@ fn expected_for(program: &Arc<CompiledProgram>, params: &AnalysisParams) -> Expe
     let slices: Vec<_> = (0..n)
         .map(|i| Slicer::new(program, FuncId(i as u32), params.clone()).backward_slice_of_var("v"))
         .collect();
-    let ifc = IfcChecker::new(program, IfcPolicy::from_conventions(program))
+    // What `check_policy` serves: every function's diagnostics, flattened.
+    let policy = PolicyChecker::new(program, Policy::from_conventions(program))
+        .expect("convention policy resolves")
         .with_params(params.clone())
-        .check_program();
+        .check_program()
+        .into_iter()
+        .flat_map(|r| r.diagnostics)
+        .collect();
     let call_graph = CallGraph::extract(program);
     let linter = Linter::with_call_graph(program, &call_graph);
     let lints: Vec<_> = (0..n)
@@ -121,7 +126,7 @@ fn expected_for(program: &Arc<CompiledProgram>, params: &AnalysisParams) -> Expe
         results,
         summaries,
         slices,
-        ifc,
+        policy,
         lints,
     }
 }
@@ -174,7 +179,7 @@ fn hammer_through_router(workers: usize) {
             k - 1
         );
     }
-    let policy = IfcPolicy::from_conventions(&programs[0]);
+    let policy = Policy::from_conventions(&programs[0]);
 
     // One shared summary-cache dir across the fleet: the respawned replica
     // warm-starts from its siblings' work.
@@ -236,10 +241,10 @@ fn hammer_through_router(workers: usize) {
                     func.0
                 );
             }
-            (QueryRequest::CheckIfc(_), QueryResponse::CheckIfc(got)) => {
+            (QueryRequest::CheckPolicy(_), QueryResponse::CheckPolicy(got)) => {
                 assert_eq!(
-                    got, &exp.ifc,
-                    "CheckIfc through the router diverged at epoch {epoch}"
+                    got, &exp.policy,
+                    "CheckPolicy through the router diverged at epoch {epoch}"
                 );
             }
             (QueryRequest::Lint(f), QueryResponse::Lint(got)) => {
@@ -277,7 +282,7 @@ fn hammer_through_router(workers: usize) {
                             func,
                             var: "v".to_string(),
                         },
-                        3 => QueryRequest::CheckIfc(policy.clone()),
+                        3 => QueryRequest::CheckPolicy(policy.clone()),
                         4 => QueryRequest::Lint(func),
                         _ => QueryRequest::Stats,
                     }

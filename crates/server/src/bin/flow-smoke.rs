@@ -26,7 +26,7 @@
 
 use flowistry_core::{analyze, AnalysisParams, Condition, FunctionSummary};
 use flowistry_engine::{QueryRequest, QueryResponse};
-use flowistry_ifc::{IfcChecker, IfcPolicy};
+use flowistry_ifc::{Policy, PolicyChecker};
 use flowistry_lang::mir::{BasicBlock, Location, Place};
 use flowistry_lint::{LintPass, Linter};
 use flowistry_server::{codec, ClientConfig, FlowClient};
@@ -297,20 +297,24 @@ fn run(
     )?;
 
     // IFC: the fixture's password → insecure_print flow must be reported.
-    let policy = IfcPolicy::from_conventions(&program);
-    let expected_reports = IfcChecker::new(&program, policy.clone())
+    let policy = Policy::from_conventions(&program);
+    let expected_diagnostics: Vec<_> = PolicyChecker::new(&program, policy.clone())
+        .map_err(|e| format!("convention policy rejected: {e}"))?
         .with_params(params.clone())
-        .check_program();
+        .check_program()
+        .into_iter()
+        .flat_map(|r| r.diagnostics)
+        .collect();
     check(
-        expected_reports.iter().any(|r| !r.violations.is_empty()),
+        !expected_diagnostics.is_empty(),
         "fixture produces an IFC violation",
     )?;
     let envelope = client
-        .query(&QueryRequest::CheckIfc(policy))
+        .query(&QueryRequest::CheckPolicy(policy))
         .map_err(fail)?;
     check(
-        envelope.response == QueryResponse::CheckIfc(expected_reports),
-        "check-ifc == direct",
+        envelope.response == QueryResponse::CheckPolicy(expected_diagnostics),
+        "check-policy == direct",
     )?;
 
     // Bad function id: a structured error, then normal service.

@@ -13,7 +13,6 @@
 //! results <func>                      QueryRequest::Results
 //! slice <func> <var>                  QueryRequest::BackwardSlice
 //! slice-at <func> <place> <blk> <st>  QueryRequest::BackwardSliceAt
-//! ifc <sinks> <producers> <params> <locals>   QueryRequest::CheckIfc
 //! policy <lattice> <default> <fns> <params> <locals> <sinks> <declassify>
 //!                                     QueryRequest::CheckPolicy
 //! lint <func>                         QueryRequest::Lint
@@ -86,9 +85,7 @@
 
 use flowistry_core::{FunctionSummary, InfoFlowResults, Theta};
 use flowistry_engine::{QueryEnvelope, QueryRequest, QueryResponse, RunStats, ServiceStats};
-use flowistry_ifc::{
-    IfcDiagnostic, IfcPolicy, IfcReport, LatticeSpec, Policy, Violation, WitnessStep,
-};
+use flowistry_ifc::{IfcDiagnostic, LatticeSpec, Policy, WitnessStep};
 use flowistry_lang::mir::{BasicBlock, Local, Location, Place};
 use flowistry_lang::types::FuncId;
 use flowistry_lint::{LintFinding, LintPass};
@@ -449,21 +446,6 @@ fn decode_lines(s: &str) -> Result<BTreeSet<usize>, String> {
     s.split(',').map(|l| parse_num(l, "line")).collect()
 }
 
-/// Encodes a list of escaped names, `,`-joined (`-` when empty).
-fn encode_names(names: &[String]) -> String {
-    if names.is_empty() {
-        return "-".to_string();
-    }
-    names.iter().map(|n| esc(n)).collect::<Vec<_>>().join(",")
-}
-
-fn decode_names(s: &str) -> Result<Vec<String>, String> {
-    if s == "-" {
-        return Ok(Vec::new());
-    }
-    s.split(',').map(unesc).collect()
-}
-
 /// Encodes a list of `(function, name)` pairs as `f:n`, `,`-joined.
 fn encode_pairs(pairs: &[(String, String)]) -> String {
     if pairs.is_empty() {
@@ -486,97 +468,6 @@ fn decode_pairs(s: &str) -> Result<Vec<(String, String)>, String> {
                 .split_once(':')
                 .ok_or_else(|| format!("bad name pair {pair:?}"))?;
             Ok((unesc(f)?, unesc(n)?))
-        })
-        .collect()
-}
-
-fn encode_reports(reports: &[IfcReport]) -> String {
-    if reports.is_empty() {
-        return "-".to_string();
-    }
-    reports
-        .iter()
-        .map(|r| {
-            let violations = if r.violations.is_empty() {
-                "-".to_string()
-            } else {
-                r.violations
-                    .iter()
-                    .map(|v| {
-                        let sources = if v.sources.is_empty() {
-                            "-".to_string()
-                        } else {
-                            v.sources
-                                .iter()
-                                .map(|s| esc(s))
-                                .collect::<Vec<_>>()
-                                .join("+")
-                        };
-                        format!(
-                            "{},{},{},{},{}",
-                            esc(&v.in_function),
-                            esc(&v.sink),
-                            encode_location(v.location),
-                            v.line,
-                            sources
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join("^")
-            };
-            format!(
-                "{}:{}:{}",
-                esc(&r.function),
-                r.sink_calls_checked,
-                violations
-            )
-        })
-        .collect::<Vec<_>>()
-        .join("|")
-}
-
-fn decode_reports(s: &str) -> Result<Vec<IfcReport>, String> {
-    if s == "-" {
-        return Ok(Vec::new());
-    }
-    s.split('|')
-        .map(|report| {
-            let mut parts = report.splitn(3, ':');
-            let (function, checked, violations) = (
-                parts.next().ok_or("missing report function")?,
-                parts.next().ok_or("missing report sink count")?,
-                parts.next().ok_or("missing report violations")?,
-            );
-            let violations = if violations == "-" {
-                Vec::new()
-            } else {
-                violations
-                    .split('^')
-                    .map(|v| {
-                        let fields: Vec<&str> = v.split(',').collect();
-                        let [in_function, sink, location, line, sources] = fields[..] else {
-                            return Err(format!("violation has {} fields, want 5", fields.len()));
-                        };
-                        let sources = if sources == "-" {
-                            Vec::new()
-                        } else {
-                            sources.split('+').map(unesc).collect::<Result<_, _>>()?
-                        };
-                        Ok(Violation {
-                            in_function: unesc(in_function)?,
-                            sink: unesc(sink)?,
-                            location: decode_location(location)?,
-                            line: parse_num(line, "line")?,
-                            sources,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?
-            };
-            Ok(IfcReport {
-                function: unesc(function)?,
-                violations,
-                sink_calls_checked: parse_num(checked, "sink call count")?,
-            })
         })
         .collect()
 }
@@ -856,13 +747,6 @@ pub fn encode_request(request: &QueryRequest) -> String {
             loc.block.0,
             loc.statement_index
         ),
-        QueryRequest::CheckIfc(policy) => format!(
-            "ifc {} {} {} {}",
-            encode_names(&policy.insecure_sinks),
-            encode_names(&policy.secure_producers),
-            encode_pairs(&policy.secure_params),
-            encode_pairs(&policy.secure_locals),
-        ),
         QueryRequest::CheckPolicy(policy) => format!(
             "policy {} {} {} {} {} {} {}",
             encode_lattice_spec(&policy.lattice),
@@ -961,12 +845,6 @@ pub fn decode_command(line: &str) -> Result<Command, String> {
                 statement_index: parse_num(stmt, "statement index")?,
             },
         },
-        ["ifc", sinks, producers, params, locals] => QueryRequest::CheckIfc(IfcPolicy {
-            secure_params: decode_pairs(params)?,
-            secure_locals: decode_pairs(locals)?,
-            secure_producers: decode_names(producers)?,
-            insecure_sinks: decode_names(sinks)?,
-        }),
         ["policy", lattice, default, fns, params, locals, sinks, declassify] => {
             QueryRequest::CheckPolicy(decode_policy(&[
                 lattice, default, fns, params, locals, sinks, declassify,
@@ -991,9 +869,9 @@ pub fn decode_command(line: &str) -> Result<Command, String> {
         [verb, ..] => {
             // A known verb with the wrong arity deserves a better hint than
             // "unknown request" — it misdirects anyone debugging over `nc`.
-            const VERBS: [&str; 12] = [
-                "summary", "results", "slice", "slice-at", "ifc", "policy", "lint", "stats",
-                "metrics", "update", "auth", "shutdown",
+            const VERBS: [&str; 11] = [
+                "summary", "results", "slice", "slice-at", "policy", "lint", "stats", "metrics",
+                "update", "auth", "shutdown",
             ];
             return Err(if VERBS.contains(&verb) {
                 format!("wrong number of arguments for {verb:?}")
@@ -1039,7 +917,6 @@ pub fn encode_envelope(envelope: &QueryEnvelope) -> String {
         QueryResponse::BackwardSliceAt(locs) => {
             format!("slice-at {epoch} {}", encode_locations(locs))
         }
-        QueryResponse::CheckIfc(reports) => format!("ifc {epoch} {}", encode_reports(reports)),
         QueryResponse::CheckPolicy(diags) => {
             format!("policy {epoch} {}", encode_diagnostics(diags))
         }
@@ -1097,7 +974,6 @@ pub fn decode_envelope(line: &str) -> Result<QueryEnvelope, String> {
             }
         },
         "slice-at" => QueryResponse::BackwardSliceAt(decode_locations(one()?)?),
-        "ifc" => QueryResponse::CheckIfc(decode_reports(one()?)?),
         "policy" => QueryResponse::CheckPolicy(decode_diagnostics(one()?)?),
         "lint" => QueryResponse::Lint(decode_findings(one()?)?),
         "stats" => QueryResponse::Stats(decode_stats(payload)?),
@@ -1116,7 +992,7 @@ pub fn decode_envelope(line: &str) -> Result<QueryEnvelope, String> {
 mod tests {
     use super::*;
     use flowistry_core::{analyze, AnalysisParams, Condition, Dep, DepSet};
-    use flowistry_ifc::{IfcChecker, PolicyChecker};
+    use flowistry_ifc::PolicyChecker;
     use flowistry_lang::mir::PlaceElem;
     use flowistry_slicer::Slicer;
 
@@ -1159,13 +1035,6 @@ mod tests {
                 statement_index: 2,
             },
         });
-        roundtrip_request(QueryRequest::CheckIfc(IfcPolicy::default()));
-        roundtrip_request(QueryRequest::CheckIfc(
-            IfcPolicy::default()
-                .with_sink("insecure_print")
-                .with_secure_producer("read password")
-                .with_secure_param("login", "secret_key"),
-        ));
         roundtrip_request(QueryRequest::CheckPolicy(Policy::default()));
         // Every policy field populated, every built-in lattice, and a
         // custom chain whose level names need escaping.
@@ -1241,6 +1110,7 @@ mod tests {
             "slice-at 1 2.z 0 0",
             "ifc a b c",
             "ifc - - bad_pair -",
+            "ifc x y z w",
             "policy",
             "policy two_point - - - - -",
             "policy bogus_lattice - - - - - -",
@@ -1259,6 +1129,11 @@ mod tests {
         ] {
             assert!(decode_command(line).is_err(), "{line:?} must be rejected");
         }
+        // The retired `ifc` verb is unknown, not a wrong-arity known verb.
+        assert_eq!(
+            decode_command("ifc x y z w").err().as_deref(),
+            Some("unknown request \"ifc\"")
+        );
     }
 
     fn roundtrip_envelope(envelope: QueryEnvelope) {
@@ -1340,25 +1215,6 @@ mod tests {
                     statement_index: 0,
                 },
             )),
-        });
-        // A real violation: its source descriptions contain spaces and
-        // backticks ("call to `read_password`"), exercising the escaping.
-        let reports = IfcChecker::new(&program, IfcPolicy::from_conventions(&program))
-            .with_params(params.clone())
-            .check_program();
-        assert!(
-            reports.iter().any(|r| !r.violations.is_empty()),
-            "fixture must produce a violation"
-        );
-        roundtrip_envelope(QueryEnvelope {
-            epoch: 4,
-            trace_id: None,
-            response: QueryResponse::CheckIfc(reports),
-        });
-        roundtrip_envelope(QueryEnvelope {
-            epoch: 0,
-            trace_id: None,
-            response: QueryResponse::CheckIfc(Vec::new()),
         });
         roundtrip_envelope(QueryEnvelope {
             epoch: 8,

@@ -20,7 +20,7 @@ use flowistry_core::{analyze, AnalysisParams, Condition, FunctionSummary};
 use flowistry_engine::{
     AnalysisEngine, EngineConfig, FlowService, QueryRequest, QueryResponse, ServiceConfig,
 };
-use flowistry_ifc::{IfcChecker, IfcPolicy, IfcReport};
+use flowistry_ifc::{IfcDiagnostic, Policy, PolicyChecker};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::{CallGraph, CompiledProgram};
 use flowistry_lint::{LintFinding, Linter};
@@ -84,7 +84,7 @@ struct Expected {
     results: Vec<flowistry_core::InfoFlowResults>,
     summaries: Vec<FunctionSummary>,
     slices: Vec<Option<Slice>>,
-    ifc: Vec<IfcReport>,
+    policy: Vec<IfcDiagnostic>,
     lints: Vec<Vec<LintFinding>>,
 }
 
@@ -104,9 +104,14 @@ fn expected_for(program: &Arc<CompiledProgram>, params: &AnalysisParams) -> Expe
     let slices: Vec<_> = (0..n)
         .map(|i| Slicer::new(program, FuncId(i as u32), params.clone()).backward_slice_of_var("v"))
         .collect();
-    let ifc = IfcChecker::new(program, IfcPolicy::from_conventions(program))
+    // What `check_policy` serves: every function's diagnostics, flattened.
+    let policy = PolicyChecker::new(program, Policy::from_conventions(program))
+        .expect("convention policy resolves")
         .with_params(params.clone())
-        .check_program();
+        .check_program()
+        .into_iter()
+        .flat_map(|r| r.diagnostics)
+        .collect();
     let call_graph = CallGraph::extract(program);
     let linter = Linter::with_call_graph(program, &call_graph);
     let lints: Vec<_> = (0..n)
@@ -116,7 +121,7 @@ fn expected_for(program: &Arc<CompiledProgram>, params: &AnalysisParams) -> Expe
         results,
         summaries,
         slices,
-        ifc,
+        policy,
         lints,
     }
 }
@@ -154,7 +159,7 @@ fn hammer_over_tcp(workers: usize) {
         );
     }
     // Every version has the same function names, so one policy serves all.
-    let policy = IfcPolicy::from_conventions(&programs[0]);
+    let policy = Policy::from_conventions(&programs[0]);
 
     // A private registry per run: the three worker-count tests run
     // concurrently in this process and must not pool their counters.
@@ -210,8 +215,11 @@ fn hammer_over_tcp(workers: usize) {
                     func.0
                 );
             }
-            (QueryRequest::CheckIfc(_), QueryResponse::CheckIfc(got)) => {
-                assert_eq!(got, &exp.ifc, "CheckIfc over TCP diverged at epoch {epoch}");
+            (QueryRequest::CheckPolicy(_), QueryResponse::CheckPolicy(got)) => {
+                assert_eq!(
+                    got, &exp.policy,
+                    "CheckPolicy over TCP diverged at epoch {epoch}"
+                );
             }
             (QueryRequest::Lint(f), QueryResponse::Lint(got)) => {
                 assert_eq!(
@@ -251,7 +259,7 @@ fn hammer_over_tcp(workers: usize) {
                             func,
                             var: "v".to_string(),
                         },
-                        3 => QueryRequest::CheckIfc(policy.clone()),
+                        3 => QueryRequest::CheckPolicy(policy.clone()),
                         4 => QueryRequest::Lint(func),
                         _ => QueryRequest::Stats,
                     }
@@ -346,7 +354,7 @@ fn hammer_over_tcp(workers: usize) {
         40.0
     );
     assert_eq!(
-        sample(&scrape, "flow_service_requests_total{kind=\"ifc\"}"),
+        sample(&scrape, "flow_service_requests_total{kind=\"policy\"}"),
         40.0
     );
     assert_eq!(
@@ -396,7 +404,7 @@ fn hammer_over_tcp(workers: usize) {
     // Wire latency is observed *after* the response bytes flush, so a
     // connection's last observation can still be in flight when the
     // scrape renders: allow one lagging request per client per kind.
-    for kind in ["results", "summary", "slice", "ifc", "lint", "stats"] {
+    for kind in ["results", "summary", "slice", "policy", "lint", "stats"] {
         let count = sample(
             &scrape,
             &format!("flow_server_request_wire_seconds_count{{kind=\"{kind}\"}}"),
@@ -443,7 +451,7 @@ fn shutdown_lets_other_connections_flush_accepted_responses() {
     let program =
         Arc::new(flowistry_lang::compile(&layered_source(2, 3)).expect("program compiles"));
     let params = AnalysisParams::for_condition(Condition::WHOLE_PROGRAM);
-    let policy = IfcPolicy::from_conventions(&program);
+    let policy = Policy::from_conventions(&program);
     let engine = AnalysisEngine::new(program, EngineConfig::default().with_params(params.clone()));
     let service = FlowService::new(engine, ServiceConfig::default().with_workers(1));
     let server = FlowServer::bind(
@@ -456,14 +464,14 @@ fn shutdown_lets_other_connections_flush_accepted_responses() {
     let mut pipelined = FlowClient::connect(server.local_addr()).unwrap();
     for _ in 0..5 {
         pipelined
-            .submit(&QueryRequest::CheckIfc(policy.clone()))
+            .submit(&QueryRequest::CheckPolicy(policy.clone()))
             .unwrap();
     }
     // Wait until the connection's reader has provably ingested all five
     // requests (the shutdown sweep stops further reads, not accepted work):
     // `served + queue_depth` counts every request submitted to the service,
     // including the stats polls themselves, so once it reaches 5 + polls
-    // the five CheckIfc requests are all in.
+    // the five CheckPolicy requests are all in.
     let mut other = FlowClient::connect(server.local_addr()).unwrap();
     let mut polls = 0u64;
     loop {
@@ -481,7 +489,7 @@ fn shutdown_lets_other_connections_flush_accepted_responses() {
             .recv()
             .unwrap_or_else(|e| panic!("response {i} lost in shutdown: {e}"));
         assert!(
-            matches!(envelope.response, QueryResponse::CheckIfc(_)),
+            matches!(envelope.response, QueryResponse::CheckPolicy(_)),
             "response {i} corrupted by shutdown: {:?}",
             envelope.response
         );

@@ -71,16 +71,15 @@ fn main() {
         println!("  {line}");
     }
 
-    // Query 2: IFC over the whole program, same snapshot.
-    let policy = IfcPolicy::from_conventions(&program)
-        .with_sink("insecure_log")
-        .with_secure_producer("read_secret");
-    let reports = snapshot.check_ifc(policy.clone());
+    // Query 2: IFC over the whole program, same snapshot. The naming
+    // conventions make `read_secret` a secret source and `insecure_log` a
+    // public sink.
+    let diagnostics = snapshot
+        .check_policy(Policy::from_conventions(&program))
+        .expect("the convention policy resolves");
     println!("\nIFC violations:");
-    for report in &reports {
-        for violation in &report.violations {
-            println!("  {violation}");
-        }
+    for diagnostic in &diagnostics {
+        println!("  {diagnostic}");
     }
 
     // Put the service front on: queries go through a typed protocol and a

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example ifc_checker`
 
-use flowistry::ifc::{IfcChecker, IfcPolicy, Policy, PolicyChecker};
+use flowistry::ifc::{Policy, PolicyChecker};
 use flowistry::prelude::compile;
 
 /// An audit-logging program under the `Low < Med < High < TopSecret`
@@ -91,14 +91,15 @@ fn main() {
     assert!(login.diagnostics.iter().any(|d| d.sink == "debug_dump"));
     println!("\n`audit_log(tag)` passes: the fingerprint call is declassified.");
 
-    // The legacy two-point convention checker still works unchanged.
-    let legacy = IfcChecker::new(&program, IfcPolicy::from_conventions(&program));
+    // The two-point naming-convention policy runs through the same checker.
+    let conventions = PolicyChecker::new(&program, Policy::from_conventions(&program))
+        .expect("the convention policy resolves");
     println!(
-        "legacy convention policy finds {} violation(s) here (no conventional names).",
-        legacy
+        "convention policy finds {} violation(s) here (no conventional names).",
+        conventions
             .check_program()
             .iter()
-            .map(|r| r.violations.len())
+            .map(|r| r.diagnostics.len())
             .sum::<usize>()
     );
 }

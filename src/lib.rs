@@ -61,9 +61,7 @@ pub mod prelude {
         AnalysisEngine, AnalysisSnapshot, EngineConfig, FlowService, QueryRequest, QueryResponse,
         ServiceConfig,
     };
-    pub use flowistry_ifc::{
-        IfcChecker, IfcDiagnostic, IfcPolicy, LatticeSpec, Policy, PolicyChecker, SecurityLattice,
-    };
+    pub use flowistry_ifc::{IfcDiagnostic, LatticeSpec, Policy, PolicyChecker, SecurityLattice};
     pub use flowistry_interp::{Interpreter, Value};
     pub use flowistry_lang::{compile, compile_strict, CompiledProgram};
     pub use flowistry_lint::{EffectSignature, LintFinding, LintPass, Linter};

@@ -140,11 +140,10 @@ fn slicer_isolates_the_pin_check() {
 #[test]
 fn ifc_checker_flags_the_balance_leak() {
     let program = compile(BANK).unwrap();
-    let policy = IfcPolicy::default()
-        .with_sink("insecure_log")
-        .with_secure_producer("secret_pin")
-        .with_secure_param("transfer", "from");
-    let checker = IfcChecker::new(&program, policy);
+    // The conventions make `secret_pin` a secret source and `insecure_log`
+    // a public sink; the `from` account is secret by explicit label.
+    let policy = Policy::from_conventions(&program).with_param_label("transfer", "from", "Secret");
+    let checker = PolicyChecker::new(&program, policy).unwrap();
     let report = checker.check_function("transfer").unwrap();
     // The logged balance is influenced by the withdrawal from `from` (a
     // secure account) and control-depends on the secret pin check.
