@@ -35,7 +35,7 @@ use flowistry_lang::mir::{
 use flowistry_lang::types::{FuncId, Ty};
 use flowistry_lang::CompiledProgram;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// The frozen value tables of one body's domains: index → value, used to
@@ -53,8 +53,11 @@ pub(crate) struct DomainTables {
 /// indices per *present* place index. Presence is tracked separately from
 /// row content because the tree domain's `read_conflicts` fallback depends
 /// on which keys exist, not just on which dependencies they hold.
+///
+/// Rows are only ever written for present places, so the present places
+/// and their rows ([`IndexedTheta::entries`]) are the whole state.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct IndexedTheta {
+pub struct IndexedTheta {
     rows: IndexMatrix,
     present: BitSet,
 }
@@ -67,18 +70,192 @@ impl IndexedTheta {
         }
     }
 
+    /// A state from its present place indices, each with its shared row
+    /// (`None` for a place with no dependencies). A later entry for the same
+    /// place replaces an earlier one.
+    pub fn from_entries(entries: impl IntoIterator<Item = (u32, Option<Arc<BitSet>>)>) -> Self {
+        let mut rows: Vec<Option<Arc<BitSet>>> = Vec::new();
+        let mut present = BitSet::new();
+        for (place, row) in entries {
+            let slot = place as usize;
+            if slot >= rows.len() {
+                rows.resize(slot + 1, None);
+            }
+            rows[slot] = row;
+            present.insert(place);
+        }
+        IndexedTheta {
+            rows: IndexMatrix::from_rows(rows),
+            present,
+        }
+    }
+
+    /// The present place indices in increasing order, each with its row
+    /// (`None` when the place has no dependencies).
+    pub fn entries(&self) -> impl Iterator<Item = (u32, Option<&BitSet>)> + '_ {
+        self.present.iter().map(|p| (p, self.rows.row(p)))
+    }
+
+    /// Whether place index `place` is a key of this state.
+    pub fn contains(&self, place: u32) -> bool {
+        self.present.contains(place)
+    }
+
+    /// The dependency row of place index `place`, if it has one.
+    pub fn row(&self, place: u32) -> Option<&BitSet> {
+        self.rows.row(place)
+    }
+
     /// Decodes into the tree representation.
     pub(crate) fn to_theta(&self, tables: &DomainTables) -> Theta {
         let mut out = Theta::new();
-        for p in self.present.iter() {
-            let deps: DepSet = self
-                .rows
-                .row(p)
+        for (p, row) in self.entries() {
+            let deps: DepSet = row
                 .map(|row| row.iter().map(|d| tables.deps[d as usize]).collect())
                 .unwrap_or_default();
             out.insert(tables.places[p as usize].clone(), deps);
         }
         out
+    }
+
+    /// Interns a tree-form Θ into `places`/`deps`, one fresh row per key.
+    #[cfg(feature = "tree-domain")]
+    fn intern(
+        theta: &Theta,
+        places: &mut IndexedDomain<Place>,
+        deps: &mut IndexedDomain<Dep>,
+    ) -> Self {
+        IndexedTheta::from_entries(theta.iter().map(|(place, set)| {
+            let row: BitSet = set.iter().map(|&dep| deps.intern(dep)).collect();
+            (
+                places.intern(place.clone()),
+                (!row.is_empty()).then(|| Arc::new(row)),
+            )
+        }))
+    }
+}
+
+/// Every per-location state of one analysis in indexed form, with the
+/// place and dependency tables their indices refer to: one entry state per
+/// basic block, per block one after-state per statement plus one for the
+/// terminator, and the exit state.
+#[derive(Debug, Clone)]
+pub struct IndexedStates {
+    pub(crate) tables: Arc<DomainTables>,
+    pub(crate) entry: Vec<IndexedTheta>,
+    pub(crate) after: Vec<Vec<IndexedTheta>>,
+    pub(crate) exit: IndexedTheta,
+}
+
+impl IndexedStates {
+    /// Assembles states decoded from outside (e.g. a wire format),
+    /// validating them: one entry state and a non-empty after-state list
+    /// per block, distinct table entries, and every place index and row bit
+    /// within its table.
+    pub fn new(
+        places: Vec<Place>,
+        deps: Vec<Dep>,
+        entry: Vec<IndexedTheta>,
+        after: Vec<Vec<IndexedTheta>>,
+        exit: IndexedTheta,
+    ) -> Result<Self, String> {
+        if entry.len() != after.len() {
+            return Err(format!(
+                "{} entry states for {} blocks",
+                entry.len(),
+                after.len()
+            ));
+        }
+        if let Some(block) = after.iter().position(Vec::is_empty) {
+            return Err(format!("block {block} has no after-states"));
+        }
+        if places.iter().collect::<HashSet<_>>().len() != places.len() {
+            return Err("place table repeats a place".to_string());
+        }
+        if deps.iter().collect::<HashSet<_>>().len() != deps.len() {
+            return Err("dependency table repeats a dependency".to_string());
+        }
+        // A row shared by several states is checked once; `last` skips the
+        // hash lookup for the common case, a place keeping its row from
+        // one state to the next.
+        let mut checked: HashSet<*const BitSet> = HashSet::new();
+        let mut last = vec![std::ptr::null::<BitSet>(); places.len()];
+        for state in entry.iter().chain(after.iter().flatten()).chain([&exit]) {
+            for (place, row) in state.entries() {
+                let Some(last) = last.get_mut(place as usize) else {
+                    return Err(format!(
+                        "place {place} is outside the {}-place table",
+                        places.len()
+                    ));
+                };
+                if let Some(row) = row {
+                    let ptr = row as *const BitSet;
+                    if std::mem::replace(last, ptr) != ptr && checked.insert(ptr) {
+                        if let Some(dep) = row.iter().find(|&d| d as usize >= deps.len()) {
+                            return Err(format!(
+                                "dependency {dep} is outside the {}-dependency table",
+                                deps.len()
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(IndexedStates {
+            tables: Arc::new(DomainTables { places, deps }),
+            entry,
+            after,
+            exit,
+        })
+    }
+
+    /// Interns tree-form states into one indexed view.
+    #[cfg(feature = "tree-domain")]
+    pub(crate) fn intern_trees(entry: &[Theta], after: &[Vec<Theta>], exit: &Theta) -> Self {
+        let mut places = IndexedDomain::new();
+        let mut deps = IndexedDomain::new();
+        let mut intern = |theta: &Theta| IndexedTheta::intern(theta, &mut places, &mut deps);
+        let entry = entry.iter().map(&mut intern).collect();
+        let after = after
+            .iter()
+            .map(|block| block.iter().map(&mut intern).collect())
+            .collect();
+        let exit = intern(exit);
+        IndexedStates {
+            tables: Arc::new(DomainTables {
+                places: places.into_values(),
+                deps: deps.into_values(),
+            }),
+            entry,
+            after,
+            exit,
+        }
+    }
+
+    /// The place table: place index → place.
+    pub fn places(&self) -> &[Place] {
+        &self.tables.places
+    }
+
+    /// The dependency table: row bit → dependency.
+    pub fn deps(&self) -> &[Dep] {
+        &self.tables.deps
+    }
+
+    /// The state at the entry of each basic block.
+    pub fn entry(&self) -> &[IndexedTheta] {
+        &self.entry
+    }
+
+    /// Per basic block, the state after each statement and after the
+    /// terminator.
+    pub fn after(&self) -> &[Vec<IndexedTheta>] {
+        &self.after
+    }
+
+    /// The join of the states at every return.
+    pub fn exit(&self) -> &IndexedTheta {
+        &self.exit
     }
 }
 
@@ -784,15 +961,85 @@ pub(crate) fn analyze_indexed_inner(
 
     ctx.borrow_mut().stack.pop();
 
-    InfoFlowResults::from_indexed(
+    InfoFlowResults::from_indexed_states(
         func,
-        compiled.tables,
-        entry_states,
-        after_states,
-        exit,
+        IndexedStates {
+            tables: compiled.tables,
+            entry: entry_states,
+            after: after_states,
+            exit,
+        },
         hit_boundary.get(),
         fixpoint.iterations(),
     )
+}
+
+#[cfg(test)]
+mod parts_tests {
+    use super::*;
+
+    fn place(local: u32) -> Place {
+        Place::from_local(Local(local))
+    }
+
+    fn state(entries: &[(u32, Option<&Arc<BitSet>>)]) -> IndexedTheta {
+        IndexedTheta::from_entries(entries.iter().map(|&(p, row)| (p, row.cloned())))
+    }
+
+    #[test]
+    fn from_entries_shares_rows_and_lists_present_places() {
+        let row = Arc::new([0, 2].into_iter().collect::<BitSet>());
+        let theta = state(&[(3, Some(&row)), (1, None), (5, Some(&row))]);
+        let entries: Vec<_> = theta.entries().collect();
+        assert_eq!(entries.len(), 3);
+        assert_eq!(entries[0], (1, None));
+        assert!(std::ptr::eq(entries[1].1.unwrap(), &*row));
+        assert!(std::ptr::eq(entries[2].1.unwrap(), &*row));
+        assert!(theta.contains(1) && !theta.contains(2));
+        assert!(std::ptr::eq(theta.row(3).unwrap(), &*row));
+        assert!(theta.row(1).is_none());
+    }
+
+    #[test]
+    fn indexed_states_reject_inconsistent_parts() {
+        let places = || vec![place(0), place(1)];
+        let deps = || vec![Dep::Arg(Local(1))];
+        let row = Arc::new([0].into_iter().collect::<BitSet>());
+        let ok = || state(&[(0, Some(&row)), (1, None)]);
+        assert!(IndexedStates::new(places(), deps(), vec![ok()], vec![vec![ok()]], ok()).is_ok());
+        let checks = [
+            (
+                IndexedStates::new(places(), deps(), vec![], vec![vec![ok()]], ok()),
+                "entry states",
+            ),
+            (
+                IndexedStates::new(places(), deps(), vec![ok()], vec![vec![]], ok()),
+                "no after-states",
+            ),
+            (
+                IndexedStates::new(vec![place(0), place(0)], deps(), vec![], vec![], ok()),
+                "repeats a place",
+            ),
+            (
+                IndexedStates::new(places(), vec![Dep::Arg(Local(1)); 2], vec![], vec![], ok()),
+                "repeats a dependency",
+            ),
+            (
+                IndexedStates::new(places(), deps(), vec![], vec![], state(&[(2, None)])),
+                "place 2",
+            ),
+            (
+                IndexedStates::new(places(), vec![], vec![], vec![], ok()),
+                "dependency 0",
+            ),
+        ];
+        for (result, why) in checks {
+            match result {
+                Err(e) => assert!(e.contains(why), "{e:?} lacks {why:?}"),
+                Ok(states) => panic!("accepted {states:?}, want {why:?}"),
+            }
+        }
+    }
 }
 
 #[cfg(all(test, feature = "tree-domain"))]

@@ -17,7 +17,7 @@
 use crate::aliases::{AliasAnalysis, AliasMode};
 use crate::condition::{AnalysisParams, DomainKind};
 use crate::deps::{Dep, DepSet, Theta, ThetaExt};
-use crate::indexed::{DomainTables, IndexedTheta};
+use crate::indexed::IndexedStates;
 #[cfg(feature = "tree-domain")]
 use crate::places::{interior_places_with_derefs, readable_places, transitive_refs};
 use crate::summary::FunctionSummary;
@@ -33,6 +33,7 @@ use flowistry_lang::types::FuncId;
 #[cfg(feature = "tree-domain")]
 use flowistry_lang::types::{FnSig, Ty};
 use flowistry_lang::CompiledProgram;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -138,13 +139,13 @@ pub(crate) struct SharedCtx<'s> {
 /// The results of analyzing one function under one condition.
 ///
 /// Internally the per-location states are stored in whichever
-/// representation the analysis ran on ([`DomainKind`]): tree-map Θ, or the
-/// indexed bitset form, which decodes to [`Theta`] views lazily on first
-/// access (computing results stays cheap; only queried functions pay the
-/// conversion, once). `PartialEq`/`Eq` compare every per-location
-/// dependency context *semantically* — representation never matters — so
-/// the engine's "identical to a from-scratch `analyze`" guarantee can be
-/// tested exactly, across domains.
+/// representation the analysis ran on ([`DomainKind`]): the indexed bitset
+/// form, which decodes to [`Theta`] views lazily on first access (computing
+/// results stays cheap; only queried functions pay the conversion, once),
+/// or — under the `tree-domain` feature — tree-map Θ. `PartialEq`/`Eq`
+/// compare every per-location dependency context *semantically* —
+/// representation never matters — so the engine's "identical to a
+/// from-scratch `analyze`" guarantee can be tested exactly, across domains.
 #[derive(Debug, Clone)]
 pub struct InfoFlowResults {
     func: FuncId,
@@ -155,52 +156,54 @@ pub struct InfoFlowResults {
 
 #[derive(Debug, Clone)]
 enum Repr {
+    #[cfg(feature = "tree-domain")]
     Tree {
         entry_states: Vec<Theta>,
         after_states: Vec<Vec<Theta>>,
         exit_theta: Theta,
     },
-    Indexed(Box<IndexedStates>),
+    Indexed(Box<IndexedRepr>),
 }
 
 /// Indexed states plus their lazily decoded tree views.
 #[derive(Debug)]
-struct IndexedStates {
-    tables: Arc<DomainTables>,
-    entry: Vec<IndexedTheta>,
-    after: Vec<Vec<IndexedTheta>>,
-    exit: IndexedTheta,
+struct IndexedRepr {
+    states: IndexedStates,
     decoded_entry: OnceLock<Vec<Theta>>,
     decoded_after: OnceLock<Vec<Vec<Theta>>>,
     decoded_exit: OnceLock<Theta>,
 }
 
-impl IndexedStates {
+impl IndexedRepr {
     fn decoded_entry(&self) -> &[Theta] {
+        let states = &self.states;
         self.decoded_entry.get_or_init(|| {
-            self.entry
+            states
+                .entry
                 .iter()
-                .map(|s| s.to_theta(&self.tables))
+                .map(|s| s.to_theta(&states.tables))
                 .collect()
         })
     }
 
     fn decoded_after(&self) -> &[Vec<Theta>] {
+        let states = &self.states;
         self.decoded_after.get_or_init(|| {
-            self.after
+            states
+                .after
                 .iter()
-                .map(|block| block.iter().map(|s| s.to_theta(&self.tables)).collect())
+                .map(|block| block.iter().map(|s| s.to_theta(&states.tables)).collect())
                 .collect()
         })
     }
 
     fn decoded_exit(&self) -> &Theta {
         self.decoded_exit
-            .get_or_init(|| self.exit.to_theta(&self.tables))
+            .get_or_init(|| self.states.exit.to_theta(&self.states.tables))
     }
 }
 
-impl Clone for IndexedStates {
+impl Clone for IndexedRepr {
     fn clone(&self) -> Self {
         fn clone_lock<T: Clone>(lock: &OnceLock<T>) -> OnceLock<T> {
             let out = OnceLock::new();
@@ -209,11 +212,8 @@ impl Clone for IndexedStates {
             }
             out
         }
-        IndexedStates {
-            tables: self.tables.clone(),
-            entry: self.entry.clone(),
-            after: self.after.clone(),
-            exit: self.exit.clone(),
+        IndexedRepr {
+            states: self.states.clone(),
             decoded_entry: clone_lock(&self.decoded_entry),
             decoded_after: clone_lock(&self.decoded_after),
             decoded_exit: clone_lock(&self.decoded_exit),
@@ -232,7 +232,9 @@ impl PartialEq for InfoFlowResults {
         // Fast path: two indexed results over the same interning compare
         // index-for-index, no decoding. Deterministic compilation means two
         // runs of the same function produce identical tables.
+        #[allow(irrefutable_let_patterns)]
         if let (Repr::Indexed(a), Repr::Indexed(b)) = (&self.repr, &other.repr) {
+            let (a, b) = (&a.states, &b.states);
             if Arc::ptr_eq(&a.tables, &b.tables) || a.tables == b.tables {
                 return a.entry == b.entry && a.after == b.after && a.exit == b.exit;
             }
@@ -246,6 +248,7 @@ impl PartialEq for InfoFlowResults {
 impl Eq for InfoFlowResults {}
 
 impl InfoFlowResults {
+    #[cfg(feature = "tree-domain")]
     pub(crate) fn from_tree(
         func: FuncId,
         entry_states: Vec<Theta>,
@@ -266,12 +269,12 @@ impl InfoFlowResults {
         }
     }
 
-    pub(crate) fn from_indexed(
+    /// Results over indexed states — as computed by the indexed fixpoint,
+    /// or validated by [`IndexedStates::new`] after decoding them from a
+    /// wire format. The inverse of [`InfoFlowResults::indexed`].
+    pub fn from_indexed_states(
         func: FuncId,
-        tables: Arc<DomainTables>,
-        entry: Vec<IndexedTheta>,
-        after: Vec<Vec<IndexedTheta>>,
-        exit: IndexedTheta,
+        states: IndexedStates,
         hit_boundary: bool,
         iterations: usize,
     ) -> InfoFlowResults {
@@ -279,11 +282,8 @@ impl InfoFlowResults {
             func,
             hit_boundary,
             iterations,
-            repr: Repr::Indexed(Box::new(IndexedStates {
-                tables,
-                entry,
-                after,
-                exit,
+            repr: Repr::Indexed(Box::new(IndexedRepr {
+                states,
                 decoded_entry: OnceLock::new(),
                 decoded_after: OnceLock::new(),
                 decoded_exit: OnceLock::new(),
@@ -291,9 +291,31 @@ impl InfoFlowResults {
         }
     }
 
+    /// Every per-location state in indexed form: borrowed from indexed
+    /// results, interned on the fly from tree-domain ones. This is the hook
+    /// a wire codec needs: rebuilding via
+    /// [`InfoFlowResults::from_indexed_states`] round-trips to an equal
+    /// value, and no [`Theta`] tree is built on the way.
+    pub fn indexed(&self) -> Cow<'_, IndexedStates> {
+        match &self.repr {
+            #[cfg(feature = "tree-domain")]
+            Repr::Tree {
+                entry_states,
+                after_states,
+                exit_theta,
+            } => Cow::Owned(IndexedStates::intern_trees(
+                entry_states,
+                after_states,
+                exit_theta,
+            )),
+            Repr::Indexed(ix) => Cow::Borrowed(&ix.states),
+        }
+    }
+
     /// Tree views of all block entry states (decoding on first use).
     fn entry_states(&self) -> &[Theta] {
         match &self.repr {
+            #[cfg(feature = "tree-domain")]
             Repr::Tree { entry_states, .. } => entry_states,
             Repr::Indexed(ix) => ix.decoded_entry(),
         }
@@ -302,6 +324,7 @@ impl InfoFlowResults {
     /// Tree views of all per-statement after states (decoding on first use).
     fn after_states(&self) -> &[Vec<Theta>] {
         match &self.repr {
+            #[cfg(feature = "tree-domain")]
             Repr::Tree { after_states, .. } => after_states,
             Repr::Indexed(ix) => ix.decoded_after(),
         }
@@ -335,6 +358,7 @@ impl InfoFlowResults {
     /// by the paper's evaluation metric.
     pub fn exit_theta(&self) -> &Theta {
         match &self.repr {
+            #[cfg(feature = "tree-domain")]
             Repr::Tree { exit_theta, .. } => exit_theta,
             Repr::Indexed(ix) => ix.decoded_exit(),
         }
@@ -385,11 +409,10 @@ impl InfoFlowResults {
             .collect()
     }
 
-    /// Decomposes the results into their raw tree-view fields, in the order
-    /// [`InfoFlowResults::from_raw_parts`] accepts them. This is the hook a
-    /// wire codec needs: `PartialEq` compares exactly these views, so
-    /// encoding them and rebuilding via `from_raw_parts` round-trips to an
-    /// equal value. Indexed results decode fully (once, cached) here.
+    /// Decomposes the results into their tree-view fields: the function,
+    /// the block entry states, the per-block after-states, the exit state,
+    /// the boundary flag and the iteration count. Indexed results decode
+    /// fully (once, cached) here.
     #[allow(clippy::type_complexity)]
     pub fn raw_parts(&self) -> (FuncId, &[Theta], &[Vec<Theta>], &Theta, bool, usize) {
         (
@@ -399,29 +422,6 @@ impl InfoFlowResults {
             self.exit_theta(),
             self.hit_boundary,
             self.iterations,
-        )
-    }
-
-    /// Reassembles results from the fields produced by
-    /// [`InfoFlowResults::raw_parts`] (e.g. decoded from a wire format).
-    /// The caller owns the shape invariants: one entry state per basic
-    /// block, and per block one after-state per statement plus one for the
-    /// terminator.
-    pub fn from_raw_parts(
-        func: FuncId,
-        entry_states: Vec<Theta>,
-        after_states: Vec<Vec<Theta>>,
-        exit_theta: Theta,
-        hit_boundary: bool,
-        iterations: usize,
-    ) -> InfoFlowResults {
-        InfoFlowResults::from_tree(
-            func,
-            entry_states,
-            after_states,
-            exit_theta,
-            hit_boundary,
-            iterations,
         )
     }
 }

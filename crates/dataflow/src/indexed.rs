@@ -16,7 +16,7 @@
 
 use crate::engine::JoinSemiLattice;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A bidirectional mapping between values and dense `u32` indices.
@@ -260,6 +260,16 @@ impl PartialEq for BitSet {
 
 impl Eq for BitSet {}
 
+impl Hash for BitSet {
+    /// Hashes the words up to the last nonzero one, so logically equal sets
+    /// hash alike whatever their storage.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let words = self.words();
+        let len = words.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+        words[..len].hash(state);
+    }
+}
+
 impl FromIterator<u32> for BitSet {
     fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
         let mut set = BitSet::new();
@@ -300,6 +310,12 @@ impl IndexMatrix {
         if row >= self.rows.len() {
             self.rows.resize(row + 1, None);
         }
+    }
+
+    /// A matrix over the given row slots, sharing each row's allocation
+    /// (`None` is a row never written).
+    pub fn from_rows(rows: Vec<Option<Arc<BitSet>>>) -> Self {
+        IndexMatrix { rows }
     }
 
     /// Number of allocated row slots.
@@ -460,6 +476,16 @@ mod tests {
         spilled_cleared.words_mut()[7] = 0;
         assert_eq!(inline, spilled_cleared);
         assert_eq!(spilled_cleared, inline);
+        // Equal sets hash alike, whatever their storage.
+        let hash = |set: &BitSet| {
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            set.hash(&mut hasher);
+            hasher.finish()
+        };
+        assert_eq!(hash(&inline), hash(&spilled_cleared));
+        let mut emptied = spilled.clone();
+        emptied.clear();
+        assert_eq!(hash(&BitSet::new()), hash(&emptied));
     }
 
     #[test]
@@ -565,5 +591,15 @@ mod tests {
         assert!(d.rows[0].is_none());
         d.set_row(0, [3].into_iter().collect());
         assert!(d.row(0).unwrap().contains(3));
+    }
+
+    #[test]
+    fn matrix_from_rows_shares_the_given_rows() {
+        let row = Arc::new([4].into_iter().collect::<BitSet>());
+        let m = IndexMatrix::from_rows(vec![None, Some(row.clone()), Some(row.clone())]);
+        assert_eq!(m.num_rows(), 3);
+        assert!(m.row(0).is_none());
+        assert!(std::ptr::eq(m.row(1).unwrap(), &*row));
+        assert!(std::ptr::eq(m.row(2).unwrap(), &*row));
     }
 }

@@ -49,10 +49,30 @@
 //!   `.N` for a field — `1*.0` is `(*_1).0`.
 //! * **location**: `<block>.<statement>` — `2.1` is `bb2[1]`.
 //! * **dependency**: `a<local>` (argument) or `i<block>.<stmt>`
-//!   (instruction); sets join with `+`, the empty set is `~`.
-//! * **Θ (theta)**: `place=depset` pairs joined with `&`, empty `~`; lists
-//!   of thetas join with `|`, per-block lists join with `^`.
+//!   (instruction).
 //! * list fields that can be empty use `-` as the empty marker.
+//! * **results**: nine fields, `<func> <boundary> <iterations> <places>
+//!   <deps> <rows> <entry> <after> <exit>`, sent straight from the indexed
+//!   states ([`InfoFlowResults::indexed`]) with no per-location Θ text:
+//!   - `places` and `deps` are the tables every index below refers to,
+//!     `,`-joined places and dependencies;
+//!   - `rows` lists each distinct non-empty dependency set once,
+//!     `,`-joined, as strictly increasing `deps` indices joined with `+`.
+//!     Row ids count from 0 in order of first use in the states that
+//!     follow, so a row's first reference is always the next unused id;
+//!   - a **state** is `,`-joined entries in place order: `<place>:<row>` for
+//!     a present place and its row, `<place>` for a present place with no
+//!     dependencies; the empty state is `~`;
+//!   - `entry` is one state per basic block, joined with `|`; `exit` is one
+//!     state;
+//!   - `after` holds, per block (joined with `^`), the state after each
+//!     statement and after the terminator (joined with `|`), each a
+//!     **delta** against the state before it in its block: the entries that
+//!     changed or appeared, then `!<place>` for each place that left; `~`
+//!     when nothing changed.
+//!
+//!   The decoder rebuilds the indexed states with one shared row per row
+//!   id, and checks every place, dependency and row id against its table.
 //! * **lattice**: a built-in name (`two_point`, `multi_level`,
 //!   `conf_integrity`) or `linear:<level>:<level>:...` with escaped level
 //!   names, least restrictive first.
@@ -74,23 +94,25 @@
 //! percent-escaped string. Decoders strip them from the right before the
 //! arity check, recognize the keys they know, and ignore the rest — so new
 //! attributes never break old peers, and lines without any decode exactly
-//! as before. No payload token can be mistaken for an attribute: escaped
-//! strings never contain a bare `=` (it escapes to `%3D`), and the only
-//! payload tokens containing `=` are theta entries, whose key position is
-//! a place starting with a digit.
+//! as before. No payload token can be mistaken for an attribute, because
+//! no payload token contains a bare `=`: escaped strings escape it to
+//! `%3D`, and no other field grammar uses it — a `results` payload, for
+//! one, is digits, place and dependency syntax, and the separators
+//! `, + : | ^ ! ~ -`.
 //!
 //! The one attribute currently defined is `tid=<escaped trace id>`: a
 //! client stamps it on a request, and the server echoes it verbatim on
 //! that request's response envelope (see [`QueryEnvelope::trace_id`]).
 
-use flowistry_core::{FunctionSummary, InfoFlowResults, Theta};
+use flowistry_core::{BitSet, FunctionSummary, IndexedStates, IndexedTheta, InfoFlowResults};
 use flowistry_engine::{QueryEnvelope, QueryRequest, QueryResponse, RunStats, ServiceStats};
 use flowistry_ifc::{IfcDiagnostic, LatticeSpec, Policy, WitnessStep};
 use flowistry_lang::mir::{BasicBlock, Local, Location, Place};
 use flowistry_lang::types::FuncId;
 use flowistry_lint::{LintFinding, LintPass};
 use flowistry_slicer::Slice;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::fmt::Write;
 use std::sync::Arc;
 
 #[cfg(doc)]
@@ -321,84 +343,242 @@ fn decode_dep(s: &str) -> Result<flowistry_core::Dep, String> {
     }
 }
 
-fn encode_depset(deps: &flowistry_core::DepSet) -> String {
-    if deps.is_empty() {
-        return "~".to_string();
-    }
-    deps.iter().map(encode_dep).collect::<Vec<_>>().join("+")
-}
-
-fn decode_depset(s: &str) -> Result<flowistry_core::DepSet, String> {
-    if s == "~" {
-        return Ok(BTreeSet::new());
-    }
-    s.split('+').map(decode_dep).collect()
-}
-
 // ---------------------------------------------------------------------------
-// Θ and full per-location results
+// Full per-location results: tables, rows and states
 
-fn encode_theta(theta: &Theta) -> String {
-    if theta.is_empty() {
-        return "~".to_string();
+/// Row ids of one `results` payload, deduplicated by allocation first and
+/// by content second, numbered in order of first use.
+#[derive(Default)]
+struct RowIds<'a> {
+    by_ptr: HashMap<*const BitSet, u32>,
+    by_content: HashMap<&'a BitSet, u32>,
+    rows: Vec<&'a BitSet>,
+}
+
+impl<'a> RowIds<'a> {
+    /// The id of a non-empty row, assigning the next one on first use.
+    fn id(&mut self, row: &'a BitSet) -> u32 {
+        if let Some(&id) = self.by_ptr.get(&(row as *const BitSet)) {
+            return id;
+        }
+        let next = self.rows.len() as u32;
+        let id = *self.by_content.entry(row).or_insert(next);
+        if id == next {
+            self.rows.push(row);
+        }
+        self.by_ptr.insert(row, id);
+        id
     }
-    theta
-        .iter()
-        .map(|(place, deps)| format!("{}={}", encode_place(place), encode_depset(deps)))
-        .collect::<Vec<_>>()
-        .join("&")
-}
 
-fn decode_theta(s: &str) -> Result<Theta, String> {
-    if s == "~" {
-        return Ok(Theta::new());
+    /// The id of a state's row for one place (`None`: no dependencies).
+    fn of(&mut self, row: Option<&'a BitSet>) -> Option<u32> {
+        row.filter(|r| !r.is_empty()).map(|r| self.id(r))
     }
-    s.split('&')
-        .map(|pair| {
-            let (place, deps) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("bad theta entry {pair:?}"))?;
-            Ok((decode_place(place)?, decode_depset(deps)?))
-        })
-        .collect()
 }
 
-fn encode_thetas(thetas: &[Theta]) -> String {
-    thetas
-        .iter()
-        .map(encode_theta)
-        .collect::<Vec<_>>()
-        .join("|")
+/// Appends one state entry: `<place>` or `<place>:<row>`.
+fn push_entry(out: &mut String, first: &mut bool, place: u32, row: Option<u32>) {
+    if !std::mem::take(first) {
+        out.push(',');
+    }
+    let _ = write!(out, "{place}");
+    if let Some(row) = row {
+        let _ = write!(out, ":{row}");
+    }
 }
 
-fn decode_thetas(s: &str) -> Result<Vec<Theta>, String> {
-    s.split('|').map(decode_theta).collect()
+/// Appends `next` as a delta against `prev`: the places whose row changed
+/// or that appeared, then `!<place>` for each that disappeared; `~` if
+/// nothing changed. Rows the two states share are skipped by pointer.
+/// Against the empty state, this is the full state.
+fn push_state<'a>(
+    out: &mut String,
+    rows: &mut RowIds<'a>,
+    prev: &'a IndexedTheta,
+    next: &'a IndexedTheta,
+) {
+    let mut first = true;
+    for (place, row) in next.entries() {
+        let row_id = if prev.contains(place) {
+            let before = prev.row(place);
+            if before.map(|r| r as *const BitSet) == row.map(|r| r as *const BitSet) {
+                continue;
+            }
+            let row_id = rows.of(row);
+            if rows.of(before) == row_id {
+                continue;
+            }
+            row_id
+        } else {
+            rows.of(row)
+        };
+        push_entry(out, &mut first, place, row_id);
+    }
+    for (place, _) in prev.entries().filter(|&(p, _)| !next.contains(p)) {
+        if !std::mem::take(&mut first) {
+            out.push(',');
+        }
+        let _ = write!(out, "!{place}");
+    }
+    if first {
+        out.push('~');
+    }
 }
 
-/// Encodes full [`InfoFlowResults`] into the 6 space-separated fields of a
-/// `results` response payload.
+/// Joins encoded items with `sep`, or `-` for an empty list.
+fn join_or_dash<'a, T>(
+    items: &'a [T],
+    sep: char,
+    mut encode: impl FnMut(&mut String, &'a T),
+) -> String {
+    if items.is_empty() {
+        return "-".to_string();
+    }
+    let mut out = String::new();
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(sep);
+        }
+        encode(&mut out, item);
+    }
+    out
+}
+
+/// Encodes full [`InfoFlowResults`] into the 9 space-separated fields of a
+/// `results` response payload, straight from the indexed states.
 fn encode_results(results: &InfoFlowResults) -> String {
-    let (func, entry, after, exit, hit_boundary, iterations) = results.raw_parts();
-    let after = after
-        .iter()
-        .map(|block| encode_thetas(block))
-        .collect::<Vec<_>>()
-        .join("^");
+    let view = results.indexed();
+    let view: &IndexedStates = &view;
+    let empty = IndexedTheta::from_entries([]);
+    let mut rows = RowIds::default();
+    let entry = join_or_dash(view.entry(), '|', |out, state| {
+        push_state(out, &mut rows, &empty, state)
+    });
+    // `IndexedStates` holds one entry state and a non-empty after-state
+    // list per block; each after-state is a delta against its predecessor.
+    let mut after = String::new();
+    for (block, (entry, states)) in view.entry().iter().zip(view.after()).enumerate() {
+        if block > 0 {
+            after.push('^');
+        }
+        let mut prev = entry;
+        for (i, state) in states.iter().enumerate() {
+            if i > 0 {
+                after.push('|');
+            }
+            push_state(&mut after, &mut rows, prev, state);
+            prev = state;
+        }
+    }
+    if after.is_empty() {
+        after.push('-');
+    }
+    let mut exit = String::new();
+    push_state(&mut exit, &mut rows, &empty, view.exit());
+    let places = join_or_dash(view.places(), ',', |out, place| {
+        out.push_str(&encode_place(place))
+    });
+    let deps = join_or_dash(view.deps(), ',', |out, dep| out.push_str(&encode_dep(dep)));
+    let row_table = join_or_dash(&rows.rows, ',', |out, row| {
+        for (i, bit) in row.iter().enumerate() {
+            let _ = write!(out, "{}{bit}", if i > 0 { "+" } else { "" });
+        }
+    });
     format!(
-        "{} {} {} {} {} {}",
-        func.0,
-        u8::from(hit_boundary),
-        iterations,
-        encode_thetas(entry),
-        after,
-        encode_theta(exit),
+        "{} {} {} {places} {deps} {row_table} {entry} {after} {exit}",
+        results.func().0,
+        u8::from(results.hit_boundary()),
+        results.iterations(),
     )
 }
 
+/// Splits a list field: `-` is the empty list.
+fn split_list(s: &str, sep: char) -> impl Iterator<Item = &str> {
+    (s != "-").then(|| s.split(sep)).into_iter().flatten()
+}
+
+/// Decodes the states of one `results` payload against its tables,
+/// checking every reference as it goes.
+struct StateDecoder {
+    rows: Vec<Arc<BitSet>>,
+    /// The next row id a first use may introduce.
+    next_row: usize,
+    /// Per place: `None` if absent, else the present place's row id.
+    current: Vec<Option<Option<u32>>>,
+}
+
+impl StateDecoder {
+    fn place(&self, s: &str) -> Result<u32, String> {
+        let place: u32 = parse_num(s, "place id")?;
+        if place as usize >= self.current.len() {
+            return Err(format!(
+                "place id {place} is outside the {}-place table",
+                self.current.len()
+            ));
+        }
+        Ok(place)
+    }
+
+    fn row(&mut self, s: &str) -> Result<u32, String> {
+        let row: u32 = parse_num(s, "row id")?;
+        if row as usize >= self.rows.len() {
+            return Err(format!(
+                "row id {row} is outside the {}-row table",
+                self.rows.len()
+            ));
+        }
+        match (row as usize).cmp(&self.next_row) {
+            std::cmp::Ordering::Greater => {
+                return Err(format!(
+                    "row {row} used before it is defined (next new row is {})",
+                    self.next_row
+                ))
+            }
+            std::cmp::Ordering::Equal => self.next_row += 1,
+            std::cmp::Ordering::Less => {}
+        }
+        Ok(row)
+    }
+
+    /// Applies one state's entries to `current`; a delta may also remove.
+    fn apply(&mut self, s: &str, delta: bool) -> Result<(), String> {
+        if s == "~" {
+            return Ok(());
+        }
+        for entry in s.split(',') {
+            if let Some(place) = entry.strip_prefix('!').filter(|_| delta) {
+                let place = self.place(place)?;
+                self.current[place as usize] = None;
+                continue;
+            }
+            let (place, row) = match entry.split_once(':') {
+                Some((place, row)) => (self.place(place)?, Some(self.row(row)?)),
+                None => (self.place(entry)?, None),
+            };
+            self.current[place as usize] = Some(row);
+        }
+        Ok(())
+    }
+
+    /// The state `current` holds, sharing one `Arc` per row id.
+    fn state(&self) -> IndexedTheta {
+        IndexedTheta::from_entries(self.current.iter().enumerate().filter_map(|(place, slot)| {
+            slot.map(|row| (place as u32, row.map(|r| self.rows[r as usize].clone())))
+        }))
+    }
+
+    /// Decodes a full state.
+    fn full(&mut self, s: &str) -> Result<IndexedTheta, String> {
+        self.current.fill(None);
+        self.apply(s, false)?;
+        Ok(self.state())
+    }
+}
+
 fn decode_results(fields: &[&str]) -> Result<InfoFlowResults, String> {
-    let [func, hit, iters, entry, after, exit] = fields else {
+    let [func, hit, iters, places, deps, rows, entry, after, exit] = fields else {
         return Err(format!(
-            "results payload has {} fields, want 6",
+            "results payload has {} fields, want 9",
             fields.len()
         ));
     };
@@ -409,17 +589,75 @@ fn decode_results(fields: &[&str]) -> Result<InfoFlowResults, String> {
         other => return Err(format!("bad boundary flag {other:?}")),
     };
     let iterations = parse_num(iters, "iteration count")?;
-    let entry_states = decode_thetas(entry)?;
-    let after_states = after
-        .split('^')
-        .map(decode_thetas)
+    let places = split_list(places, ',')
+        .map(decode_place)
         .collect::<Result<Vec<_>, _>>()?;
-    let exit_theta = decode_theta(exit)?;
-    Ok(InfoFlowResults::from_raw_parts(
+    let deps = split_list(deps, ',')
+        .map(decode_dep)
+        .collect::<Result<Vec<_>, _>>()?;
+    let rows = split_list(rows, ',')
+        .map(|row| {
+            let mut set = BitSet::new();
+            let mut last = None;
+            for bit in row.split('+') {
+                let bit: u32 = parse_num(bit, "dependency id")?;
+                if bit as usize >= deps.len() {
+                    return Err(format!(
+                        "dependency id {bit} is outside the {}-dependency table",
+                        deps.len()
+                    ));
+                }
+                if last.is_some_and(|last| bit <= last) {
+                    return Err(format!("row {row:?} is not strictly increasing"));
+                }
+                last = Some(bit);
+                set.insert(bit);
+            }
+            Ok(Arc::new(set))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let mut decoder = StateDecoder {
+        rows,
+        next_row: 0,
+        current: vec![None; places.len()],
+    };
+    let entry_fields: Vec<&str> = split_list(entry, '|').collect();
+    let after_fields: Vec<&str> = split_list(after, '^').collect();
+    if entry_fields.len() != after_fields.len() {
+        return Err(format!(
+            "{} entry states for {} blocks of after-states",
+            entry_fields.len(),
+            after_fields.len()
+        ));
+    }
+    // Row ids are checked in line order: every entry state, then every
+    // block's deltas (each replayed over its block's entry state).
+    let entry_states = entry_fields
+        .iter()
+        .map(|entry| decoder.full(entry))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut after_states = Vec::new();
+    for (entry, block) in entry_fields.into_iter().zip(after_fields) {
+        decoder.full(entry)?;
+        let mut states = Vec::new();
+        for delta in block.split('|') {
+            decoder.apply(delta, true)?;
+            states.push(decoder.state());
+        }
+        after_states.push(states);
+    }
+    let exit = decoder.full(exit)?;
+    if decoder.next_row != decoder.rows.len() {
+        return Err(format!(
+            "row table has {} rows, states use {}",
+            decoder.rows.len(),
+            decoder.next_row
+        ));
+    }
+    let states = IndexedStates::new(places, deps, entry_states, after_states, exit)?;
+    Ok(InfoFlowResults::from_indexed_states(
         func,
-        entry_states,
-        after_states,
-        exit_theta,
+        states,
         hit_boundary,
         iterations,
     ))
@@ -991,7 +1229,7 @@ pub fn decode_envelope(line: &str) -> Result<QueryEnvelope, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowistry_core::{analyze, AnalysisParams, Condition, Dep, DepSet};
+    use flowistry_core::{analyze, AnalysisParams, Condition};
     use flowistry_ifc::PolicyChecker;
     use flowistry_lang::mir::PlaceElem;
     use flowistry_slicer::Slicer;
@@ -1385,30 +1623,6 @@ mod tests {
     }
 
     #[test]
-    fn depsets_and_thetas_roundtrip_exactly() {
-        let mut theta = Theta::new();
-        theta.insert(Place::from_local(Local(0)), DepSet::new());
-        theta.insert(
-            Place {
-                local: Local(1),
-                projection: vec![PlaceElem::Deref, PlaceElem::Field(2)],
-            },
-            [
-                Dep::Arg(Local(1)),
-                Dep::Instr(Location {
-                    block: BasicBlock(3),
-                    statement_index: 4,
-                }),
-            ]
-            .into_iter()
-            .collect(),
-        );
-        let encoded = encode_theta(&theta);
-        assert_eq!(decode_theta(&encoded), Ok(theta));
-        assert_eq!(decode_theta("~"), Ok(Theta::new()));
-    }
-
-    #[test]
     fn malformed_response_lines_are_rejected() {
         for line in [
             "",
@@ -1432,6 +1646,227 @@ mod tests {
         ] {
             assert!(decode_envelope(line).is_err(), "{line:?} must be rejected");
         }
+    }
+
+    /// A real `results` line whose states share rows: the line every
+    /// hostile-input test below corrupts one field of.
+    fn sample_results_line() -> String {
+        let program = flowistry_lang::compile(
+            "fn f(x: i32, c: bool) -> i32 {
+                 let mut a = x;
+                 let mut b = 0;
+                 if c { a = a + 1; } else { b = x; }
+                 return a + b;
+             }",
+        )
+        .unwrap();
+        let func = program.func_id("f").unwrap();
+        encode_envelope(&QueryEnvelope {
+            epoch: 4,
+            trace_id: None,
+            response: QueryResponse::Results(Arc::new(analyze(
+                &program,
+                func,
+                &AnalysisParams::default(),
+            ))),
+        })
+    }
+
+    // Payload field positions of a `results` line, after tag and epoch.
+    const PLACES: usize = 3;
+    const DEPS: usize = 4;
+    const ROWS: usize = 5;
+    const ENTRY: usize = 6;
+    const AFTER: usize = 7;
+    const EXIT: usize = 8;
+
+    fn field(line: &str, index: usize) -> &str {
+        line.split(' ').nth(index + 2).expect("results field")
+    }
+
+    /// `line` with payload field `index` replaced by `value`.
+    fn with_field(line: &str, index: usize, value: &str) -> String {
+        let mut fields: Vec<&str> = line.split(' ').collect();
+        fields[index + 2] = value;
+        fields.join(" ")
+    }
+
+    fn list_len(field: &str) -> usize {
+        field.split(',').count()
+    }
+
+    fn rejected(line: &str, why: &str) {
+        match decode_envelope(line) {
+            Err(e) => assert!(e.contains(why), "{line:?}: error {e:?} lacks {why:?}"),
+            Ok(envelope) => panic!("{line:?} decoded to {envelope:?}"),
+        }
+    }
+
+    #[test]
+    fn sample_results_line_decodes_and_shares_rows() {
+        let line = sample_results_line();
+        assert!(decode_envelope(&line).is_ok(), "{line:?}");
+        assert!(list_len(field(&line, ROWS)) >= 2, "{line:?}");
+        assert!(field(&line, AFTER).contains('|'), "{line:?}");
+    }
+
+    #[test]
+    fn results_with_out_of_range_place_ids_are_rejected() {
+        let line = sample_results_line();
+        let places = list_len(field(&line, PLACES));
+        rejected(&with_field(&line, EXIT, &places.to_string()), "place id");
+        rejected(
+            &with_field(&line, EXIT, &format!("0,{places}:0")),
+            "place id",
+        );
+        rejected(&with_field(&line, PLACES, "-"), "place id");
+        rejected(&with_field(&line, EXIT, "4294967296"), "bad place id");
+    }
+
+    #[test]
+    fn results_with_out_of_range_dependency_ids_are_rejected() {
+        let line = sample_results_line();
+        let deps = list_len(field(&line, DEPS));
+        let rows = field(&line, ROWS);
+        let (first, rest) = rows.split_once(',').unwrap();
+        let beyond = format!("{first}+{deps},{rest}");
+        rejected(&with_field(&line, ROWS, &beyond), "dependency id");
+        let far = format!("{first}+4000000000,{rest}");
+        rejected(&with_field(&line, ROWS, &far), "dependency id");
+        rejected(&with_field(&line, DEPS, "-"), "dependency id");
+        // Bits out of order (or repeated) are not a canonical row either.
+        let backwards = format!("{first}+0,{rest}");
+        rejected(&with_field(&line, ROWS, &backwards), "strictly increasing");
+    }
+
+    #[test]
+    fn results_with_out_of_range_row_ids_are_rejected() {
+        let line = sample_results_line();
+        let rows = list_len(field(&line, ROWS));
+        rejected(&with_field(&line, EXIT, &format!("0:{rows}")), "row id");
+        rejected(&with_field(&line, ROWS, "-"), "row id");
+    }
+
+    #[test]
+    fn results_using_a_row_before_it_is_defined_are_rejected() {
+        let line = sample_results_line();
+        let rows = list_len(field(&line, ROWS));
+        // The first state may only introduce row 0.
+        let entry = field(&line, ENTRY);
+        let (_, later_blocks) = entry.split_once('|').unwrap();
+        let early = format!("0:{}|{later_blocks}", rows - 1);
+        rejected(
+            &with_field(&line, ENTRY, &early),
+            "used before it is defined",
+        );
+        // A row no state uses is not part of the answer.
+        let unused = format!("{},0", field(&line, ROWS));
+        rejected(&with_field(&line, ROWS, &unused), "states use");
+    }
+
+    #[test]
+    fn results_with_truncated_or_extra_fields_are_rejected() {
+        let line = sample_results_line();
+        let (head, _) = line.rsplit_once(' ').unwrap();
+        rejected(head, "want 9");
+        rejected(&format!("{line} ~"), "want 9");
+        // One entry state short of the after-state blocks, and one over.
+        let entry = field(&line, ENTRY);
+        let (fewer, _) = entry.rsplit_once('|').unwrap();
+        rejected(&with_field(&line, ENTRY, fewer), "entry states for");
+        rejected(
+            &with_field(&line, ENTRY, &format!("{entry}|~")),
+            "entry states for",
+        );
+        // Empty list items and dangling separators.
+        rejected(&with_field(&line, EXIT, "0:0,"), "bad place id");
+        rejected(&with_field(&line, EXIT, "0:"), "bad row id");
+        let after = field(&line, AFTER);
+        rejected(
+            &with_field(&line, AFTER, &format!("{after}^")),
+            "entry states for",
+        );
+        rejected(
+            &with_field(&line, AFTER, &format!("{after}|")),
+            "bad place id",
+        );
+        // A removal is only meaningful in a delta.
+        rejected(&with_field(&line, EXIT, "!0"), "bad place id");
+    }
+
+    /// A delta can also drop a place. The analysis only ever adds keys
+    /// within a block, but states assembled through `IndexedStates::new`
+    /// may drop them, and those round-trip too.
+    #[test]
+    fn results_whose_states_drop_places_roundtrip() {
+        let row = Arc::new([0].into_iter().collect::<BitSet>());
+        let state = |entries: &[(u32, bool)]| {
+            IndexedTheta::from_entries(
+                entries
+                    .iter()
+                    .map(|&(place, has_row)| (place, has_row.then(|| row.clone()))),
+            )
+        };
+        let states = IndexedStates::new(
+            vec![Place::from_local(Local(0)), Place::from_local(Local(1))],
+            vec![flowistry_core::Dep::Arg(Local(1))],
+            vec![state(&[(0, true), (1, false)])],
+            vec![vec![state(&[(1, true)]), state(&[])]],
+            state(&[]),
+        )
+        .unwrap();
+        let envelope = QueryEnvelope {
+            epoch: 1,
+            trace_id: None,
+            response: QueryResponse::Results(Arc::new(InfoFlowResults::from_indexed_states(
+                FuncId(2),
+                states,
+                true,
+                3,
+            ))),
+        };
+        let line = encode_envelope(&envelope);
+        assert_eq!(field(&line, AFTER), "1:0,!0|!1", "{line:?}");
+        roundtrip_envelope(envelope);
+    }
+
+    /// No byte-level corruption of a `results` line panics the decoder:
+    /// every prefix, and every single-byte substitution from the payload's
+    /// own alphabet, decodes or is rejected.
+    #[test]
+    fn corrupted_results_lines_never_panic() {
+        let line = sample_results_line();
+        for cut in 0..line.len() {
+            let _ = decode_envelope(&line[..cut]);
+        }
+        let mut bytes = line.clone().into_bytes();
+        for i in 0..bytes.len() {
+            let original = bytes[i];
+            for &b in b"09,:|^!~-+.*a i" {
+                bytes[i] = b;
+                let _ = decode_envelope(std::str::from_utf8(&bytes).unwrap());
+            }
+            bytes[i] = original;
+        }
+    }
+
+    /// No `results` payload token contains `=`, so trailing attributes on
+    /// a `results` envelope — known or not — strip off cleanly.
+    #[test]
+    fn results_envelopes_carry_trace_ids_past_unknown_attributes() {
+        let line = sample_results_line();
+        assert!(!line.contains('='), "{line:?}");
+        let expected = decode_envelope(&line).unwrap();
+        let traced = QueryEnvelope {
+            trace_id: Some("req 7=x".to_string()),
+            ..expected
+        };
+        let traced_line = encode_envelope(&traced);
+        assert_eq!(decode_envelope(&traced_line), Ok(traced.clone()));
+        assert_eq!(
+            decode_envelope(&format!("{traced_line} xfuture=1")),
+            Ok(traced)
+        );
     }
 
     /// Backward compat: lines exactly as an old peer would write them —

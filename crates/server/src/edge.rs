@@ -381,6 +381,11 @@ fn accept_loop<H: Handler>(
         // that stops reading cannot be allowed to park a writer forever
         // and wedge teardown: bound every send.
         let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
+        // Every reply ends in one flush. With Nagle on, a reply's last
+        // short segment waits for the client's delayed ACK of the segments
+        // before it — a fixed stall of tens of milliseconds per reply
+        // longer than one segment.
+        let _ = stream.set_nodelay(true);
         // A connection shutdown() cannot reach must not be served at all:
         // its reader could block in read_line forever and hang the final
         // active-count wait. Refuse it instead (try_clone only fails under
