@@ -26,7 +26,7 @@ fn bench_conditions(c: &mut Criterion) {
                     let mut total = 0usize;
                     for &func in &funcs {
                         let results = analyze(&krate.program, func, params);
-                        total += results.exit_theta().len();
+                        total += results.exit_entries().count();
                     }
                     total
                 })

@@ -80,9 +80,6 @@ pub trait ThetaExt {
     /// `deps` to every *other* conflicting key (ancestors see their value
     /// change; siblings are untouched).
     fn strong_update(&mut self, place: &Place, deps: DepSet);
-
-    /// Renders the context for debugging and the Figure-1 style output.
-    fn render(&self) -> String;
 }
 
 impl ThetaExt for Theta {
@@ -131,19 +128,6 @@ impl ThetaExt for Theta {
             }
         }
         self.insert(place.clone(), deps);
-    }
-
-    fn render(&self) -> String {
-        let mut out = String::new();
-        for (place, deps) in self {
-            let deps = deps
-                .iter()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!("{place}: {{{deps}}}\n"));
-        }
-        out
     }
 }
 
@@ -246,15 +230,5 @@ mod tests {
         assert_eq!(theta[&place(1, &[Field(1)])], DepSet::from([loc(0, 2)]));
         theta.add_to_conflicts(&place(1, &[Field(0)]), &DepSet::from([loc(8, 8)]));
         assert_eq!(theta[&place(1, &[Field(1)])], DepSet::from([loc(0, 2)]));
-    }
-
-    #[test]
-    fn render_lists_every_key() {
-        let mut theta = Theta::new();
-        theta.insert(place(1, &[]), DepSet::from([loc(0, 0), Dep::Arg(Local(1))]));
-        let s = theta.render();
-        assert!(s.contains("_1"));
-        assert!(s.contains("bb0[0]"));
-        assert!(s.contains("arg(_1)"));
     }
 }

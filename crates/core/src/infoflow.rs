@@ -16,8 +16,10 @@
 #[cfg(feature = "tree-domain")]
 use crate::aliases::{AliasAnalysis, AliasMode};
 use crate::condition::{AnalysisParams, DomainKind};
-use crate::deps::{Dep, DepSet, Theta, ThetaExt};
-use crate::indexed::IndexedStates;
+#[cfg(feature = "tree-domain")]
+use crate::deps::ThetaExt;
+use crate::deps::{Dep, DepSet, Theta};
+use crate::indexed::{IndexedStates, IndexedTheta};
 #[cfg(feature = "tree-domain")]
 use crate::places::{interior_places_with_derefs, readable_places, transitive_refs};
 use crate::summary::FunctionSummary;
@@ -26,9 +28,9 @@ use flowistry_dataflow::engine::{iterate_to_fixpoint, Analysis};
 #[cfg(feature = "tree-domain")]
 use flowistry_dataflow::ControlDependencies;
 use flowistry_dataflow::Graph;
-use flowistry_lang::mir::{BasicBlock, Body, Local, Location, Place, TerminatorKind};
+use flowistry_lang::mir::{BasicBlock, Body, Local, Location, Operand, Place, TerminatorKind};
 #[cfg(feature = "tree-domain")]
-use flowistry_lang::mir::{Operand, Rvalue, StatementKind};
+use flowistry_lang::mir::{Rvalue, StatementKind};
 use flowistry_lang::types::FuncId;
 #[cfg(feature = "tree-domain")]
 use flowistry_lang::types::{FnSig, Ty};
@@ -36,7 +38,7 @@ use flowistry_lang::CompiledProgram;
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A CFG adapter exposing a MIR [`Body`] to the dataflow crate.
 pub struct BodyGraph<'a> {
@@ -138,14 +140,16 @@ pub(crate) struct SharedCtx<'s> {
 
 /// The results of analyzing one function under one condition.
 ///
-/// Internally the per-location states are stored in whichever
-/// representation the analysis ran on ([`DomainKind`]): the indexed bitset
-/// form, which decodes to [`Theta`] views lazily on first access (computing
-/// results stays cheap; only queried functions pay the conversion, once),
-/// or — under the `tree-domain` feature — tree-map Θ. `PartialEq`/`Eq`
-/// compare every per-location dependency context *semantically* —
-/// representation never matters — so the engine's "identical to a
-/// from-scratch `analyze`" guarantee can be tested exactly, across domains.
+/// The per-location states are stored in whichever representation the
+/// analysis ran on ([`DomainKind`]): the indexed bitset form, or — under the
+/// `tree-domain` feature — tree-map Θ. Readers ask point queries
+/// ([`InfoFlowResults::deps_before`], [`InfoFlowResults::deps_after`],
+/// [`InfoFlowResults::exit_deps`], [`InfoFlowResults::exit_entries`]),
+/// answered straight from the stored states; no tree view is built.
+/// `PartialEq`/`Eq` compare every per-location dependency context
+/// *semantically* — representation never matters — so the engine's
+/// "identical to a from-scratch `analyze`" guarantee can be tested exactly,
+/// across domains.
 #[derive(Debug, Clone)]
 pub struct InfoFlowResults {
     func: FuncId,
@@ -162,62 +166,15 @@ enum Repr {
         after_states: Vec<Vec<Theta>>,
         exit_theta: Theta,
     },
-    Indexed(Box<IndexedRepr>),
+    Indexed(IndexedStates),
 }
 
-/// Indexed states plus their lazily decoded tree views.
-#[derive(Debug)]
-struct IndexedRepr {
-    states: IndexedStates,
-    decoded_entry: OnceLock<Vec<Theta>>,
-    decoded_after: OnceLock<Vec<Vec<Theta>>>,
-    decoded_exit: OnceLock<Theta>,
-}
-
-impl IndexedRepr {
-    fn decoded_entry(&self) -> &[Theta] {
-        let states = &self.states;
-        self.decoded_entry.get_or_init(|| {
-            states
-                .entry
-                .iter()
-                .map(|s| s.to_theta(&states.tables))
-                .collect()
-        })
-    }
-
-    fn decoded_after(&self) -> &[Vec<Theta>] {
-        let states = &self.states;
-        self.decoded_after.get_or_init(|| {
-            states
-                .after
-                .iter()
-                .map(|block| block.iter().map(|s| s.to_theta(&states.tables)).collect())
-                .collect()
-        })
-    }
-
-    fn decoded_exit(&self) -> &Theta {
-        self.decoded_exit
-            .get_or_init(|| self.states.exit.to_theta(&self.states.tables))
-    }
-}
-
-impl Clone for IndexedRepr {
-    fn clone(&self) -> Self {
-        fn clone_lock<T: Clone>(lock: &OnceLock<T>) -> OnceLock<T> {
-            let out = OnceLock::new();
-            if let Some(value) = lock.get() {
-                let _ = out.set(value.clone());
-            }
-            out
-        }
-        IndexedRepr {
-            states: self.states.clone(),
-            decoded_entry: clone_lock(&self.decoded_entry),
-            decoded_after: clone_lock(&self.decoded_after),
-            decoded_exit: clone_lock(&self.decoded_exit),
-        }
+/// The state just before the instruction at `loc`: the block's entry state
+/// for its first instruction, else the state after the previous one.
+fn before<'a, T>(entry: &'a [T], after: &'a [Vec<T>], loc: Location) -> &'a T {
+    match loc.statement_index.checked_sub(1) {
+        None => &entry[loc.block.index()],
+        Some(prev) => &after[loc.block.index()][prev],
     }
 }
 
@@ -230,18 +187,15 @@ impl PartialEq for InfoFlowResults {
             return false;
         }
         // Fast path: two indexed results over the same interning compare
-        // index-for-index, no decoding. Deterministic compilation means two
-        // runs of the same function produce identical tables.
+        // index-for-index. Deterministic compilation means two runs of the
+        // same function produce identical tables.
         #[allow(irrefutable_let_patterns)]
         if let (Repr::Indexed(a), Repr::Indexed(b)) = (&self.repr, &other.repr) {
-            let (a, b) = (&a.states, &b.states);
             if Arc::ptr_eq(&a.tables, &b.tables) || a.tables == b.tables {
                 return a.entry == b.entry && a.after == b.after && a.exit == b.exit;
             }
         }
-        self.entry_states() == other.entry_states()
-            && self.after_states() == other.after_states()
-            && self.exit_theta() == other.exit_theta()
+        self.raw_parts() == other.raw_parts()
     }
 }
 
@@ -282,12 +236,7 @@ impl InfoFlowResults {
             func,
             hit_boundary,
             iterations,
-            repr: Repr::Indexed(Box::new(IndexedRepr {
-                states,
-                decoded_entry: OnceLock::new(),
-                decoded_after: OnceLock::new(),
-                decoded_exit: OnceLock::new(),
-            })),
+            repr: Repr::Indexed(states),
         }
     }
 
@@ -308,25 +257,7 @@ impl InfoFlowResults {
                 after_states,
                 exit_theta,
             )),
-            Repr::Indexed(ix) => Cow::Borrowed(&ix.states),
-        }
-    }
-
-    /// Tree views of all block entry states (decoding on first use).
-    fn entry_states(&self) -> &[Theta] {
-        match &self.repr {
-            #[cfg(feature = "tree-domain")]
-            Repr::Tree { entry_states, .. } => entry_states,
-            Repr::Indexed(ix) => ix.decoded_entry(),
-        }
-    }
-
-    /// Tree views of all per-statement after states (decoding on first use).
-    fn after_states(&self) -> &[Vec<Theta>] {
-        match &self.repr {
-            #[cfg(feature = "tree-domain")]
-            Repr::Tree { after_states, .. } => after_states,
-            Repr::Indexed(ix) => ix.decoded_after(),
+            Repr::Indexed(states) => Cow::Borrowed(states),
         }
     }
 
@@ -335,44 +266,73 @@ impl InfoFlowResults {
         self.func
     }
 
-    /// The dependency context at the entry of a basic block.
-    pub fn entry_state(&self, block: BasicBlock) -> &Theta {
-        &self.entry_states()[block.index()]
-    }
-
-    /// The dependency context immediately *before* the instruction at `loc`.
-    pub fn state_before(&self, loc: Location) -> &Theta {
-        if loc.statement_index == 0 {
-            &self.entry_states()[loc.block.index()]
-        } else {
-            &self.after_states()[loc.block.index()][loc.statement_index - 1]
-        }
-    }
-
-    /// The dependency context immediately *after* the instruction at `loc`.
-    pub fn state_after(&self, loc: Location) -> &Theta {
-        &self.after_states()[loc.block.index()][loc.statement_index]
-    }
-
-    /// The join of Θ over all return locations — the "exit of the CFG" used
-    /// by the paper's evaluation metric.
-    pub fn exit_theta(&self) -> &Theta {
-        match &self.repr {
-            #[cfg(feature = "tree-domain")]
-            Repr::Tree { exit_theta, .. } => exit_theta,
-            Repr::Indexed(ix) => ix.decoded_exit(),
-        }
-    }
-
     /// Dependencies of `place` observable just before `loc`.
     pub fn deps_before(&self, place: &Place, loc: Location) -> DepSet {
-        self.state_before(loc).read_conflicts(place)
+        match &self.repr {
+            #[cfg(feature = "tree-domain")]
+            Repr::Tree {
+                entry_states,
+                after_states,
+                ..
+            } => before(entry_states, after_states, loc).read_conflicts(place),
+            Repr::Indexed(states) => {
+                states.read_conflicts(before(&states.entry, &states.after, loc), place)
+            }
+        }
+    }
+
+    /// Dependencies of `place` observable just after the instruction at
+    /// `loc`.
+    pub fn deps_after(&self, place: &Place, loc: Location) -> DepSet {
+        let (block, index) = (loc.block.index(), loc.statement_index);
+        match &self.repr {
+            #[cfg(feature = "tree-domain")]
+            Repr::Tree { after_states, .. } => after_states[block][index].read_conflicts(place),
+            Repr::Indexed(states) => states.read_conflicts(&states.after[block][index], place),
+        }
+    }
+
+    /// Dependencies of `place` at function exit: the join of Θ over all
+    /// return locations, the "exit of the CFG" used by the paper's
+    /// evaluation metric.
+    pub fn exit_deps(&self, place: &Place) -> DepSet {
+        match &self.repr {
+            #[cfg(feature = "tree-domain")]
+            Repr::Tree { exit_theta, .. } => exit_theta.read_conflicts(place),
+            Repr::Indexed(states) => states.read_conflicts(&states.exit, place),
+        }
+    }
+
+    /// Dependencies flowing into the call at `loc`: its arguments' just
+    /// before the call, plus `destination`'s just after it, which carry the
+    /// call site's control dependencies.
+    pub fn call_deps(&self, loc: Location, args: &[Operand], destination: &Place) -> DepSet {
+        let mut deps = self.deps_after(destination, loc);
+        for arg in args.iter().filter_map(Operand::place) {
+            deps.extend(self.deps_before(arg, loc));
+        }
+        deps
+    }
+
+    /// Every place tracked at function exit with its own dependencies (not
+    /// its readable ones — see [`InfoFlowResults::exit_deps`]), in `Place`
+    /// order.
+    pub fn exit_entries(&self) -> impl Iterator<Item = (&Place, DepSet)> + '_ {
+        let entries: Vec<(&Place, DepSet)> = match &self.repr {
+            #[cfg(feature = "tree-domain")]
+            Repr::Tree { exit_theta, .. } => exit_theta
+                .iter()
+                .map(|(place, deps)| (place, deps.clone()))
+                .collect(),
+            Repr::Indexed(states) => states.sorted_entries(&states.exit),
+        };
+        entries.into_iter()
     }
 
     /// Dependencies of a local variable at function exit (the size of this
     /// set is the paper's per-variable metric).
     pub fn exit_deps_of_local(&self, local: Local) -> DepSet {
-        self.exit_theta().read_conflicts(&Place::from_local(local))
+        self.exit_deps(&Place::from_local(local))
     }
 
     /// `(local, dependency set)` for every user-visible variable (named
@@ -409,17 +369,21 @@ impl InfoFlowResults {
             .collect()
     }
 
-    /// Decomposes the results into their tree-view fields: the function,
+    /// Decomposes the results into owned tree-view fields: the function,
     /// the block entry states, the per-block after-states, the exit state,
-    /// the boundary flag and the iteration count. Indexed results decode
-    /// fully (once, cached) here.
+    /// the boundary flag and the iteration count. Every state is decoded
+    /// on every call.
     #[allow(clippy::type_complexity)]
-    pub fn raw_parts(&self) -> (FuncId, &[Theta], &[Vec<Theta>], &Theta, bool, usize) {
+    pub fn raw_parts(&self) -> (FuncId, Vec<Theta>, Vec<Vec<Theta>>, Theta, bool, usize) {
+        let states = self.indexed();
+        let decode = |block: &[IndexedTheta]| -> Vec<Theta> {
+            block.iter().map(|s| s.to_theta(&states.tables)).collect()
+        };
         (
             self.func,
-            self.entry_states(),
-            self.after_states(),
-            self.exit_theta(),
+            decode(&states.entry),
+            states.after.iter().map(|block| decode(block)).collect(),
+            states.exit.to_theta(&states.tables),
             self.hit_boundary,
             self.iterations,
         )
@@ -516,10 +480,7 @@ pub fn compute_summary_with_results(
 ) -> (CachedSummary, InfoFlowResults) {
     let results = analyze_with_summaries(program, func, params, summaries);
     let entry = CachedSummary {
-        summary: Arc::new(FunctionSummary::from_exit_state(
-            program.body(func),
-            results.exit_theta(),
-        )),
+        summary: Arc::new(FunctionSummary::from_results(program.body(func), &results)),
         hit_boundary: results.hit_boundary(),
     };
     (entry, results)
@@ -556,9 +517,9 @@ pub(crate) fn resolve_callee_summary(
         }
     }
     let callee_results = analyze_dispatch(program, func, params, ctx);
-    let summary = Arc::new(FunctionSummary::from_exit_state(
+    let summary = Arc::new(FunctionSummary::from_results(
         program.body(func),
-        callee_results.exit_theta(),
+        &callee_results,
     ));
     if callee_results.hit_boundary() {
         hit_boundary.set(true);
@@ -1335,7 +1296,7 @@ mod tests {
         let (prog, r) = run(src, "get_count", Condition::MODULAR);
         let body = prog.body_by_name("get_count").unwrap();
         let h = find_local(body, "h");
-        let h_deref_deps = r.exit_theta().read_conflicts(&Place::from_local(h).deref());
+        let h_deref_deps = r.exit_deps(&Place::from_local(h).deref());
         let args = arg_deps(&h_deref_deps);
         assert!(
             args.contains(&Local(2)),
@@ -1359,17 +1320,33 @@ mod tests {
     }
 
     #[test]
-    fn state_before_and_after_are_consistent() {
-        let src = "fn f(x: i32) -> i32 { let a = x; return a; }";
+    fn deps_before_is_the_previous_deps_after() {
+        let src = "fn f(x: i32) -> i32 { let a = x; let b = a + 1; return b; }";
         let (prog, r) = run(src, "f", Condition::MODULAR);
         let body = prog.body_by_name("f").unwrap();
+        assert_eq!(r.func(), prog.func_id("f").unwrap());
+        let places: Vec<Place> = (0..body.local_decls.len())
+            .map(|l| Place::from_local(Local(l as u32)))
+            .collect();
+        for loc in body.all_locations() {
+            let Some(prev) = loc.statement_index.checked_sub(1) else {
+                continue;
+            };
+            let prev = Location {
+                statement_index: prev,
+                ..loc
+            };
+            for place in &places {
+                assert_eq!(r.deps_before(place, loc), r.deps_after(place, prev));
+            }
+        }
+        // The first assignment's own location shows up only after it.
         let loc0 = Location {
             block: BasicBlock::START,
             statement_index: 0,
         };
-        assert!(r.state_before(loc0).len() <= r.state_after(loc0).len());
-        assert_eq!(r.func(), prog.func_id("f").unwrap());
-        let _ = r.entry_state(BasicBlock::START);
-        let _ = body;
+        let a = Place::from_local(find_local(body, "a"));
+        assert!(!r.deps_before(&a, loc0).contains(&Dep::Instr(loc0)));
+        assert!(r.deps_after(&a, loc0).contains(&Dep::Instr(loc0)));
     }
 }

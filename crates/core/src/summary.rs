@@ -6,7 +6,8 @@
 //! argument-reachable places the callee mutates, which arguments feed each
 //! mutation, and which arguments the return value depends on.
 
-use crate::deps::{Dep, Theta, ThetaExt};
+use crate::deps::Dep;
+use crate::infoflow::InfoFlowResults;
 use flowistry_lang::mir::{Body, Local, Place, PlaceElem};
 use std::collections::BTreeSet;
 
@@ -32,16 +33,16 @@ pub struct FunctionSummary {
 }
 
 impl FunctionSummary {
-    /// Extracts a summary from the callee's dependency context at exit.
+    /// Extracts a summary from the callee's results at exit.
     ///
-    /// `body` is the callee body and `exit_theta` the join of Θ over its
-    /// return locations, where each parameter place was initialized with a
-    /// [`Dep::Arg`] marker.
-    pub fn from_exit_state(body: &Body, exit_theta: &Theta) -> FunctionSummary {
+    /// `body` is the callee body and `results` its analysis, whose exit
+    /// state is the join of Θ over its return locations, where each
+    /// parameter place was initialized with a [`Dep::Arg`] marker.
+    pub fn from_results(body: &Body, results: &InfoFlowResults) -> FunctionSummary {
         let param_locals: BTreeSet<Local> = body.args().collect();
         let mut mutations = Vec::new();
 
-        for (place, deps) in exit_theta {
+        for (place, deps) in results.exit_entries() {
             if !param_locals.contains(&place.local) || !place.has_deref() {
                 continue;
             }
@@ -62,7 +63,7 @@ impl FunctionSummary {
             });
         }
 
-        let return_deps = exit_theta.read_conflicts(&Place::return_place());
+        let return_deps = results.exit_deps(&Place::return_place());
         let return_sources = return_deps.iter().filter_map(Dep::arg).collect();
 
         FunctionSummary {
@@ -151,7 +152,7 @@ mod tests {
         let prog = compile(src).unwrap();
         let func = prog.func_id(name).unwrap();
         let results = analyze(&prog, func, &AnalysisParams::default());
-        FunctionSummary::from_exit_state(prog.body(func), results.exit_theta())
+        FunctionSummary::from_results(prog.body(func), &results)
     }
 
     #[test]

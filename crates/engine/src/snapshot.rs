@@ -254,10 +254,8 @@ impl AnalysisSnapshot {
         match self.summary(func) {
             Some(summary) => linter.lint_function(func, summary, &results),
             None => {
-                let summary = FunctionSummary::from_exit_state(
-                    self.inner.program.body(func),
-                    results.exit_theta(),
-                );
+                let summary =
+                    FunctionSummary::from_results(self.inner.program.body(func), &results);
                 linter.lint_function(func, &summary, &results)
             }
         }

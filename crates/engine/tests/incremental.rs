@@ -107,10 +107,7 @@ fn engine_summaries_match_naive_summaries_everywhere() {
     for i in 0..program.bodies.len() {
         let func = FuncId(i as u32);
         let direct = analyze(&program, func, &params);
-        let naive = flowistry_core::FunctionSummary::from_exit_state(
-            program.body(func),
-            direct.exit_theta(),
-        );
+        let naive = flowistry_core::FunctionSummary::from_results(program.body(func), &direct);
         assert_eq!(engine.summary(func), Some(&naive));
     }
 }

@@ -191,8 +191,7 @@ pub fn measure_lints(seed: u64, programs: usize, trials: usize) -> LintEvalRepor
 
             let start = Instant::now();
             let results = analyze(program, func, &params);
-            let summary =
-                FunctionSummary::from_exit_state(program.body(func), results.exit_theta());
+            let summary = FunctionSummary::from_results(program.body(func), &results);
             let findings = linter.lint_function(func, &summary, &results);
             let effect = linter.infer_effect(func, &summary, &results);
             report.lint_wall_millis += start.elapsed().as_secs_f64() * 1e3;

@@ -19,7 +19,7 @@
 //! two-point policy ([`Policy::from_conventions`]), or built
 //! programmatically.
 
-use flowistry_core::{analyze, AnalysisParams, Dep, DepSet, InfoFlowResults, ThetaExt};
+use flowistry_core::{analyze, AnalysisParams, Dep, DepSet, InfoFlowResults};
 use flowistry_lang::mir::{Body, Local, Location, TerminatorKind};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::CompiledProgram;
@@ -776,7 +776,7 @@ impl<'a> PolicyChecker<'a> {
             if let TerminatorKind::Call { destination, .. } =
                 &body.block(loc.block).terminator().kind
             {
-                released.extend(results.state_after(*loc).read_conflicts(destination));
+                released.extend(results.deps_after(destination, *loc));
             }
         }
 
@@ -811,14 +811,7 @@ impl<'a> PolicyChecker<'a> {
             // What flows into the sink: the arguments' dependencies plus
             // the control dependencies of the call site (visible in the
             // destination's row after the call).
-            let before = results.state_before(loc);
-            let mut incoming = DepSet::new();
-            for arg in args {
-                if let Some(place) = arg.place() {
-                    incoming.extend(before.read_conflicts(place));
-                }
-            }
-            incoming.extend(results.state_after(loc).read_conflicts(destination));
+            let incoming = results.call_deps(loc, args, destination);
 
             let mut incoming_label = bottom;
             let mut sources = Vec::new();

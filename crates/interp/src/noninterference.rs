@@ -15,7 +15,7 @@
 
 use crate::machine::Interpreter;
 use crate::value::Value;
-use flowistry_core::{analyze, AnalysisParams, Dep, ThetaExt};
+use flowistry_core::{analyze, AnalysisParams, Dep};
 use flowistry_lang::mir::{Local, Place};
 use flowistry_lang::types::{FuncId, StructTable, Ty};
 use flowistry_lang::CompiledProgram;
@@ -160,7 +160,7 @@ pub fn check_function(
         .filter(|(_, ty)| matches!(ty, Ty::Ref(..)))
         .map(|(i, _)| {
             let place = Place::from_local(Local(i as u32 + 1)).deref();
-            let deps = results.exit_theta().read_conflicts(&place);
+            let deps = results.exit_deps(&place);
             (i, arg_set(&deps))
         })
         .collect();

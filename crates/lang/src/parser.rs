@@ -34,6 +34,9 @@
 //! initializer is a call (see `flowistry-ifc` and `flowistry-lint`).
 //!
 //! Operator precedence: `||` < `&&` < comparisons < `+ -` < `* / %` < unary.
+//!
+//! Nesting is bounded by [`MAX_NESTING`]: deeper input is a diagnostic, not
+//! a stack overflow here or in any later pass.
 
 use crate::ast::*;
 use crate::lexer::{tokenize, Token, TokenKind};
@@ -72,10 +75,22 @@ pub fn parse_expr(src: &str) -> Result<Expr, Diagnostic> {
     Ok(e)
 }
 
+/// The deepest nesting the parser accepts: blocks, types and expressions
+/// together, counting both the recursion of the parser and the height of
+/// the expression trees it builds. Every later pass recurses over the same
+/// tree, so deeper input is rejected with a [`Diagnostic`] instead of
+/// exhausting the stack. A parenthesis level costs about 18 kB of parser
+/// stack in a debug build; at 64 levels every shape still compiles and
+/// analyzes on a 2 MiB thread there.
+pub const MAX_NESTING: usize = 64;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
-    next_expr_id: u32,
+    /// Blocks, types and expressions open around the current token.
+    depth: usize,
+    /// Per expression id, the height of that expression's tree.
+    heights: Vec<usize>,
 }
 
 impl Parser {
@@ -83,7 +98,8 @@ impl Parser {
         Parser {
             tokens,
             pos: 0,
-            next_expr_id: 0,
+            depth: 0,
+            heights: Vec::new(),
         }
     }
 
@@ -157,18 +173,56 @@ impl Parser {
         }
     }
 
-    fn fresh_id(&mut self) -> ExprId {
-        let id = ExprId(self.next_expr_id);
-        self.next_expr_id += 1;
-        id
+    /// The error for input nested deeper than [`MAX_NESTING`].
+    fn too_deep(span: Span) -> Diagnostic {
+        Diagnostic::error(
+            format!(
+                "nesting too deep: more than {MAX_NESTING} levels of blocks, types and expressions"
+            ),
+            span,
+        )
     }
 
-    fn mk_expr(&mut self, kind: ExprKind, span: Span) -> Expr {
-        Expr {
-            id: self.fresh_id(),
-            kind,
-            span,
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, Diagnostic>,
+    ) -> Result<T, Diagnostic> {
+        if self.depth >= MAX_NESTING {
+            return Err(Self::too_deep(self.peek_span()));
         }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Builds an expression with a fresh id. Operator chains and postfix
+    /// projections grow the tree in a loop, not by recursion, so the bound
+    /// is checked on the tree's height here, on top of the nesting around
+    /// it.
+    fn mk_expr(&mut self, kind: ExprKind, span: Span) -> Result<Expr, Diagnostic> {
+        let height = |e: &Expr| self.heights[e.id.0 as usize];
+        let children = match &kind {
+            ExprKind::Unit | ExprKind::Int(_) | ExprKind::Bool(_) | ExprKind::Var(_) => 0,
+            ExprKind::Field(e, _)
+            | ExprKind::Deref(e)
+            | ExprKind::Borrow { expr: e, .. }
+            | ExprKind::Unary { operand: e, .. } => height(e),
+            ExprKind::Binary { lhs, rhs, .. } => height(lhs).max(height(rhs)),
+            ExprKind::Call { args: elems, .. } | ExprKind::Tuple(elems) => {
+                elems.iter().map(height).max().unwrap_or(0)
+            }
+            ExprKind::StructLit { fields, .. } => {
+                fields.iter().map(|(_, e)| height(e)).max().unwrap_or(0)
+            }
+        };
+        if self.depth + children + 1 > MAX_NESTING {
+            return Err(Self::too_deep(span));
+        }
+        let id = ExprId(self.heights.len() as u32);
+        self.heights.push(children + 1);
+        Ok(Expr { id, kind, span })
     }
 
     // ---------------- attributes ----------------
@@ -459,6 +513,10 @@ impl Parser {
     // ---------------- types ----------------
 
     fn ty(&mut self) -> Result<AstTy, Diagnostic> {
+        self.nested(Self::ty_contents)
+    }
+
+    fn ty_contents(&mut self) -> Result<AstTy, Diagnostic> {
         match self.peek().clone() {
             TokenKind::I32 => {
                 self.bump();
@@ -521,6 +579,10 @@ impl Parser {
     // ---------------- statements ----------------
 
     fn block(&mut self) -> Result<Block, Diagnostic> {
+        self.nested(Self::block_contents)
+    }
+
+    fn block_contents(&mut self) -> Result<Block, Diagnostic> {
         let start = self.expect(TokenKind::LBrace)?.span;
         let mut stmts = Vec::new();
         while !self.check(&TokenKind::RBrace) {
@@ -693,7 +755,7 @@ impl Parser {
         let else_block = if self.eat(&TokenKind::Else) {
             if self.check(&TokenKind::If) {
                 // `else if` chains desugar into a nested block containing an if.
-                let nested = self.if_stmt()?;
+                let nested = self.nested(Self::if_stmt)?;
                 let nested_span = nested.span;
                 span = span.to(nested_span);
                 Some(Block {
@@ -721,7 +783,7 @@ impl Parser {
     // ---------------- expressions ----------------
 
     fn expr(&mut self) -> Result<Expr, Diagnostic> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr, Diagnostic> {
@@ -737,7 +799,7 @@ impl Parser {
                     rhs: Box::new(rhs),
                 },
                 span,
-            );
+            )?;
         }
         Ok(lhs)
     }
@@ -755,7 +817,7 @@ impl Parser {
                     rhs: Box::new(rhs),
                 },
                 span,
-            );
+            )?;
         }
         Ok(lhs)
     }
@@ -775,14 +837,14 @@ impl Parser {
             self.bump();
             let rhs = self.add_expr()?;
             let span = lhs.span.to(rhs.span);
-            Ok(self.mk_expr(
+            self.mk_expr(
                 ExprKind::Binary {
                     op,
                     lhs: Box::new(lhs),
                     rhs: Box::new(rhs),
                 },
                 span,
-            ))
+            )
         } else {
             Ok(lhs)
         }
@@ -806,7 +868,7 @@ impl Parser {
                     rhs: Box::new(rhs),
                 },
                 span,
-            );
+            )?;
         }
         Ok(lhs)
     }
@@ -830,7 +892,7 @@ impl Parser {
                     rhs: Box::new(rhs),
                 },
                 span,
-            );
+            )?;
         }
         Ok(lhs)
     }
@@ -840,33 +902,33 @@ impl Parser {
         match self.peek().clone() {
             TokenKind::Minus => {
                 self.bump();
-                let operand = self.unary_expr()?;
+                let operand = self.nested(Self::unary_expr)?;
                 let span = start.to(operand.span);
-                Ok(self.mk_expr(
+                self.mk_expr(
                     ExprKind::Unary {
                         op: UnOp::Neg,
                         operand: Box::new(operand),
                     },
                     span,
-                ))
+                )
             }
             TokenKind::Bang => {
                 self.bump();
-                let operand = self.unary_expr()?;
+                let operand = self.nested(Self::unary_expr)?;
                 let span = start.to(operand.span);
-                Ok(self.mk_expr(
+                self.mk_expr(
                     ExprKind::Unary {
                         op: UnOp::Not,
                         operand: Box::new(operand),
                     },
                     span,
-                ))
+                )
             }
             TokenKind::Star => {
                 self.bump();
-                let operand = self.unary_expr()?;
+                let operand = self.nested(Self::unary_expr)?;
                 let span = start.to(operand.span);
-                Ok(self.mk_expr(ExprKind::Deref(Box::new(operand)), span))
+                self.mk_expr(ExprKind::Deref(Box::new(operand)), span)
             }
             TokenKind::Amp => {
                 self.bump();
@@ -875,15 +937,15 @@ impl Parser {
                 } else {
                     Mutability::Shared
                 };
-                let operand = self.unary_expr()?;
+                let operand = self.nested(Self::unary_expr)?;
                 let span = start.to(operand.span);
-                Ok(self.mk_expr(
+                self.mk_expr(
                     ExprKind::Borrow {
                         mutbl,
                         expr: Box::new(operand),
                     },
                     span,
-                ))
+                )
             }
             _ => self.postfix_expr(),
         }
@@ -916,7 +978,7 @@ impl Parser {
                 }
             };
             let span = e.span.to(self.tokens[self.pos.saturating_sub(1)].span);
-            e = self.mk_expr(ExprKind::Field(Box::new(e), field), span);
+            e = self.mk_expr(ExprKind::Field(Box::new(e), field), span)?;
         }
         Ok(e)
     }
@@ -926,21 +988,21 @@ impl Parser {
         match self.peek().clone() {
             TokenKind::Int(n) => {
                 self.bump();
-                Ok(self.mk_expr(ExprKind::Int(n), start))
+                self.mk_expr(ExprKind::Int(n), start)
             }
             TokenKind::True => {
                 self.bump();
-                Ok(self.mk_expr(ExprKind::Bool(true), start))
+                self.mk_expr(ExprKind::Bool(true), start)
             }
             TokenKind::False => {
                 self.bump();
-                Ok(self.mk_expr(ExprKind::Bool(false), start))
+                self.mk_expr(ExprKind::Bool(false), start)
             }
             TokenKind::LParen => {
                 self.bump();
                 if self.eat(&TokenKind::RParen) {
                     let span = start.to(self.tokens[self.pos - 1].span);
-                    return Ok(self.mk_expr(ExprKind::Unit, span));
+                    return self.mk_expr(ExprKind::Unit, span);
                 }
                 let first = self.expr()?;
                 if self.check(&TokenKind::Comma) {
@@ -952,7 +1014,7 @@ impl Parser {
                         elems.push(self.expr()?);
                     }
                     let end = self.expect(TokenKind::RParen)?.span;
-                    Ok(self.mk_expr(ExprKind::Tuple(elems), start.to(end)))
+                    self.mk_expr(ExprKind::Tuple(elems), start.to(end))
                 } else {
                     self.expect(TokenKind::RParen)?;
                     Ok(first)
@@ -970,7 +1032,7 @@ impl Parser {
                         }
                     }
                     let end = self.expect(TokenKind::RParen)?.span;
-                    Ok(self.mk_expr(ExprKind::Call { callee: name, args }, start.to(end)))
+                    self.mk_expr(ExprKind::Call { callee: name, args }, start.to(end))
                 } else if self.check(&TokenKind::LBrace)
                     && name.chars().next().is_some_and(|c| c.is_ascii_uppercase())
                 {
@@ -988,9 +1050,9 @@ impl Parser {
                         }
                     }
                     let end = self.expect(TokenKind::RBrace)?.span;
-                    Ok(self.mk_expr(ExprKind::StructLit { name, fields }, start.to(end)))
+                    self.mk_expr(ExprKind::StructLit { name, fields }, start.to(end))
                 } else {
-                    Ok(self.mk_expr(ExprKind::Var(name), start))
+                    self.mk_expr(ExprKind::Var(name), start)
                 }
             }
             other => Err(Diagnostic::error(
@@ -1352,5 +1414,54 @@ mod tests {
     fn parses_unit_expression() {
         let e = parse_expr("()").unwrap();
         assert!(matches!(e.kind, ExprKind::Unit));
+    }
+
+    /// `f` returning `body`, with `n` nesting levels of each shape: nested
+    /// parentheses, a chain of `+`, prefix operators, nested blocks.
+    fn shapes(n: usize) -> [String; 4] {
+        let wrap = |body: String| format!("fn f(x: i32) -> i32 {{ {body} }}");
+        [
+            wrap(format!("return {}x{};", "(".repeat(n), ")".repeat(n))),
+            wrap(format!("return x{};", " + x".repeat(n - 1))),
+            wrap(format!("return {}x;", "- ".repeat(n))),
+            wrap(format!(
+                "let mut y = x; {} y = y + 1; {} return y;",
+                "if x > 0 { ".repeat(n),
+                "} ".repeat(n)
+            )),
+        ]
+    }
+
+    fn assert_too_deep(src: &str) {
+        let err = parse_program(src).expect_err("input past the nesting limit parses");
+        assert!(err.message.contains("nesting too deep"), "{err:?}");
+    }
+
+    #[test]
+    fn nesting_one_past_the_limit_is_a_diagnostic() {
+        for src in shapes(MAX_NESTING + 1) {
+            assert_too_deep(&src);
+        }
+        for src in shapes(MAX_NESTING / 2) {
+            parse_program(&src).expect("half the nesting limit parses");
+        }
+    }
+
+    #[test]
+    fn deep_input_is_rejected_without_exhausting_a_small_stack() {
+        let deep = move || {
+            let wrap = |body: String| format!("fn f(x: i32) -> i32 {{ return {body}; }}");
+            assert_too_deep(&wrap(format!("{}x{}", "(".repeat(1000), ")".repeat(1000))));
+            assert_too_deep(&wrap(format!("x{}", " + 1".repeat(9_999))));
+            assert_too_deep(&wrap(format!("{}x", "-".repeat(5000))));
+            assert_too_deep(&wrap(format!("x{}", ".0".repeat(5000))));
+            assert_too_deep(&format!("fn f(x: {}i32) {{ }}", "& ".repeat(5000)));
+        };
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(deep)
+            .unwrap()
+            .join()
+            .expect("deep input is rejected");
     }
 }

@@ -43,7 +43,7 @@
 
 #![warn(missing_docs)]
 
-use flowistry_core::{Dep, DepSet, FunctionSummary, InfoFlowResults, ThetaExt};
+use flowistry_core::{Dep, DepSet, FunctionSummary, InfoFlowResults};
 use flowistry_ifc::{Policy, WitnessStep};
 use flowistry_lang::mir::{Body, Local, Location, Place, StatementKind, TerminatorKind};
 use flowistry_lang::types::{FuncId, Ty};
@@ -276,15 +276,7 @@ impl<'a> Linter<'a> {
             reads.extend(m.sources.iter().copied());
         }
         for (loc, args, destination) in call_sites(body) {
-            for arg in args {
-                if let Some(p) = arg.place() {
-                    collect(&results.deps_before(p, loc), &mut reads);
-                }
-            }
-            collect(
-                &results.state_after(loc).read_conflicts(destination),
-                &mut reads,
-            );
+            collect(&results.call_deps(loc, args, destination), &mut reads);
         }
 
         EffectSignature {
@@ -322,18 +314,13 @@ impl<'a> Linter<'a> {
         let source = &self.program.source;
         let mut live = DepSet::new();
         live.extend(results.exit_deps_of_local(Local(0)));
-        for (place, deps) in results.exit_theta() {
+        for (place, deps) in results.exit_entries() {
             if place.has_deref() && body.args().any(|a| a == place.local) {
-                live.extend(deps.iter().copied());
+                live.extend(deps);
             }
         }
         for (loc, args, destination) in call_sites(body) {
-            for arg in args {
-                if let Some(p) = arg.place() {
-                    live.extend(results.deps_before(p, loc));
-                }
-            }
-            live.extend(results.state_after(loc).read_conflicts(destination));
+            live.extend(results.call_deps(loc, args, destination));
         }
 
         let mut findings = Vec::new();
@@ -418,13 +405,7 @@ impl<'a> Linter<'a> {
             if !self.debug_sinks.contains(&callee) {
                 continue;
             }
-            let mut incoming = DepSet::new();
-            for arg in args {
-                if let Some(p) = arg.place() {
-                    incoming.extend(results.deps_before(p, loc));
-                }
-            }
-            incoming.extend(results.state_after(loc).read_conflicts(destination));
+            let incoming = results.call_deps(loc, args, destination);
             let secret: Vec<Dep> = incoming
                 .iter()
                 .filter(|d| !released.contains(d) && self.dep_is_secret(func, body, **d))
@@ -467,7 +448,7 @@ impl<'a> Linter<'a> {
             let Some(destination) = destination_at(body, dloc) else {
                 continue;
             };
-            let deps = results.state_after(dloc).read_conflicts(destination);
+            let deps = results.deps_after(destination, dloc);
             let any_secret = self.secret_fns.contains(&callee)
                 || deps.iter().any(|d| self.dep_is_secret(func, body, *d));
             if any_secret {
@@ -590,9 +571,9 @@ impl<'a> Linter<'a> {
         param: Local,
     ) -> Vec<WitnessStep> {
         let mut deps = DepSet::new();
-        for row in results.exit_theta().values() {
+        for (_, row) in results.exit_entries() {
             if row.contains(&Dep::Arg(param)) {
-                deps.extend(row.iter().copied());
+                deps.extend(row);
             }
         }
         witness_steps(body, source, deps, None)
@@ -608,9 +589,9 @@ impl<'a> Linter<'a> {
         param: Local,
     ) -> Vec<WitnessStep> {
         let mut deps = DepSet::new();
-        for (place, row) in results.exit_theta() {
+        for (place, row) in results.exit_entries() {
             if place.local == param && place.has_deref() {
-                deps.extend(row.iter().copied());
+                deps.extend(row);
             }
         }
         witness_steps(body, source, deps, None)
@@ -623,7 +604,7 @@ impl<'a> Linter<'a> {
         for &dloc in &body.declassified_calls {
             released.insert(Dep::Instr(dloc));
             if let Some(destination) = destination_at(body, dloc) {
-                released.extend(results.state_after(dloc).read_conflicts(destination));
+                released.extend(results.deps_after(destination, dloc));
             }
         }
         released

@@ -99,12 +99,7 @@ fn expected_for(program: &Arc<CompiledProgram>, params: &AnalysisParams) -> Expe
         .map(|i| analyze(program, FuncId(i as u32), params))
         .collect();
     let summaries: Vec<_> = (0..n)
-        .map(|i| {
-            FunctionSummary::from_exit_state(
-                program.body(FuncId(i as u32)),
-                results[i].exit_theta(),
-            )
-        })
+        .map(|i| FunctionSummary::from_results(program.body(FuncId(i as u32)), &results[i]))
         .collect();
     let slices: Vec<_> = (0..n)
         .map(|i| Slicer::new(program, FuncId(i as u32), params.clone()).backward_slice_of_var("v"))

@@ -157,7 +157,7 @@ fn check_lint(
     fail: impl Fn(std::io::Error) -> String,
 ) -> Result<(), String> {
     let linter = Linter::new(program);
-    let summary = FunctionSummary::from_exit_state(program.body(main), direct_main.exit_theta());
+    let summary = FunctionSummary::from_results(program.body(main), direct_main);
     let expected = linter.lint_function(main, &summary, direct_main);
 
     let first = client.metrics().map_err(&fail)?;
@@ -243,8 +243,7 @@ fn run(
 
     // Summary: bit-identical to the summary extracted from direct analysis.
     let direct = analyze(&program, store, &params);
-    let expected_summary =
-        FunctionSummary::from_exit_state(program.body(store), direct.exit_theta());
+    let expected_summary = FunctionSummary::from_results(program.body(store), &direct);
     let envelope = client.query(&QueryRequest::Summary(store)).map_err(fail)?;
     check(
         envelope.epoch == epoch,

@@ -1413,9 +1413,9 @@ mod tests {
             roundtrip_envelope(QueryEnvelope {
                 epoch: 3,
                 trace_id: None,
-                response: QueryResponse::Summary(Some(FunctionSummary::from_exit_state(
+                response: QueryResponse::Summary(Some(FunctionSummary::from_results(
                     program.body(func),
-                    r.exit_theta(),
+                    &r,
                 ))),
             });
             roundtrip_envelope(QueryEnvelope {
@@ -1581,7 +1581,7 @@ mod tests {
         let params = AnalysisParams::default();
         let func = program.func_id("crop").unwrap();
         let results = analyze(&program, func, &params);
-        let summary = FunctionSummary::from_exit_state(program.body(func), results.exit_theta());
+        let summary = FunctionSummary::from_results(program.body(func), &results);
         let linter = Linter::new(&program);
         let findings = linter.lint_function(func, &summary, &results);
         assert!(

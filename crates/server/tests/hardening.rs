@@ -180,6 +180,21 @@ fn update_budget_is_configurable() {
 }
 
 #[test]
+fn deeply_nested_update_is_an_error_reply() {
+    let server = serve(ServerConfig::default());
+    let mut client = FlowClient::connect(server.local_addr()).unwrap();
+    let deep = format!(
+        "fn f(v: i32) -> i32 {{ return {}v{}; }}",
+        "(".repeat(1000),
+        ")".repeat(1000)
+    );
+    let err = client.update(&deep).expect_err("too deep to compile");
+    assert!(err.to_string().contains("nesting too deep"), "got {err}");
+    // The server survived and keeps serving the program it had.
+    expect_summary(&mut client);
+}
+
+#[test]
 fn client_timeouts_surface_instead_of_hanging() {
     let server = serve(ServerConfig::default());
     let config = ClientConfig::default()

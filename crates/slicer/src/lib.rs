@@ -24,7 +24,7 @@
 
 #![warn(missing_docs)]
 
-use flowistry_core::{analyze, AnalysisParams, Dep, DepSet, InfoFlowResults, ThetaExt};
+use flowistry_core::{analyze, AnalysisParams, Dep, DepSet, InfoFlowResults};
 use flowistry_lang::mir::{Local, Location, Place, StatementKind, TerminatorKind};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::CompiledProgram;
@@ -213,8 +213,7 @@ impl<'a> Slicer<'a> {
                 },
             };
             let Some(place) = mutated else { continue };
-            let after = self.results.state_after(loc);
-            let deps = after.read_conflicts(&place);
+            let deps = self.results.deps_after(&place, loc);
             if deps.iter().any(|d| sources.contains(d)) {
                 locations.insert(loc);
             }

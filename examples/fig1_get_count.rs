@@ -35,6 +35,14 @@ fn get_count(h: &mut (i32, i32), k: i32) -> i32 {
 }
 "#;
 
+/// A dependency set as the figure prints it: comma-separated, in order.
+fn render(deps: &DepSet) -> String {
+    deps.iter()
+        .map(|d| d.to_string())
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
 fn main() {
     let program = compile(GET_COUNT).expect("the example program compiles");
     let func = program.func_id("get_count").expect("get_count exists");
@@ -47,6 +55,7 @@ fn main() {
     );
 
     let results = analyze(&program, func, &AnalysisParams::default());
+    let states = results.indexed();
 
     println!("=== Figure 1 (right): information flow per instruction ===\n");
     for bb in body.block_ids() {
@@ -62,10 +71,10 @@ fn main() {
                 None => format!("{:?}", data.terminator().kind),
             };
             let what = what.chars().take(60).collect::<String>();
-            let theta = results.state_after(loc);
             println!("  {loc}  {what}");
-            for line in theta.render().lines() {
-                println!("      {line}");
+            let after = &states.after()[bb.index()][i];
+            for (place, deps) in states.sorted_entries(after) {
+                println!("      {place}: {{{}}}", render(&deps));
             }
         }
         println!();
@@ -73,14 +82,8 @@ fn main() {
 
     // The headline flows of the figure:
     let h_deref = flowistry_lang::mir::Place::from_local(flowistry_lang::mir::Local(1)).deref();
-    let deps = results.exit_theta().read_conflicts(&h_deref);
-    println!(
-        "At exit, Θ(*h) = {{{}}}",
-        deps.iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
+    let deps = results.exit_deps(&h_deref);
+    println!("At exit, Θ(*h) = {{{}}}", render(&deps));
     println!("— it contains the key argument and the switch location, i.e. the map depends on `k`");
     println!(
         "  both through insert's mutation and through the control dependence on contains_key."

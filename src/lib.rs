@@ -142,10 +142,7 @@ mod tests {
             func,
             &AnalysisParams::for_condition(Condition::WHOLE_PROGRAM),
         );
-        let summary = flowistry_core::FunctionSummary::from_exit_state(
-            program.body(func),
-            results.exit_theta(),
-        );
+        let summary = flowistry_core::FunctionSummary::from_results(program.body(func), &results);
         let linter = Linter::new(&program);
         let findings = linter.lint_function(func, &summary, &results);
         assert!(findings.iter().any(|f| f.pass == LintPass::UnusedMut));

@@ -56,7 +56,7 @@ fn modular_analysis_finds_cross_function_flows() {
     // The destination account (*to) must depend on the amount argument (_3):
     // deposit() receives it through a unique reference.
     let to_deref = flowistry_lang::mir::Place::from_local(Local(2)).deref();
-    let deps = results.exit_theta().read_conflicts(&to_deref);
+    let deps = results.exit_deps(&to_deref);
     let args: Vec<_> = deps.iter().filter_map(|d| d.arg()).collect();
     assert!(args.contains(&Local(3)), "amount flows into *to: {args:?}");
     // ... and on the pin, via control flow (the early return).
@@ -184,4 +184,55 @@ fn all_four_conditions_run_on_the_corpus_sample() {
             assert!(results.iterations() > 0);
         }
     }
+}
+
+/// `f` with `n` nesting levels of one shape: nested parentheses, a chain of
+/// `+`, prefix operators, or nested blocks.
+fn nested_program(shape: usize, n: usize) -> String {
+    let body = match shape {
+        0 => format!("return {}x{};", "(".repeat(n), ")".repeat(n)),
+        1 => format!("return x{};", " + x".repeat(n - 1)),
+        2 => format!("return {}x;", "- ".repeat(n)),
+        _ => format!(
+            "let mut y = x; {} y = y + 1; {} return y;",
+            "if x > 0 { ".repeat(n),
+            "} ".repeat(n)
+        ),
+    };
+    format!("fn f(x: i32) -> i32 {{ {body} }}")
+}
+
+/// At the front end's nesting limit each shape compiles and analyzes on a
+/// 2 MiB thread (debug build included); one level deeper it is a
+/// diagnostic.
+#[test]
+fn nesting_at_the_limit_compiles_and_analyzes_on_a_small_stack() {
+    let limit = flowistry_lang::parser::MAX_NESTING;
+    let check = move || {
+        for shape in 0..4 {
+            let deepest = (1..=limit)
+                .take_while(|&n| compile(&nested_program(shape, n)).is_ok())
+                .last()
+                .expect("one level of nesting compiles");
+            assert!(deepest + 8 >= limit, "shape {shape} stops at {deepest}");
+            let err = compile(&nested_program(shape, deepest + 1))
+                .expect_err("one past the limit is rejected");
+            assert!(err.message.contains("nesting too deep"), "{err:?}");
+
+            let program = compile(&nested_program(shape, deepest)).unwrap();
+            let f = program.func_id("f").unwrap();
+            let results = analyze(&program, f, &AnalysisParams::default());
+            let ret = results.exit_deps_of_local(Local(0));
+            assert!(
+                ret.iter().any(|d| d.arg() == Some(Local(1))),
+                "shape {shape}"
+            );
+        }
+    };
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(check)
+        .unwrap()
+        .join()
+        .expect("the limit fits a 2 MiB stack");
 }

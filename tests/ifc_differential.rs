@@ -17,14 +17,17 @@
 //!
 //! The verdicts of [`Policy::from_conventions`] are pinned to a hash of
 //! every reported violation, so any change to the convention policy or the
-//! two-point checker shows up as a hash mismatch.
+//! two-point checker shows up as a hash mismatch. And every finding,
+//! diagnostic and witness is the same whether the checker and the linter
+//! read tree-domain or indexed results.
 
-use flowistry::core::{analyze, AnalysisParams, Condition};
+use flowistry::core::{analyze, AnalysisParams, Condition, DomainKind, FunctionSummary};
 use flowistry::corpus::{differential_corpus, generate_corpus, LabeledProgram, DEFAULT_SEED};
 use flowistry::ifc::{Policy, PolicyChecker};
 use flowistry::interp::{CallEvent, Interpreter, Rng, Value};
 use flowistry::lang::types::FuncId;
 use flowistry::lang::StableHasher;
+use flowistry::lint::Linter;
 
 const TRIALS_PER_DRIVER: usize = 4;
 
@@ -113,6 +116,47 @@ fn analysis_secure_drivers_show_no_interference() {
     assert!(
         compared >= 100,
         "oracle is vacuous: only {compared} executions compared"
+    );
+}
+
+/// The policy checker and every lint pass report the same findings,
+/// diagnostics and witness steps on tree-domain results as on indexed
+/// results, for every function of the labeled corpus.
+#[test]
+fn findings_are_identical_on_both_domains() {
+    let (mut reports, mut findings) = (0usize, 0usize);
+    for p in differential_corpus() {
+        let program = &p.program;
+        let checker = PolicyChecker::new(program, Policy::from_annotations(program).unwrap())
+            .unwrap_or_else(|e| panic!("{}: bad policy: {e}", p.name));
+        let linter = Linter::new(program);
+        for i in 0..program.bodies.len() {
+            let func = FuncId(i as u32);
+            let body = program.body(func);
+            let [tree, indexed] = [DomainKind::Tree, DomainKind::Indexed].map(|domain| {
+                let params = AnalysisParams {
+                    domain,
+                    ..whole_program()
+                };
+                let results = analyze(program, func, &params);
+                let summary = FunctionSummary::from_results(body, &results);
+                let report = checker.check_with_results(func, &results);
+                let lints = linter.lint_function(func, &summary, &results);
+                let effect = linter.infer_effect(func, &summary, &results);
+                (summary, report, lints, effect)
+            });
+            let at = || format!("{}::{}", p.name, body.name);
+            assert_eq!(tree.0, indexed.0, "summary of {}", at());
+            assert_eq!(tree.1, indexed.1, "policy report of {}", at());
+            assert_eq!(tree.2, indexed.2, "lint findings of {}", at());
+            assert_eq!(tree.3, indexed.3, "effect of {}", at());
+            reports += tree.1.diagnostics.len();
+            findings += tree.2.len();
+        }
+    }
+    assert!(
+        reports > 0 && findings > 0,
+        "vacuous: {reports} diagnostics, {findings} findings"
     );
 }
 

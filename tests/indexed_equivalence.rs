@@ -11,9 +11,10 @@
 //!   loops, references, aggregates and calls.
 
 use flowistry::prelude::*;
-use flowistry_core::FunctionSummary;
+use flowistry_core::places::all_body_places;
+use flowistry_core::{FunctionSummary, InfoFlowResults};
 use flowistry_corpus::{generate_corpus, DEFAULT_SEED};
-use flowistry_lang::mir::Place;
+use flowistry_lang::mir::{Local, Place};
 use flowistry_lang::types::FuncId;
 use proptest::prelude::*;
 
@@ -28,12 +29,13 @@ fn params(condition: Condition, domain: DomainKind) -> AnalysisParams {
 /// Analyzes `func` under both domains and asserts every observable output
 /// is identical: the full per-location results, the extracted summary, and
 /// the backward slice of the return place at every return location.
+/// Returns the tree and the indexed results.
 fn assert_equivalent(
     program: &CompiledProgram,
     func: FuncId,
     base: &AnalysisParams,
     context: &str,
-) {
+) -> (InfoFlowResults, InfoFlowResults) {
     let tree = analyze(
         program,
         func,
@@ -64,8 +66,8 @@ fn assert_equivalent(
     );
     assert_eq!(tree.hit_boundary(), indexed.hit_boundary());
 
-    let tree_summary = FunctionSummary::from_exit_state(body, tree.exit_theta());
-    let indexed_summary = FunctionSummary::from_exit_state(body, indexed.exit_theta());
+    let tree_summary = FunctionSummary::from_results(body, &tree);
+    let indexed_summary = FunctionSummary::from_results(body, &indexed);
     assert_eq!(
         tree_summary, indexed_summary,
         "summaries differ for `{}` ({context})",
@@ -80,21 +82,97 @@ fn assert_equivalent(
             body.name
         );
     }
+    (tree, indexed)
 }
 
 /// Every function of every corpus crate, under the modular condition (the
-/// paper's headline analysis and the hot path of every layer above).
+/// paper's headline analysis and the hot path of every layer above),
+/// including every point query at every location.
 #[test]
 fn corpus_modular_results_are_bit_identical() {
-    let mut checked = 0usize;
-    for krate in generate_corpus(DEFAULT_SEED) {
-        let base = params(Condition::MODULAR, DomainKind::Indexed);
-        for &func in &krate.crate_funcs {
-            assert_equivalent(&krate.program, func, &base, &krate.name);
-            checked += 1;
+    let corpus = generate_corpus(DEFAULT_SEED);
+    let base = params(Condition::MODULAR, DomainKind::Indexed);
+    // The suite's longest test: two workers, each taking every other crate.
+    let (checked, absent) = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|worker| {
+                let (corpus, base) = (&corpus, &base);
+                scope.spawn(move || {
+                    let (mut checked, mut absent) = (0usize, 0usize);
+                    for krate in corpus.iter().skip(worker).step_by(2) {
+                        for &func in &krate.crate_funcs {
+                            let program = &krate.program;
+                            let results = assert_equivalent(program, func, base, &krate.name);
+                            absent +=
+                                assert_point_queries_agree(program, func, &results, &krate.name);
+                            checked += 1;
+                        }
+                    }
+                    (checked, absent)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("worker panicked"))
+            .fold((0, 0), |(c, a), (wc, wa)| (c + wc, a + wa))
+    });
+    assert!(checked > 300, "corpus shrank: only {checked} functions");
+    assert!(absent > 0, "no place outside a place table was queried");
+}
+
+/// The point queries every reader uses (`deps_before`, `deps_after`,
+/// `exit_deps`) answer on the indexed states exactly what the tree oracle's
+/// `ThetaExt::read_conflicts` answers, at every location of `func`: for
+/// every place in the indexed place table, every local's root place, and
+/// every valid place of the body that the table lacks. Past a block's
+/// first instruction `deps_before` reads the state `deps_after` reads at
+/// the previous one (a core unit test pins that), so it is queried at
+/// block entries. Returns how many places outside the table were queried.
+fn assert_point_queries_agree(
+    program: &CompiledProgram,
+    func: FuncId,
+    (tree, indexed): &(InfoFlowResults, InfoFlowResults),
+    context: &str,
+) -> usize {
+    let body = program.body(func);
+    let table = indexed.indexed().places().to_vec();
+    let roots = (0..body.local_decls.len()).map(|l| Place::from_local(Local(l as u32)));
+    let absent: Vec<Place> = all_body_places(body, &program.structs)
+        .into_iter()
+        .map(|(place, _)| place)
+        .filter(|place| !table.contains(place))
+        .collect();
+    let mut places: Vec<Place> = table
+        .iter()
+        .cloned()
+        .chain(roots)
+        .chain(absent.clone())
+        .collect();
+    places.sort();
+    places.dedup();
+    let locations = body.all_locations();
+    for place in &places {
+        let why = || format!("`{}` at {place} ({context})", body.name);
+        assert_eq!(tree.exit_deps(place), indexed.exit_deps(place), "{}", why());
+        for &loc in &locations {
+            if loc.statement_index == 0 {
+                assert_eq!(
+                    tree.deps_before(place, loc),
+                    indexed.deps_before(place, loc),
+                    "before {loc}: {}",
+                    why()
+                );
+            }
+            assert_eq!(
+                tree.deps_after(place, loc),
+                indexed.deps_after(place, loc),
+                "after {loc}: {}",
+                why()
+            );
         }
     }
-    assert!(checked > 300, "corpus shrank: only {checked} functions");
+    absent.len()
 }
 
 /// The remaining headline conditions (whole-program, mut-blind, ref-blind)

@@ -213,9 +213,7 @@ fn mutation_through_returned_reference_reaches_the_environment() {
 
     // Static check: (*p) depends on the argument v at exit.
     let results = analyze(&program, caller, &AnalysisParams::default());
-    let deps = results
-        .exit_theta()
-        .read_conflicts(&Place::from_local(Local(1)).deref());
+    let deps = results.exit_deps(&Place::from_local(Local(1)).deref());
     assert!(
         deps.iter().any(|d| d.arg() == Some(Local(2))),
         "expected v to flow into *p: {deps:?}"
