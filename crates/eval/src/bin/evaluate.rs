@@ -7,13 +7,13 @@
 //! ```
 //!
 //! Subcommands: `table1`, `table2`, `fig2`, `fig3`, `fig4`, `boundary`,
-//! `perf`, `engine`, `service-latency`, `fleet`, `chaos`, `noninterference`,
-//! `ifc`, `lints`, `all` (default). Results are printed
-//! and also written as JSON under `results/`. `ifc` runs the labeled-corpus
-//! differential (policy checker vs interpreter vs legacy checker) and exits
-//! nonzero on any mismatch; `lints` runs every lint pass plus the inferred
-//! effect signatures against the interpreter soundness oracles and exits
-//! nonzero on any under-approximation or false positive.
+//! `perf`, `engine`, `chaos`, `noninterference`, `ifc`, `lints`, `all`
+//! (default). Results are printed and also written as JSON under
+//! `results/`. `ifc` runs the labeled-corpus differential (policy checker
+//! vs interpreter) and exits nonzero on any mismatch; `lints` runs every
+//! lint pass plus the inferred effect signatures against the interpreter
+//! soundness oracles and exits nonzero on any under-approximation or false
+//! positive.
 //!
 //! Flags:
 //!
@@ -152,8 +152,6 @@ fn main() {
         }
         "perf" => run_perf(seed, scale, out_dir),
         "engine" => run_engine(seed, scale, out_dir),
-        "service-latency" => run_service_latency(seed, scale, out_dir),
-        "fleet" => run_fleet(seed, scale, out_dir),
         "chaos" => run_chaos(seed, scale, out_dir),
         "noninterference" => run_noninterference(seed, scale),
         "ifc" => run_ifc(seed, scale, out_dir),
@@ -295,41 +293,6 @@ fn run_engine(seed: u64, scale: Scale, out_dir: &Path) {
     let report = flowistry_eval::measure_incremental(scale.engine_profile, seed);
     println!("{}", flowistry_eval::render_incremental(&report));
     write_json(out_dir.join("engine.json"), &report);
-}
-
-fn run_service_latency(seed: u64, scale: Scale, out_dir: &Path) {
-    eprintln!("measuring loopback service latency (8 traced TCP clients)...");
-    let report = flowistry_eval::measure_service_latency(
-        scale.engine_profile,
-        seed,
-        8,
-        scale.service_requests,
-    );
-    println!("{}", flowistry_eval::render_service_latency(&report));
-    write_json(out_dir.join("service_latency.json"), &report);
-    // The repo-root benchmark artifact CI parses and the README links.
-    let bench = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_service_latency.json"
-    );
-    write_json(std::path::PathBuf::from(bench), &report);
-}
-
-fn run_fleet(seed: u64, scale: Scale, out_dir: &Path) {
-    eprintln!("measuring fleet routing (8 clients, 3 replicas, 1 chaos kill)...");
-    let report = flowistry_eval::measure_fleet(
-        scale.engine_profile,
-        seed,
-        3,
-        8,
-        scale.service_requests,
-        true,
-    );
-    println!("{}", flowistry_eval::render_fleet(&report));
-    write_json(out_dir.join("fleet.json"), &report);
-    // The repo-root benchmark artifact CI parses and the README links.
-    let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-    write_json(std::path::PathBuf::from(bench), &report);
 }
 
 fn run_chaos(seed: u64, scale: Scale, out_dir: &Path) {

@@ -12,8 +12,9 @@
 //! * **edited** — one helper function's body is edited, the crate is
 //!   re-compiled and re-analyzed: only the dirty cone is recomputed;
 //! * **sequential vs parallel** — the same cold run with one worker thread
-//!   versus the machine's available parallelism (see the `scheduler_skew`
-//!   bench for a corpus built to make the schedule's overlap matter).
+//!   versus the machine's available parallelism (the scheduler-skew gates
+//!   in `tests/perf_gates.rs` use a corpus built to make the schedule's
+//!   overlap matter).
 
 use flowistry_core::{AnalysisParams, Condition};
 use flowistry_corpus::generate_crate;

@@ -10,7 +10,6 @@ use crate::engine_perf::IncrementalReport;
 use crate::figures::{BoundaryStats, DiffStats, PerCrateStats};
 use crate::measure::{CrateMeasurements, VariableRecord};
 use crate::perf::SlowdownReport;
-use crate::service_latency::{KindLatency, ServiceLatencyReport};
 use std::fmt::Write as _;
 
 /// A JSON value tree.
@@ -294,52 +293,6 @@ impl ToJson for IncrementalReport {
             ("parallel_speedup", self.parallel_speedup.to_json()),
             ("threads", self.threads.to_json()),
             ("steals", self.steals.to_json()),
-        ])
-    }
-}
-
-impl ToJson for KindLatency {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("kind", self.kind.to_json()),
-            ("requests", self.requests.to_json()),
-            ("p50_seconds", self.p50_seconds.to_json()),
-            ("p99_seconds", self.p99_seconds.to_json()),
-        ])
-    }
-}
-
-impl ToJson for ServiceLatencyReport {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("krate", self.krate.to_json()),
-            ("num_functions", self.num_functions.to_json()),
-            ("workers", self.workers.to_json()),
-            ("clients", self.clients.to_json()),
-            ("requests_per_client", self.requests_per_client.to_json()),
-            ("per_kind", self.per_kind.to_json()),
-            ("cache_hit_rate", self.cache_hit_rate.to_json()),
-            ("queue_wait_share", self.queue_wait_share.to_json()),
-            ("trace_mismatches", self.trace_mismatches.to_json()),
-        ])
-    }
-}
-
-impl ToJson for crate::fleet::FleetReport {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("krate", self.krate.to_json()),
-            ("num_functions", self.num_functions.to_json()),
-            ("backends", self.backends.to_json()),
-            ("clients", self.clients.to_json()),
-            ("requests_per_client", self.requests_per_client.to_json()),
-            ("per_kind", self.per_kind.to_json()),
-            ("requests_routed", self.requests_routed.to_json()),
-            ("retries", self.retries.to_json()),
-            ("lost_requests", self.lost_requests.to_json()),
-            ("respawns", self.respawns.to_json()),
-            ("quorum_acks", self.quorum_acks.to_json()),
-            ("trace_mismatches", self.trace_mismatches.to_json()),
         ])
     }
 }

@@ -22,19 +22,16 @@
 pub mod chaos;
 pub mod engine_perf;
 pub mod figures;
-pub mod fleet;
 pub mod ifc_diff;
 pub mod json;
 pub mod lints;
 pub mod measure;
 pub mod perf;
 pub mod report;
-pub mod service_latency;
 
 pub use chaos::{chaos_fault_spec, measure_chaos, render_chaos, ChaosReport};
 pub use engine_perf::{measure_incremental, render_incremental, IncrementalReport};
 pub use figures::{boundary_stats, diff_stats, per_crate_stats, BoundaryStats, DiffStats};
-pub use fleet::{measure_fleet, render_fleet, FleetReport};
 pub use ifc_diff::{measure_ifc_differential, render_ifc_differential, IfcDifferentialReport};
 pub use json::{Json, ToJson};
 pub use lints::{measure_lints, render_lints, LintEvalReport};
@@ -43,6 +40,3 @@ pub use measure::{
     measure_crate_engine_only, CrateMeasurements, VariableRecord,
 };
 pub use perf::{measure_slowdown, stress_source, SlowdownReport};
-pub use service_latency::{
-    measure_service_latency, render_service_latency, KindLatency, ServiceLatencyReport,
-};

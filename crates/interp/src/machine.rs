@@ -659,6 +659,25 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_recursion_is_a_structured_error() {
+        // On a 2 MiB thread (the default for spawned threads), so the guard
+        // must fire before the host stack runs out, in debug builds too.
+        let src = "fn f(n: i32) -> i32 { return f(n + 1); }";
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || run(src, "f", vec![Value::Int(0)]).map(|_| ()))
+            .expect("spawn interpreter thread")
+            .join()
+            .expect("interpreter thread aborted")
+            .expect_err("unbounded recursion must fail");
+        assert!(
+            err.message.contains("call stack overflow"),
+            "unexpected error: {}",
+            err.message
+        );
+    }
+
+    #[test]
     fn division_by_zero_is_an_error() {
         let err = run(
             "fn f(x: i32) -> i32 { return 10 / x; }",

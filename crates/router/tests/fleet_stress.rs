@@ -446,6 +446,16 @@ fn hammer_through_router(workers: usize) {
         1.0
     );
     assert_eq!(sample(&scrape, "flow_router_decode_errors_total"), 0.0);
+    // Route latency per kind the clients issued (decode to flush, including
+    // any failover retries), read off the router's registry.
+    for kind in ["results", "summary", "slice", "policy", "lint", "stats"] {
+        let route =
+            registry.histogram(&format!("flow_router_route_seconds{{kind=\"{kind}\"}}"), "");
+        assert!(route.count() > 0, "{kind} was never routed");
+        let p50 = route.quantile(0.5).unwrap_or(0.0);
+        let p99 = route.quantile(0.99).unwrap_or(0.0);
+        assert!(p99 >= p50, "{kind} route p99 {p99} < p50 {p50}");
+    }
     // 11 fronts: 8 stress clients, the updater, the unauthed probe, this
     // checker.
     assert_eq!(sample(&scrape, "flow_router_connections_total"), 11.0);

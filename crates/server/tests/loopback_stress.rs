@@ -388,6 +388,19 @@ fn hammer_over_tcp(workers: usize) {
         ),
         41.0
     );
+    // The same histograms as latency digests, read off the registry the
+    // service records into: every exercised kind has a nonzero median and
+    // a tail at least as slow.
+    for kind in ["summary", "results", "slice", "stats"] {
+        let latency = registry.histogram(
+            &format!("flow_service_request_seconds{{kind=\"{kind}\"}}"),
+            "",
+        );
+        let p50 = latency.quantile(0.5).unwrap_or(0.0);
+        let p99 = latency.quantile(0.99).unwrap_or(0.0);
+        assert!(p50 > 0.0, "{kind} p50 is zero");
+        assert!(p99 >= p50, "{kind} p99 {p99} < p50 {p50}");
+    }
     // Wire layer: 10 connections (8 stress clients, the updater, this
     // checker); every line decoded cleanly — 240 stress queries, 3
     // updates, and the checker's results + stats + metrics.
