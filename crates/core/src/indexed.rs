@@ -12,8 +12,14 @@
 //! relation is precomputed as bitsets, and every transfer function is
 //! *compiled* into an index-level plan. The fixpoint then runs on an
 //! [`IndexMatrix`] whose join is a wordwise OR and whose rows are
-//! copy-on-write, so the per-statement state snapshots cost one `Arc` clone
-//! per row instead of a tree copy.
+//! copy-on-write.
+//!
+//! The per-location results ([`IndexedStates`]) are stored the way the
+//! `results` wire line ships them: one full state per block entry, and per
+//! block a flat list of [`Deltas`] — for each statement and the terminator,
+//! only the places whose presence or row differs from the state before. A
+//! point query walks its block's deltas up to the location over the entry
+//! state; no per-statement state is ever built or kept.
 //!
 //! The results are bit-for-bit identical to the legacy tree domain
 //! (`DomainKind::Tree`, compiled in only under the `tree-domain` feature);
@@ -36,6 +42,7 @@ use flowistry_lang::types::{FuncId, Ty};
 use flowistry_lang::CompiledProgram;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The frozen value tables of one body's domains: index → value, used to
@@ -70,6 +77,24 @@ impl DomainTables {
 pub struct IndexedTheta {
     rows: IndexMatrix,
     present: BitSet,
+}
+
+/// Whether two rows hold the same dependencies (`None`: no dependencies).
+fn same_row(a: Option<&BitSet>, b: Option<&BitSet>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => std::ptr::eq(a, b) || a == b,
+        (Some(row), None) | (None, Some(row)) => row.is_empty(),
+        (None, None) => true,
+    }
+}
+
+/// Whether two slots (`None`: absent, else the row) agree in presence and
+/// row content.
+fn same_slot(a: Option<Option<&BitSet>>, b: Option<Option<&BitSet>>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => same_row(a, b),
+        (a, b) => a.is_none() && b.is_none(),
+    }
 }
 
 impl IndexedTheta {
@@ -116,6 +141,27 @@ impl IndexedTheta {
         self.rows.row(place)
     }
 
+    /// The slot of `place`: `None` if absent, else its row.
+    fn slot(&self, place: u32) -> Option<Option<&BitSet>> {
+        self.present.contains(place).then(|| self.rows.row(place))
+    }
+
+    /// Applies one step's delta, sharing its rows.
+    fn apply(&mut self, delta: &[DeltaEntry]) {
+        for entry in delta {
+            match entry {
+                DeltaEntry::Set(place, row) => {
+                    self.rows.set_row_arc(*place, row.clone());
+                    self.present.insert(*place);
+                }
+                DeltaEntry::Remove(place) => {
+                    self.rows.set_row_arc(*place, None);
+                    self.present.remove(*place);
+                }
+            }
+        }
+    }
+
     /// Decodes into the tree representation.
     pub(crate) fn to_theta(&self, tables: &DomainTables) -> Theta {
         self.entries()
@@ -140,38 +186,238 @@ impl IndexedTheta {
     }
 }
 
+/// One entry of a step's delta: a place whose presence or row differs
+/// from the state before the step.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DeltaEntry {
+    /// The place is present with this row (`None`: no dependencies).
+    Set(u32, Option<Arc<BitSet>>),
+    /// The place is absent.
+    Remove(u32),
+}
+
+impl DeltaEntry {
+    /// The place index the entry is about.
+    pub fn place(&self) -> u32 {
+        match self {
+            DeltaEntry::Set(place, _) | DeltaEntry::Remove(place) => *place,
+        }
+    }
+
+    /// The slot the entry gives its place (`None`: absent).
+    fn slot(&self) -> Option<Option<&BitSet>> {
+        match self {
+            DeltaEntry::Set(_, row) => Some(row.as_deref()),
+            DeltaEntry::Remove(_) => None,
+        }
+    }
+
+    /// The canonical order within a step: sets, then removals, each by
+    /// place.
+    fn order_key(&self) -> (bool, u32) {
+        (matches!(self, DeltaEntry::Remove(_)), self.place())
+    }
+}
+
+/// The after-states of every block as deltas, in one flat list: per block,
+/// per step (each statement, then the terminator), the entries whose
+/// presence or row content differs from the state before the step — the
+/// block's entry state for its first step.
+///
+/// Deltas are canonical, so equal states have equal deltas: no entry
+/// repeats its step's place or restates the place's previous value, no set
+/// carries an empty row, and a step lists its sets, then its removals, each
+/// in place order. [`IndexedStates::new`] rejects anything else.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Deltas {
+    entries: Vec<DeltaEntry>,
+    /// Per step, block after block: the end of its entries in `entries`.
+    step_ends: Vec<u32>,
+    /// Per block: the end of its steps in `step_ends`.
+    block_ends: Vec<u32>,
+}
+
+impl Deltas {
+    /// Appends one step to the current block.
+    pub fn push_step(&mut self, entries: impl IntoIterator<Item = DeltaEntry>) {
+        self.entries.extend(entries);
+        self.step_ends.push(self.entries.len() as u32);
+    }
+
+    /// Closes the current block: it holds the steps pushed since the
+    /// previous block closed.
+    pub fn end_block(&mut self) {
+        self.block_ends.push(self.step_ends.len() as u32);
+    }
+
+    /// Appends one block whose after-states are `after`, each diffed
+    /// against the one before it, from `entry` on. The deltas share the
+    /// states' rows.
+    pub fn push_block_of_states(&mut self, entry: &IndexedTheta, after: &[IndexedTheta]) {
+        let mut prev = entry;
+        for next in after {
+            let sets = next
+                .present
+                .iter()
+                .filter(|&p| !same_slot(prev.slot(p), next.slot(p)))
+                .map(|p| {
+                    let row = next.rows.row_arc(p).filter(|row| !row.is_empty());
+                    DeltaEntry::Set(p, row.cloned())
+                });
+            let removals = prev
+                .present
+                .iter()
+                .filter(|&p| !next.contains(p))
+                .map(DeltaEntry::Remove);
+            self.push_step(sets.chain(removals));
+            prev = next;
+        }
+        self.end_block();
+    }
+
+    /// Number of closed blocks.
+    pub fn num_blocks(&self) -> usize {
+        self.block_ends.len()
+    }
+
+    /// The global indices of `block`'s steps.
+    fn steps(&self, block: usize) -> Range<usize> {
+        let start = block.checked_sub(1).map_or(0, |b| self.block_ends[b]);
+        start as usize..self.block_ends[block] as usize
+    }
+
+    /// Number of steps of `block`: its statements, then its terminator.
+    pub fn num_steps(&self, block: usize) -> usize {
+        self.steps(block).len()
+    }
+
+    /// The entries of consecutive global steps, in order.
+    fn entries_of(&self, steps: Range<usize>) -> &[DeltaEntry] {
+        // Where the entries of the first `n` steps end.
+        let end = |n: usize| {
+            n.checked_sub(1)
+                .map_or(0, |last| self.step_ends[last] as usize)
+        };
+        &self.entries[end(steps.start)..end(steps.end)]
+    }
+
+    /// The delta of step `step` of `block`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block has no such step.
+    pub fn step(&self, block: usize, step: usize) -> &[DeltaEntry] {
+        let steps = self.steps(block);
+        assert!(step < steps.len(), "block {block} has no step {step}");
+        let step = steps.start + step;
+        self.entries_of(step..step + 1)
+    }
+
+    /// The deltas of the first `steps` steps of `block`, in order.
+    fn prefix(&self, block: usize, steps: usize) -> &[DeltaEntry] {
+        let all = self.steps(block);
+        assert!(
+            steps <= all.len(),
+            "block {block} has {} steps, not {steps}",
+            all.len()
+        );
+        self.entries_of(all.start..all.start + steps)
+    }
+}
+
+/// One state of an [`IndexedStates`]: a full state overlaid with a prefix
+/// of its block's deltas (none for a block entry or the exit).
+#[derive(Clone, Copy)]
+pub(crate) struct StateAt<'a> {
+    base: &'a IndexedTheta,
+    deltas: &'a [DeltaEntry],
+}
+
+impl<'a> StateAt<'a> {
+    /// Calls `visit` once per present place with its row, in no particular
+    /// order: each place's latest delta entry, walking back, then the
+    /// base's places no delta touched.
+    fn for_each(&self, mut visit: impl FnMut(u32, Option<&'a BitSet>)) {
+        let mut seen = BitSet::new();
+        for entry in self.deltas.iter().rev() {
+            if seen.insert(entry.place()) {
+                if let DeltaEntry::Set(place, row) = entry {
+                    visit(*place, row.as_deref());
+                }
+            }
+        }
+        for (place, row) in self.base.entries() {
+            if !seen.contains(place) {
+                visit(place, row);
+            }
+        }
+    }
+}
+
+/// Checks each distinct row's bits against the dependency table once.
+struct RowCheck {
+    deps: usize,
+    checked: HashSet<*const BitSet>,
+    /// Per place, the row last checked for it: a place mostly keeps its
+    /// row from one state to the next, and this skips the hash lookup.
+    last: Vec<*const BitSet>,
+}
+
+impl RowCheck {
+    fn check(&mut self, place: u32, row: &BitSet) -> Result<(), String> {
+        let ptr = row as *const BitSet;
+        if std::mem::replace(&mut self.last[place as usize], ptr) != ptr && self.checked.insert(ptr)
+        {
+            if let Some(dep) = row.iter().find(|&d| d as usize >= self.deps) {
+                return Err(format!(
+                    "dependency {dep} is outside the {}-dependency table",
+                    self.deps
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Every per-location state of one analysis in indexed form, with the
-/// place and dependency tables their indices refer to: one entry state per
-/// basic block, per block one after-state per statement plus one for the
+/// place and dependency tables their indices refer to: one full entry
+/// state per basic block, the [`Deltas`] of every block's statements and
 /// terminator, and the exit state.
 #[derive(Debug, Clone)]
 pub struct IndexedStates {
     pub(crate) tables: Arc<DomainTables>,
     pub(crate) entry: Vec<IndexedTheta>,
-    pub(crate) after: Vec<Vec<IndexedTheta>>,
+    pub(crate) deltas: Deltas,
     pub(crate) exit: IndexedTheta,
 }
 
 impl IndexedStates {
     /// Assembles states decoded from outside (e.g. a wire format),
-    /// validating them: one entry state and a non-empty after-state list
-    /// per block, distinct table entries, and every place index and row bit
-    /// within its table.
+    /// validating them: one entry state and at least one step per block,
+    /// distinct table entries, every place index and row bit within its
+    /// table, and canonical deltas (see [`Deltas`]).
     pub fn new(
         places: Vec<Place>,
         deps: Vec<Dep>,
         entry: Vec<IndexedTheta>,
-        after: Vec<Vec<IndexedTheta>>,
+        deltas: Deltas,
         exit: IndexedTheta,
     ) -> Result<Self, String> {
-        if entry.len() != after.len() {
+        if entry.len() != deltas.num_blocks() {
             return Err(format!(
                 "{} entry states for {} blocks",
                 entry.len(),
-                after.len()
+                deltas.num_blocks()
             ));
         }
-        if let Some(block) = after.iter().position(Vec::is_empty) {
+        let closed = deltas.block_ends.last().map_or(0, |&end| end as usize);
+        if closed != deltas.step_ends.len() {
+            return Err(format!(
+                "{} steps belong to no block",
+                deltas.step_ends.len() - closed
+            ));
+        }
+        if let Some(block) = (0..entry.len()).find(|&b| deltas.num_steps(b) == 0) {
             return Err(format!("block {block} has no after-states"));
         }
         if places.iter().collect::<HashSet<_>>().len() != places.len() {
@@ -180,51 +426,82 @@ impl IndexedStates {
         if deps.iter().collect::<HashSet<_>>().len() != deps.len() {
             return Err("dependency table repeats a dependency".to_string());
         }
-        // A row shared by several states is checked once; `last` skips the
-        // hash lookup for the common case, a place keeping its row from
-        // one state to the next.
-        let mut checked: HashSet<*const BitSet> = HashSet::new();
-        let mut last = vec![std::ptr::null::<BitSet>(); places.len()];
-        for state in entry.iter().chain(after.iter().flatten()).chain([&exit]) {
+        let outside =
+            |place: u32| format!("place {place} is outside the {}-place table", places.len());
+        let mut rows = RowCheck {
+            deps: deps.len(),
+            checked: HashSet::new(),
+            last: vec![std::ptr::null(); places.len()],
+        };
+        for state in entry.iter().chain([&exit]) {
             for (place, row) in state.entries() {
-                let Some(last) = last.get_mut(place as usize) else {
-                    return Err(format!(
-                        "place {place} is outside the {}-place table",
-                        places.len()
-                    ));
-                };
+                if place as usize >= places.len() {
+                    return Err(outside(place));
+                }
                 if let Some(row) = row {
-                    let ptr = row as *const BitSet;
-                    if std::mem::replace(last, ptr) != ptr && checked.insert(ptr) {
-                        if let Some(dep) = row.iter().find(|&d| d as usize >= deps.len()) {
-                            return Err(format!(
-                                "dependency {dep} is outside the {}-dependency table",
-                                deps.len()
-                            ));
+                    rows.check(place, row)?;
+                }
+            }
+        }
+        // Replays every block's deltas: per place, the block and step that
+        // last set it, and the slot it set.
+        type Touch<'a> = (usize, usize, Option<Option<&'a BitSet>>);
+        let mut touched: Vec<Option<Touch>> = vec![None; places.len()];
+        for (block, block_entry) in entry.iter().enumerate() {
+            for step in 0..deltas.num_steps(block) {
+                let mut last_key = None;
+                for delta in deltas.step(block, step) {
+                    let place = delta.place();
+                    let Some(touch) = touched.get_mut(place as usize) else {
+                        return Err(outside(place));
+                    };
+                    let at = || format!("block {block} step {step}: place {place}");
+                    let before = match *touch {
+                        Some((b, s, _)) if (b, s) == (block, step) => {
+                            return Err(format!("{} repeats", at()))
                         }
+                        Some((b, _, slot)) if b == block => slot,
+                        _ => block_entry.slot(place),
+                    };
+                    let after = delta.slot();
+                    if let Some(Some(row)) = after {
+                        if row.is_empty() {
+                            return Err(format!("{} has an empty row", at()));
+                        }
+                        rows.check(place, row)?;
                     }
+                    if same_slot(before, after) {
+                        return Err(format!("{} does not change", at()));
+                    }
+                    if last_key >= Some(delta.order_key()) {
+                        return Err(format!("{} is out of canonical order", at()));
+                    }
+                    last_key = Some(delta.order_key());
+                    *touch = Some((block, step, after));
                 }
             }
         }
         Ok(IndexedStates {
             tables: Arc::new(DomainTables { places, deps }),
             entry,
-            after,
+            deltas,
             exit,
         })
     }
 
-    /// Interns tree-form states into one indexed view.
+    /// Interns tree-form states into one indexed view, diffing each
+    /// after-state against the one before it.
     #[cfg(feature = "tree-domain")]
     pub(crate) fn intern_trees(entry: &[Theta], after: &[Vec<Theta>], exit: &Theta) -> Self {
         let mut places = IndexedDomain::new();
         let mut deps = IndexedDomain::new();
         let mut intern = |theta: &Theta| IndexedTheta::intern(theta, &mut places, &mut deps);
-        let entry = entry.iter().map(&mut intern).collect();
-        let after = after
-            .iter()
-            .map(|block| block.iter().map(&mut intern).collect())
-            .collect();
+        let entry: Vec<IndexedTheta> = entry.iter().map(&mut intern).collect();
+        let mut deltas = Deltas::default();
+        for (block_entry, block) in entry.iter().zip(after) {
+            let states: Vec<IndexedTheta> = block.iter().map(&mut intern).collect();
+            deltas.push_block_of_states(block_entry, &states);
+        }
         let exit = intern(exit);
         IndexedStates {
             tables: Arc::new(DomainTables {
@@ -232,8 +509,26 @@ impl IndexedStates {
                 deps: deps.into_values(),
             }),
             entry,
-            after,
+            deltas,
             exit,
+        }
+    }
+
+    /// The state after the first `steps` steps of `block`: its entry state
+    /// for 0, the state after statement `steps - 1` (or the terminator)
+    /// otherwise.
+    pub(crate) fn state_at(&self, block: usize, steps: usize) -> StateAt<'_> {
+        StateAt {
+            base: &self.entry[block],
+            deltas: self.deltas.prefix(block, steps),
+        }
+    }
+
+    /// The exit state.
+    pub(crate) fn exit_state(&self) -> StateAt<'_> {
+        StateAt {
+            base: &self.exit,
+            deltas: &[],
         }
     }
 
@@ -243,11 +538,11 @@ impl IndexedStates {
     /// subplace is present, the union of the rows of present ancestors.
     /// One scan over the present places evaluates the prefix relation, so
     /// `place` need not be in the place table.
-    pub(crate) fn read_conflicts(&self, state: &IndexedTheta, place: &Place) -> DepSet {
+    pub(crate) fn read_conflicts(&self, state: StateAt<'_>, place: &Place) -> DepSet {
         let mut subplaces = BitSet::new();
         let mut ancestors = BitSet::new();
         let mut found_sub = false;
-        for (p, row) in state.entries() {
+        state.for_each(|p, row| {
             let key = &self.tables.places[p as usize];
             let into = if place.is_prefix_of(key) {
                 found_sub = true;
@@ -255,25 +550,38 @@ impl IndexedStates {
             } else if key.is_prefix_of(place) {
                 &mut ancestors
             } else {
-                continue;
+                return;
             };
             if let Some(row) = row {
                 into.union(row);
             }
-        }
+        });
         let bits = if found_sub { subplaces } else { ancestors };
         self.tables.decode(Some(&bits))
+    }
+
+    /// The present places of `state`, one of these states, that satisfy
+    /// `keep`, each with its own dependencies, in `Place` order. Only the
+    /// kept places' rows are decoded.
+    pub(crate) fn sorted_entries_where(
+        &self,
+        state: &IndexedTheta,
+        keep: impl Fn(&Place) -> bool,
+    ) -> Vec<(&Place, DepSet)> {
+        let mut entries: Vec<(&Place, DepSet)> = state
+            .entries()
+            .map(|(p, row)| (&self.tables.places[p as usize], row))
+            .filter(|(place, _)| keep(place))
+            .map(|(place, row)| (place, self.tables.decode(row)))
+            .collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries
     }
 
     /// The present places of `state`, one of these states, each with its
     /// own dependencies, in `Place` order.
     pub fn sorted_entries(&self, state: &IndexedTheta) -> Vec<(&Place, DepSet)> {
-        let mut entries: Vec<(&Place, DepSet)> = state
-            .entries()
-            .map(|(p, row)| (&self.tables.places[p as usize], self.tables.decode(row)))
-            .collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        entries
+        self.sorted_entries_where(state, |_| true)
     }
 
     /// The place table: place index → place.
@@ -291,10 +599,21 @@ impl IndexedStates {
         &self.entry
     }
 
-    /// Per basic block, the state after each statement and after the
+    /// Every block's after-states, as stored: one delta per statement and
     /// terminator.
-    pub fn after(&self) -> &[Vec<IndexedTheta>] {
-        &self.after
+    pub fn deltas(&self) -> &Deltas {
+        &self.deltas
+    }
+
+    /// Rebuilds the after-states of `block` in order — after each
+    /// statement, then after the terminator — by applying its deltas to
+    /// its entry state. Each state shares its rows with the stored ones.
+    pub fn after_states(&self, block: usize) -> impl Iterator<Item = IndexedTheta> + '_ {
+        let mut state = self.entry[block].clone();
+        (0..self.deltas.num_steps(block)).map(move |step| {
+            state.apply(self.deltas.step(block, step));
+            state.clone()
+        })
     }
 
     /// The join of the states at every return.
@@ -428,11 +747,26 @@ impl CompiledBody {
         }
     }
 
-    fn add_to_conflicts(&self, state: &mut IndexedTheta, p: u32, deps: &BitSet) {
+    /// ORs `deps` into the row of present place `q`, logging the write
+    /// only if it changes the row, which keeps the log to real changes.
+    fn union_row(&self, state: &mut IndexedTheta, q: u32, deps: &BitSet, log: &mut impl WriteLog) {
+        if !state.rows.row(q).is_some_and(|row| row.is_superset(deps)) {
+            log.before_write(state, q);
+            state.rows.union_into_row(q, deps);
+        }
+    }
+
+    fn add_to_conflicts(
+        &self,
+        state: &mut IndexedTheta,
+        p: u32,
+        deps: &BitSet,
+        log: &mut impl WriteLog,
+    ) {
         let mut touched_exact = false;
         for q in self.conflicts[p as usize].iter() {
             if state.present.contains(q) {
-                state.rows.union_into_row(q, deps);
+                self.union_row(state, q, deps, log);
                 if q == p {
                     touched_exact = true;
                 }
@@ -444,17 +778,25 @@ impl CompiledBody {
             let mut seeded = BitSet::new();
             self.read_conflicts_into(state, p, &mut seeded);
             seeded.union(deps);
+            log.before_write(state, p);
             state.rows.set_row(p, seeded);
             state.present.insert(p);
         }
     }
 
-    fn strong_update(&self, state: &mut IndexedTheta, p: u32, deps: BitSet) {
+    fn strong_update(
+        &self,
+        state: &mut IndexedTheta,
+        p: u32,
+        deps: BitSet,
+        log: &mut impl WriteLog,
+    ) {
         for q in self.conflicts[p as usize].iter() {
             if q != p && state.present.contains(q) {
-                state.rows.union_into_row(q, &deps);
+                self.union_row(state, q, &deps, log);
             }
         }
+        log.before_write(state, p);
         state.rows.set_row(p, deps);
         state.present.insert(p);
     }
@@ -474,24 +816,36 @@ impl CompiledBody {
         }
     }
 
-    fn apply_mut_plan(&self, plan: &MutPlan, kappa: BitSet, state: &mut IndexedTheta) {
+    fn apply_mut_plan(
+        &self,
+        plan: &MutPlan,
+        kappa: BitSet,
+        state: &mut IndexedTheta,
+        log: &mut impl WriteLog,
+    ) {
         match plan {
-            MutPlan::Strong(target) => self.strong_update(state, *target, kappa),
+            MutPlan::Strong(target) => self.strong_update(state, *target, kappa, log),
             MutPlan::Weak(targets) => {
                 for &target in targets {
-                    self.add_to_conflicts(state, target, &kappa);
+                    self.add_to_conflicts(state, target, &kappa, log);
                 }
             }
         }
     }
 
     /// Applies one compiled `Assign` to `state`.
-    fn apply_assign(&self, block: &BlockPlan, plan: &AssignPlan, state: &mut IndexedTheta) {
+    fn apply_assign(
+        &self,
+        block: &BlockPlan,
+        plan: &AssignPlan,
+        state: &mut IndexedTheta,
+        log: &mut impl WriteLog,
+    ) {
         let mut kappa = BitSet::new();
         kappa.insert(plan.instr);
         self.control_kappa_into(block, state, &mut kappa);
         self.eval_reads(&plan.reads, state, &mut kappa);
-        self.apply_mut_plan(&plan.mutation, kappa, state);
+        self.apply_mut_plan(&plan.mutation, kappa, state, log);
 
         if let Some(fields) = &plan.aggregate {
             for (target, reads) in fields {
@@ -499,13 +853,18 @@ impl CompiledBody {
                 field_kappa.insert(plan.instr);
                 self.control_kappa_into(block, state, &mut field_kappa);
                 self.eval_reads(reads, state, &mut field_kappa);
-                self.strong_update(state, *target, field_kappa);
+                self.strong_update(state, *target, field_kappa, log);
             }
         }
     }
 
     /// Applies the compiled terminator to `state`.
-    fn apply_terminator_plan(&self, block: &BlockPlan, state: &mut IndexedTheta) {
+    fn apply_terminator_plan(
+        &self,
+        block: &BlockPlan,
+        state: &mut IndexedTheta,
+        log: &mut impl WriteLog,
+    ) {
         let TermPlan::Call { instr, kind } = &block.term else {
             return;
         };
@@ -521,9 +880,9 @@ impl CompiledBody {
                 let mut kappa = base;
                 self.eval_reads(arg_reads, state, &mut kappa);
                 for &target in ref_targets {
-                    self.add_to_conflicts(state, target, &kappa);
+                    self.add_to_conflicts(state, target, &kappa, log);
                 }
-                self.apply_mut_plan(dest, kappa, state);
+                self.apply_mut_plan(dest, kappa, state, log);
             }
             CallKind::Summary {
                 mutations,
@@ -534,14 +893,62 @@ impl CompiledBody {
                     let mut kappa = base.clone();
                     self.eval_reads(srcs, state, &mut kappa);
                     for &target in targets {
-                        self.add_to_conflicts(state, target, &kappa);
+                        self.add_to_conflicts(state, target, &kappa, log);
                     }
                 }
                 let mut kappa_ret = base;
                 self.eval_reads(ret_reads, state, &mut kappa_ret);
-                self.apply_mut_plan(dest, kappa_ret, state);
+                self.apply_mut_plan(dest, kappa_ret, state, log);
             }
         }
+    }
+}
+
+/// Sees every place a transfer writes, just before the write.
+trait WriteLog {
+    fn before_write(&mut self, state: &IndexedTheta, place: u32);
+}
+
+/// The fixpoint keeps no log.
+impl WriteLog for () {
+    fn before_write(&mut self, _: &IndexedTheta, _: u32) {}
+}
+
+/// The places one step writes, each with its slot before the step's first
+/// write to it. Holding an old row's `Arc` keeps that row intact: the
+/// write copies it instead of changing it in place.
+#[derive(Default)]
+struct StepLog {
+    written: BitSet,
+    before: Vec<(u32, Option<Option<Arc<BitSet>>>)>,
+}
+
+impl WriteLog for StepLog {
+    fn before_write(&mut self, state: &IndexedTheta, place: u32) {
+        if self.written.insert(place) {
+            let slot = state
+                .contains(place)
+                .then(|| state.rows.row_arc(place).cloned());
+            self.before.push((place, slot));
+        }
+    }
+}
+
+impl StepLog {
+    /// Ends a step: pushes its canonical delta onto `deltas` — the written
+    /// places whose row differs from before the step — and empties the log.
+    /// Transfers only ever add places, so every written place is present.
+    fn end_step(&mut self, state: &IndexedTheta, deltas: &mut Deltas) {
+        self.before.sort_unstable_by_key(|&(place, _)| place);
+        for &(place, _) in &self.before {
+            self.written.remove(place);
+        }
+        deltas.push_step(self.before.drain(..).filter_map(|(place, before)| {
+            let row = state.rows.row_arc(place).filter(|row| !row.is_empty());
+            let after = Some(row.map(|row| &**row));
+            (!same_slot(before.as_ref().map(Option::as_deref), after))
+                .then(|| DeltaEntry::Set(place, row.cloned()))
+        }));
     }
 }
 
@@ -563,9 +970,9 @@ impl Analysis for IndexedFlowAnalysis<'_> {
     fn transfer_block(&self, node: usize, state: &mut IndexedTheta) {
         let plan = &self.compiled.blocks[node];
         for assign in plan.stmts.iter().flatten() {
-            self.compiled.apply_assign(plan, assign, state);
+            self.compiled.apply_assign(plan, assign, state, &mut ());
         }
-        self.compiled.apply_terminator_plan(plan, state);
+        self.compiled.apply_terminator_plan(plan, state, &mut ());
     }
 }
 
@@ -978,30 +1385,29 @@ pub(crate) fn analyze_indexed_inner(
     };
     let fixpoint = iterate_to_fixpoint(&graph, &analysis);
 
-    // Reconstruct per-location states from the block entry states. Clones
-    // here are cheap: copy-on-write rows, so a statement pays only for the
-    // rows it touched.
-    let mut entry_states = Vec::with_capacity(body.basic_blocks.len());
-    let mut after_states = Vec::with_capacity(body.basic_blocks.len());
+    // Replay each block from its entry state, recording what each
+    // statement and the terminator change. The entry states hold every
+    // row they share with the replay, and the log every row a step is
+    // about to overwrite, so no recorded row changes afterwards.
+    let iterations = fixpoint.iterations();
+    let entry_states = fixpoint.into_entries();
+    let mut deltas = Deltas::default();
+    let mut log = StepLog::default();
     let mut exit = IndexedTheta::empty(compiled.n_places);
-    for bb in body.block_ids() {
-        let entry = fixpoint.entry(bb.index()).clone();
-        let plan = &compiled.blocks[bb.index()];
-        let mut states = Vec::with_capacity(plan.stmts.len() + 1);
+    for (plan, entry) in compiled.blocks.iter().zip(&entry_states) {
         let mut state = entry.clone();
         for stmt in &plan.stmts {
             if let Some(assign) = stmt {
-                compiled.apply_assign(plan, assign, &mut state);
+                compiled.apply_assign(plan, assign, &mut state, &mut log);
             }
-            states.push(state.clone());
+            log.end_step(&state, &mut deltas);
         }
-        compiled.apply_terminator_plan(plan, &mut state);
+        compiled.apply_terminator_plan(plan, &mut state, &mut log);
+        log.end_step(&state, &mut deltas);
+        deltas.end_block();
         if plan.is_return {
             exit.join(&state);
         }
-        states.push(state);
-        entry_states.push(entry);
-        after_states.push(states);
     }
 
     ctx.borrow_mut().stack.pop();
@@ -1011,11 +1417,11 @@ pub(crate) fn analyze_indexed_inner(
         IndexedStates {
             tables: compiled.tables,
             entry: entry_states,
-            after: after_states,
+            deltas,
             exit,
         },
         hit_boundary.get(),
-        fixpoint.iterations(),
+        iterations,
     )
 }
 
@@ -1045,36 +1451,62 @@ mod parts_tests {
         assert!(theta.row(1).is_none());
     }
 
+    /// The deltas of one block given as full states.
+    fn block(entry: &IndexedTheta, after: &[IndexedTheta]) -> Deltas {
+        let mut deltas = Deltas::default();
+        deltas.push_block_of_states(entry, after);
+        deltas
+    }
+
     #[test]
     fn indexed_states_reject_inconsistent_parts() {
         let places = || vec![place(0), place(1)];
         let deps = || vec![Dep::Arg(Local(1))];
         let row = Arc::new([0].into_iter().collect::<BitSet>());
         let ok = || state(&[(0, Some(&row)), (1, None)]);
-        assert!(IndexedStates::new(places(), deps(), vec![ok()], vec![vec![ok()]], ok()).is_ok());
+        let one = || block(&ok(), &[ok()]);
+        assert!(IndexedStates::new(places(), deps(), vec![ok()], one(), ok()).is_ok());
         let checks = [
             (
-                IndexedStates::new(places(), deps(), vec![], vec![vec![ok()]], ok()),
+                IndexedStates::new(places(), deps(), vec![], one(), ok()),
                 "entry states",
             ),
             (
-                IndexedStates::new(places(), deps(), vec![ok()], vec![vec![]], ok()),
+                IndexedStates::new(places(), deps(), vec![ok()], block(&ok(), &[]), ok()),
                 "no after-states",
             ),
             (
-                IndexedStates::new(vec![place(0), place(0)], deps(), vec![], vec![], ok()),
+                IndexedStates::new(
+                    vec![place(0), place(0)],
+                    deps(),
+                    vec![],
+                    Deltas::default(),
+                    ok(),
+                ),
                 "repeats a place",
             ),
             (
-                IndexedStates::new(places(), vec![Dep::Arg(Local(1)); 2], vec![], vec![], ok()),
+                IndexedStates::new(
+                    places(),
+                    vec![Dep::Arg(Local(1)); 2],
+                    vec![],
+                    Deltas::default(),
+                    ok(),
+                ),
                 "repeats a dependency",
             ),
             (
-                IndexedStates::new(places(), deps(), vec![], vec![], state(&[(2, None)])),
+                IndexedStates::new(
+                    places(),
+                    deps(),
+                    vec![],
+                    Deltas::default(),
+                    state(&[(2, None)]),
+                ),
                 "place 2",
             ),
             (
-                IndexedStates::new(places(), vec![], vec![], vec![], ok()),
+                IndexedStates::new(places(), vec![], vec![], Deltas::default(), ok()),
                 "dependency 0",
             ),
         ];
@@ -1084,6 +1516,85 @@ mod parts_tests {
                 Ok(states) => panic!("accepted {states:?}, want {why:?}"),
             }
         }
+    }
+
+    #[test]
+    fn indexed_states_reject_non_canonical_deltas() {
+        let places = || vec![place(0), place(1), place(2)];
+        let deps = || vec![Dep::Arg(Local(1))];
+        let row = Arc::new([0].into_iter().collect::<BitSet>());
+        let entry = || state(&[(0, Some(&row)), (1, None)]);
+        let with = |steps: &[&[DeltaEntry]]| {
+            let mut deltas = Deltas::default();
+            for step in steps {
+                deltas.push_step(step.iter().cloned());
+            }
+            deltas.end_block();
+            IndexedStates::new(places(), deps(), vec![entry()], deltas, entry())
+        };
+        let set = |place, row: Option<&Arc<BitSet>>| DeltaEntry::Set(place, row.cloned());
+        let canonical = [set(1, Some(&row)), set(2, None), DeltaEntry::Remove(0)];
+        assert!(with(&[&canonical, &[DeltaEntry::Remove(2)]]).is_ok());
+        let empty = Arc::new(BitSet::new());
+        let checks: [(&[DeltaEntry], &str); 7] = [
+            (&[set(2, None), set(2, Some(&row))], "place 2 repeats"),
+            (
+                &[set(1, Some(&row)), DeltaEntry::Remove(1)],
+                "place 1 repeats",
+            ),
+            (&[set(0, Some(&row))], "place 0 does not change"),
+            (&[DeltaEntry::Remove(2)], "place 2 does not change"),
+            (&[set(2, Some(&empty))], "place 2 has an empty row"),
+            (
+                &[set(2, None), set(1, Some(&row))],
+                "out of canonical order",
+            ),
+            (
+                &[DeltaEntry::Remove(0), set(2, None)],
+                "out of canonical order",
+            ),
+        ];
+        for (step, why) in checks {
+            match with(&[step]) {
+                Err(e) => assert!(e.contains(why), "{e:?} lacks {why:?}"),
+                Ok(states) => panic!("accepted {states:?}, want {why:?}"),
+            }
+        }
+        // A step no block closes.
+        let mut deltas = block(&entry(), &[entry()]);
+        deltas.push_step([]);
+        let orphan = IndexedStates::new(places(), deps(), vec![entry()], deltas, entry());
+        assert!(orphan.unwrap_err().contains("belong to no block"));
+    }
+
+    #[test]
+    fn deltas_rebuild_the_states_they_were_diffed_from() {
+        let row = Arc::new([0].into_iter().collect::<BitSet>());
+        let other = Arc::new([1].into_iter().collect::<BitSet>());
+        let entry = state(&[(0, Some(&row)), (1, None)]);
+        let after = [
+            state(&[(0, Some(&row)), (1, Some(&other))]),
+            state(&[(1, Some(&other)), (2, None)]),
+            state(&[(1, Some(&other)), (2, None)]),
+        ];
+        let deltas = block(&entry, &after);
+        assert_eq!(deltas.step(0, 0), [DeltaEntry::Set(1, Some(other.clone()))]);
+        assert_eq!(
+            deltas.step(0, 1),
+            [DeltaEntry::Set(2, None), DeltaEntry::Remove(0)]
+        );
+        assert!(deltas.step(0, 2).is_empty());
+        let places = vec![place(0), place(1), place(2)];
+        let deps = vec![Dep::Arg(Local(1)), Dep::Arg(Local(2))];
+        let states = IndexedStates::new(places, deps, vec![entry], deltas, after[0].clone())
+            .expect("canonical parts");
+        let rebuilt: Vec<IndexedTheta> = states.after_states(0).collect();
+        assert_eq!(rebuilt, after);
+        assert!(std::ptr::eq(rebuilt[2].row(1).unwrap(), &*other));
+        // A point query past a removal no longer sees the removed place.
+        let read = |steps| states.read_conflicts(states.state_at(0, steps), &place(0));
+        assert_eq!(read(1).len(), 1);
+        assert!(read(2).is_empty());
     }
 }
 

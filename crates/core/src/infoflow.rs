@@ -171,6 +171,7 @@ enum Repr {
 
 /// The state just before the instruction at `loc`: the block's entry state
 /// for its first instruction, else the state after the previous one.
+#[cfg(feature = "tree-domain")]
 fn before<'a, T>(entry: &'a [T], after: &'a [Vec<T>], loc: Location) -> &'a T {
     match loc.statement_index.checked_sub(1) {
         None => &entry[loc.block.index()],
@@ -188,11 +189,12 @@ impl PartialEq for InfoFlowResults {
         }
         // Fast path: two indexed results over the same interning compare
         // index-for-index. Deterministic compilation means two runs of the
-        // same function produce identical tables.
+        // same function produce identical tables, and canonical deltas mean
+        // equal after-states have equal deltas.
         #[allow(irrefutable_let_patterns)]
         if let (Repr::Indexed(a), Repr::Indexed(b)) = (&self.repr, &other.repr) {
             if Arc::ptr_eq(&a.tables, &b.tables) || a.tables == b.tables {
-                return a.entry == b.entry && a.after == b.after && a.exit == b.exit;
+                return a.entry == b.entry && a.deltas == b.deltas && a.exit == b.exit;
             }
         }
         self.raw_parts() == other.raw_parts()
@@ -275,9 +277,10 @@ impl InfoFlowResults {
                 after_states,
                 ..
             } => before(entry_states, after_states, loc).read_conflicts(place),
-            Repr::Indexed(states) => {
-                states.read_conflicts(before(&states.entry, &states.after, loc), place)
-            }
+            Repr::Indexed(states) => states.read_conflicts(
+                states.state_at(loc.block.index(), loc.statement_index),
+                place,
+            ),
         }
     }
 
@@ -288,7 +291,9 @@ impl InfoFlowResults {
         match &self.repr {
             #[cfg(feature = "tree-domain")]
             Repr::Tree { after_states, .. } => after_states[block][index].read_conflicts(place),
-            Repr::Indexed(states) => states.read_conflicts(&states.after[block][index], place),
+            Repr::Indexed(states) => {
+                states.read_conflicts(states.state_at(block, index + 1), place)
+            }
         }
     }
 
@@ -299,7 +304,7 @@ impl InfoFlowResults {
         match &self.repr {
             #[cfg(feature = "tree-domain")]
             Repr::Tree { exit_theta, .. } => exit_theta.read_conflicts(place),
-            Repr::Indexed(states) => states.read_conflicts(&states.exit, place),
+            Repr::Indexed(states) => states.read_conflicts(states.exit_state(), place),
         }
     }
 
@@ -325,6 +330,27 @@ impl InfoFlowResults {
                 .map(|(place, deps)| (place, deps.clone()))
                 .collect(),
             Repr::Indexed(states) => states.sorted_entries(&states.exit),
+        };
+        entries.into_iter()
+    }
+
+    /// The exit entries a caller can see: the places of `body`'s parameters
+    /// reached through a dereference, each with its own dependencies, in
+    /// `Place` order. Only those places' rows are decoded.
+    pub fn caller_visible_exit_entries<'a>(
+        &'a self,
+        body: &Body,
+    ) -> impl Iterator<Item = (&'a Place, DepSet)> + 'a {
+        let params = 1..=body.arg_count as u32;
+        let visible = move |place: &Place| params.contains(&place.local.0) && place.has_deref();
+        let entries: Vec<(&Place, DepSet)> = match &self.repr {
+            #[cfg(feature = "tree-domain")]
+            Repr::Tree { exit_theta, .. } => exit_theta
+                .iter()
+                .filter(|(place, _)| visible(place))
+                .map(|(place, deps)| (place, deps.clone()))
+                .collect(),
+            Repr::Indexed(states) => states.sorted_entries_where(&states.exit, visible),
         };
         entries.into_iter()
     }
@@ -372,20 +398,37 @@ impl InfoFlowResults {
     /// Decomposes the results into owned tree-view fields: the function,
     /// the block entry states, the per-block after-states, the exit state,
     /// the boundary flag and the iteration count. Every state is decoded
-    /// on every call.
+    /// (tree-domain results: cloned) on every call.
     #[allow(clippy::type_complexity)]
     pub fn raw_parts(&self) -> (FuncId, Vec<Theta>, Vec<Vec<Theta>>, Theta, bool, usize) {
+        let (func, hit_boundary, iterations) = (self.func, self.hit_boundary, self.iterations);
+        #[cfg(feature = "tree-domain")]
+        if let Repr::Tree {
+            entry_states,
+            after_states,
+            exit_theta,
+        } = &self.repr
+        {
+            return (
+                func,
+                entry_states.clone(),
+                after_states.clone(),
+                exit_theta.clone(),
+                hit_boundary,
+                iterations,
+            );
+        }
         let states = self.indexed();
-        let decode = |block: &[IndexedTheta]| -> Vec<Theta> {
-            block.iter().map(|s| s.to_theta(&states.tables)).collect()
-        };
+        let decode = |state: &IndexedTheta| state.to_theta(&states.tables);
         (
-            self.func,
-            decode(&states.entry),
-            states.after.iter().map(|block| decode(block)).collect(),
-            states.exit.to_theta(&states.tables),
-            self.hit_boundary,
-            self.iterations,
+            func,
+            states.entry.iter().map(decode).collect(),
+            (0..states.entry.len())
+                .map(|block| states.after_states(block).map(|s| decode(&s)).collect())
+                .collect(),
+            decode(&states.exit),
+            hit_boundary,
+            iterations,
         )
     }
 }

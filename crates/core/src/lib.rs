@@ -64,7 +64,7 @@ pub use aliases::{AliasAnalysis, AliasMode};
 pub use condition::{AnalysisParams, Condition, DomainKind};
 pub use deps::{Dep, DepSet, Theta, ThetaExt};
 pub use flowistry_dataflow::indexed::BitSet;
-pub use indexed::{IndexedStates, IndexedTheta};
+pub use indexed::{DeltaEntry, Deltas, IndexedStates, IndexedTheta};
 pub use infoflow::{
     analyze, analyze_with_summaries, compute_summary, compute_summary_with_results, BodyGraph,
     CachedSummary, InfoFlowResults, SummaryStore,

@@ -39,13 +39,9 @@ impl FunctionSummary {
     /// state is the join of Θ over its return locations, where each
     /// parameter place was initialized with a [`Dep::Arg`] marker.
     pub fn from_results(body: &Body, results: &InfoFlowResults) -> FunctionSummary {
-        let param_locals: BTreeSet<Local> = body.args().collect();
         let mut mutations = Vec::new();
 
-        for (place, deps) in results.exit_entries() {
-            if !param_locals.contains(&place.local) || !place.has_deref() {
-                continue;
-            }
+        for (place, deps) in results.caller_visible_exit_entries(body) {
             // The place was initialized with {Arg(root)}; it was mutated iff
             // it picked up an instruction dependency or another argument.
             let has_instr = deps.iter().any(|d| matches!(d, Dep::Instr(_)));

@@ -93,6 +93,11 @@ impl<D: JoinSemiLattice> AnalysisResults<D> {
     pub fn iterations(&self) -> usize {
         self.iterations
     }
+
+    /// The entry state of every block, in node order.
+    pub fn into_entries(self) -> Vec<D> {
+        self.entry_states
+    }
 }
 
 /// Runs `analysis` over `graph` to a fixpoint and returns per-block entry

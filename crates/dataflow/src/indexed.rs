@@ -11,8 +11,8 @@
 //! * [`BitSet`] — a hybrid bitset (inline words for small sets, spilling to
 //!   a boxed word vector when the universe outgrows them);
 //! * [`IndexMatrix`] — one bitset row per interned key, with copy-on-write
-//!   rows (`Arc`'d, cloned only when written) so snapshotting the state
-//!   after every statement stops deep-copying unchanged rows.
+//!   rows (`Arc`'d, cloned only when written) so a row can be shared by
+//!   several states, or kept as a state's past value, without a copy.
 
 use crate::engine::JoinSemiLattice;
 use std::collections::HashMap;
@@ -171,6 +171,20 @@ impl BitSet {
         new
     }
 
+    /// Removes `bit`, returning `true` if it was present.
+    pub fn remove(&mut self, bit: u32) -> bool {
+        let (word, mask) = (
+            (bit / BITS_PER_WORD) as usize,
+            1u64 << (bit % BITS_PER_WORD),
+        );
+        let Some(slot) = self.words_mut().get_mut(word) else {
+            return false;
+        };
+        let present = *slot & mask != 0;
+        *slot &= !mask;
+        present
+    }
+
     /// Whether `bit` is in the set.
     pub fn contains(&self, bit: u32) -> bool {
         let (word, mask) = (
@@ -290,9 +304,10 @@ impl JoinSemiLattice for BitSet {
 ///
 /// Rows are `Arc`'d and copy-on-write — cloning a matrix clones row
 /// *pointers*, and writing through [`IndexMatrix::row_mut`] clones the row's
-/// words only if they are shared. A fixpoint that snapshots the state after
-/// every statement therefore pays for the rows each statement touches, not
-/// for the whole state.
+/// words only if they are shared. A caller that keeps a row's `Arc` (a
+/// block's entry state, or a record of what a statement changed) can keep
+/// mutating the matrix: the kept row is copied on its next write and never
+/// changes under the caller.
 #[derive(Debug, Clone, Default)]
 pub struct IndexMatrix {
     rows: Vec<Option<Arc<BitSet>>>,
@@ -328,6 +343,22 @@ impl IndexMatrix {
         self.rows.get(row as usize).and_then(|r| r.as_deref())
     }
 
+    /// The shared allocation of the row for `row`, if it has ever been
+    /// written.
+    pub fn row_arc(&self, row: u32) -> Option<&Arc<BitSet>> {
+        self.rows.get(row as usize).and_then(Option::as_ref)
+    }
+
+    /// Points `row` at a shared allocation (`None`: no row).
+    pub fn set_row_arc(&mut self, row: u32, set: Option<Arc<BitSet>>) {
+        if set.is_some() {
+            self.ensure_len(row as usize);
+        }
+        if let Some(slot) = self.rows.get_mut(row as usize) {
+            *slot = set;
+        }
+    }
+
     /// Mutable access to the row for `row`, creating it empty if missing
     /// and unsharing it if another matrix clone still points at it.
     pub fn row_mut(&mut self, row: u32) -> &mut BitSet {
@@ -341,10 +372,11 @@ impl IndexMatrix {
         self.row_mut(row).insert(bit)
     }
 
-    /// ORs `set` into `row`, returning `true` if the row changed. An empty
-    /// union into a missing row does not materialize it.
+    /// ORs `set` into `row`, returning `true` if the row changed. A union
+    /// that changes nothing neither materializes a missing row nor unshares
+    /// a shared one.
     pub fn union_into_row(&mut self, row: u32, set: &BitSet) -> bool {
-        if set.is_empty() {
+        if set.is_empty() || self.row(row).is_some_and(|own| own.is_superset(set)) {
             return false;
         }
         self.row_mut(row).union(set)
@@ -527,6 +559,32 @@ mod tests {
         ));
         assert!(!snapshot.row(0).unwrap().contains(11));
         assert!(m.row(0).unwrap().contains(11));
+    }
+
+    #[test]
+    fn no_op_unions_keep_rows_shared() {
+        let mut m = IndexMatrix::with_rows(2);
+        m.insert(0, 10);
+        let kept = m.row_arc(0).cloned().unwrap();
+        let subset: BitSet = [10].into_iter().collect();
+        assert!(!m.union_into_row(0, &subset));
+        assert!(Arc::ptr_eq(m.row_arc(0).unwrap(), &kept));
+        assert!(!m.union_into_row(1, &BitSet::new()));
+        assert!(m.row_arc(1).is_none());
+        m.set_row_arc(1, Some(kept.clone()));
+        assert!(Arc::ptr_eq(m.row_arc(1).unwrap(), &kept));
+        m.set_row_arc(0, None);
+        m.set_row_arc(7, None);
+        assert!(m.row(0).is_none() && m.num_rows() == 2);
+    }
+
+    #[test]
+    fn bitset_remove_reports_presence() {
+        let mut set: BitSet = [3, 200].into_iter().collect();
+        assert!(set.remove(200));
+        assert!(!set.remove(200));
+        assert!(!set.remove(5000));
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![3]);
     }
 
     #[test]

@@ -314,10 +314,8 @@ impl<'a> Linter<'a> {
         let source = &self.program.source;
         let mut live = DepSet::new();
         live.extend(results.exit_deps_of_local(Local(0)));
-        for (place, deps) in results.exit_entries() {
-            if place.has_deref() && body.args().any(|a| a == place.local) {
-                live.extend(deps);
-            }
+        for (_, deps) in results.caller_visible_exit_entries(body) {
+            live.extend(deps);
         }
         for (loc, args, destination) in call_sites(body) {
             live.extend(results.call_deps(loc, args, destination));
@@ -589,8 +587,8 @@ impl<'a> Linter<'a> {
         param: Local,
     ) -> Vec<WitnessStep> {
         let mut deps = DepSet::new();
-        for (place, row) in results.exit_entries() {
-            if place.local == param && place.has_deref() {
+        for (place, row) in results.caller_visible_exit_entries(body) {
+            if place.local == param {
                 deps.extend(row);
             }
         }

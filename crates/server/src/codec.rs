@@ -68,11 +68,15 @@
 //!   - `after` holds, per block (joined with `^`), the state after each
 //!     statement and after the terminator (joined with `|`), each a
 //!     **delta** against the state before it in its block: the entries that
-//!     changed or appeared, then `!<place>` for each place that left; `~`
-//!     when nothing changed.
+//!     changed or appeared, then `!<place>` for each place that left, each
+//!     in place order; `~` when nothing changed. These are the stored
+//!     [`flowistry_core::Deltas`], written out as they are.
 //!
-//!   The decoder rebuilds the indexed states with one shared row per row
-//!   id, and checks every place, dependency and row id against its table.
+//!   The decoder rebuilds the entry and exit states and the deltas with one
+//!   shared row per row id, and checks every place, dependency and row id
+//!   against its table. A delta must be canonical: one that names a place
+//!   twice, restates a place's current row, removes an absent place or
+//!   breaks the order is rejected, never stored.
 //! * **lattice**: a built-in name (`two_point`, `multi_level`,
 //!   `conf_integrity`) or `linear:<level>:<level>:...` with escaped level
 //!   names, least restrictive first.
@@ -104,7 +108,9 @@
 //! client stamps it on a request, and the server echoes it verbatim on
 //! that request's response envelope (see [`QueryEnvelope::trace_id`]).
 
-use flowistry_core::{BitSet, FunctionSummary, IndexedStates, IndexedTheta, InfoFlowResults};
+use flowistry_core::{
+    BitSet, DeltaEntry, Deltas, FunctionSummary, IndexedStates, IndexedTheta, InfoFlowResults,
+};
 use flowistry_engine::{QueryEnvelope, QueryRequest, QueryResponse, RunStats, ServiceStats};
 use flowistry_ifc::{IfcDiagnostic, LatticeSpec, Policy, WitnessStep};
 use flowistry_lang::mir::{BasicBlock, Local, Location, Place};
@@ -387,38 +393,34 @@ fn push_entry(out: &mut String, first: &mut bool, place: u32, row: Option<u32>) 
     }
 }
 
-/// Appends `next` as a delta against `prev`: the places whose row changed
-/// or that appeared, then `!<place>` for each that disappeared; `~` if
-/// nothing changed. Rows the two states share are skipped by pointer.
-/// Against the empty state, this is the full state.
-fn push_state<'a>(
-    out: &mut String,
-    rows: &mut RowIds<'a>,
-    prev: &'a IndexedTheta,
-    next: &'a IndexedTheta,
-) {
+/// Appends a full state: every present place, in place order; `~` if
+/// there are none.
+fn push_state<'a>(out: &mut String, rows: &mut RowIds<'a>, state: &'a IndexedTheta) {
     let mut first = true;
-    for (place, row) in next.entries() {
-        let row_id = if prev.contains(place) {
-            let before = prev.row(place);
-            if before.map(|r| r as *const BitSet) == row.map(|r| r as *const BitSet) {
-                continue;
-            }
-            let row_id = rows.of(row);
-            if rows.of(before) == row_id {
-                continue;
-            }
-            row_id
-        } else {
-            rows.of(row)
-        };
-        push_entry(out, &mut first, place, row_id);
+    for (place, row) in state.entries() {
+        push_entry(out, &mut first, place, rows.of(row));
     }
-    for (place, _) in prev.entries().filter(|&(p, _)| !next.contains(p)) {
-        if !std::mem::take(&mut first) {
-            out.push(',');
+    if first {
+        out.push('~');
+    }
+}
+
+/// Appends one stored step delta: its sets as state entries, then
+/// `!<place>` for each removal; `~` if the step changed nothing.
+fn push_delta<'a>(out: &mut String, rows: &mut RowIds<'a>, delta: &'a [DeltaEntry]) {
+    let mut first = true;
+    for entry in delta {
+        match entry {
+            DeltaEntry::Set(place, row) => {
+                push_entry(out, &mut first, *place, rows.of(row.as_deref()))
+            }
+            DeltaEntry::Remove(place) => {
+                if !std::mem::take(&mut first) {
+                    out.push(',');
+                }
+                let _ = write!(out, "!{place}");
+            }
         }
-        let _ = write!(out, "!{place}");
     }
     if first {
         out.push('~');
@@ -449,32 +451,30 @@ fn join_or_dash<'a, T>(
 fn encode_results(results: &InfoFlowResults) -> String {
     let view = results.indexed();
     let view: &IndexedStates = &view;
-    let empty = IndexedTheta::from_entries([]);
     let mut rows = RowIds::default();
     let entry = join_or_dash(view.entry(), '|', |out, state| {
-        push_state(out, &mut rows, &empty, state)
+        push_state(out, &mut rows, state)
     });
-    // `IndexedStates` holds one entry state and a non-empty after-state
-    // list per block; each after-state is a delta against its predecessor.
+    // `IndexedStates` stores one entry state and at least one step delta
+    // per block, in the canonical form the grammar ships.
+    let deltas = view.deltas();
     let mut after = String::new();
-    for (block, (entry, states)) in view.entry().iter().zip(view.after()).enumerate() {
+    for block in 0..deltas.num_blocks() {
         if block > 0 {
             after.push('^');
         }
-        let mut prev = entry;
-        for (i, state) in states.iter().enumerate() {
-            if i > 0 {
+        for step in 0..deltas.num_steps(block) {
+            if step > 0 {
                 after.push('|');
             }
-            push_state(&mut after, &mut rows, prev, state);
-            prev = state;
+            push_delta(&mut after, &mut rows, deltas.step(block, step));
         }
     }
     if after.is_empty() {
         after.push('-');
     }
     let mut exit = String::new();
-    push_state(&mut exit, &mut rows, &empty, view.exit());
+    push_state(&mut exit, &mut rows, view.exit());
     let places = join_or_dash(view.places(), ',', |out, place| {
         out.push_str(&encode_place(place))
     });
@@ -498,28 +498,28 @@ fn split_list(s: &str, sep: char) -> impl Iterator<Item = &str> {
 }
 
 /// Decodes the states of one `results` payload against its tables,
-/// checking every reference as it goes.
+/// checking every place and row reference as it goes.
 struct StateDecoder {
     rows: Vec<Arc<BitSet>>,
     /// The next row id a first use may introduce.
     next_row: usize,
-    /// Per place: `None` if absent, else the present place's row id.
-    current: Vec<Option<Option<u32>>>,
+    /// Size of the place table.
+    places: usize,
 }
 
 impl StateDecoder {
     fn place(&self, s: &str) -> Result<u32, String> {
         let place: u32 = parse_num(s, "place id")?;
-        if place as usize >= self.current.len() {
+        if place as usize >= self.places {
             return Err(format!(
                 "place id {place} is outside the {}-place table",
-                self.current.len()
+                self.places
             ));
         }
         Ok(place)
     }
 
-    fn row(&mut self, s: &str) -> Result<u32, String> {
+    fn row(&mut self, s: &str) -> Result<Arc<BitSet>, String> {
         let row: u32 = parse_num(s, "row id")?;
         if row as usize >= self.rows.len() {
             return Err(format!(
@@ -537,41 +537,46 @@ impl StateDecoder {
             std::cmp::Ordering::Equal => self.next_row += 1,
             std::cmp::Ordering::Less => {}
         }
-        Ok(row)
+        Ok(self.rows[row as usize].clone())
     }
 
-    /// Applies one state's entries to `current`; a delta may also remove.
-    fn apply(&mut self, s: &str, delta: bool) -> Result<(), String> {
-        if s == "~" {
-            return Ok(());
+    /// One state entry, `<place>` or `<place>:<row>`, sharing the row.
+    fn entry(&mut self, s: &str) -> Result<(u32, Option<Arc<BitSet>>), String> {
+        match s.split_once(':') {
+            Some((place, row)) => Ok((self.place(place)?, Some(self.row(row)?))),
+            None => Ok((self.place(s)?, None)),
         }
-        for entry in s.split(',') {
-            if let Some(place) = entry.strip_prefix('!').filter(|_| delta) {
-                let place = self.place(place)?;
-                self.current[place as usize] = None;
-                continue;
-            }
-            let (place, row) = match entry.split_once(':') {
-                Some((place, row)) => (self.place(place)?, Some(self.row(row)?)),
-                None => (self.place(entry)?, None),
-            };
-            self.current[place as usize] = Some(row);
-        }
-        Ok(())
-    }
-
-    /// The state `current` holds, sharing one `Arc` per row id.
-    fn state(&self) -> IndexedTheta {
-        IndexedTheta::from_entries(self.current.iter().enumerate().filter_map(|(place, slot)| {
-            slot.map(|row| (place as u32, row.map(|r| self.rows[r as usize].clone())))
-        }))
     }
 
     /// Decodes a full state.
     fn full(&mut self, s: &str) -> Result<IndexedTheta, String> {
-        self.current.fill(None);
-        self.apply(s, false)?;
-        Ok(self.state())
+        if s == "~" {
+            return Ok(IndexedTheta::from_entries([]));
+        }
+        let entries = s
+            .split(',')
+            .map(|entry| self.entry(entry))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(IndexedTheta::from_entries(entries))
+    }
+
+    /// Decodes one step delta into `out`, as the wire lists it;
+    /// [`IndexedStates::new`] then checks that it is canonical.
+    fn delta(&mut self, s: &str, out: &mut Vec<DeltaEntry>) -> Result<(), String> {
+        out.clear();
+        if s == "~" {
+            return Ok(());
+        }
+        for entry in s.split(',') {
+            out.push(match entry.strip_prefix('!') {
+                Some(place) => DeltaEntry::Remove(self.place(place)?),
+                None => {
+                    let (place, row) = self.entry(entry)?;
+                    DeltaEntry::Set(place, row)
+                }
+            });
+        }
+        Ok(())
     }
 }
 
@@ -619,7 +624,7 @@ fn decode_results(fields: &[&str]) -> Result<InfoFlowResults, String> {
     let mut decoder = StateDecoder {
         rows,
         next_row: 0,
-        current: vec![None; places.len()],
+        places: places.len(),
     };
     let entry_fields: Vec<&str> = split_list(entry, '|').collect();
     let after_fields: Vec<&str> = split_list(after, '^').collect();
@@ -631,20 +636,19 @@ fn decode_results(fields: &[&str]) -> Result<InfoFlowResults, String> {
         ));
     }
     // Row ids are checked in line order: every entry state, then every
-    // block's deltas (each replayed over its block's entry state).
+    // block's deltas, then the exit state.
     let entry_states = entry_fields
-        .iter()
+        .into_iter()
         .map(|entry| decoder.full(entry))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut after_states = Vec::new();
-    for (entry, block) in entry_fields.into_iter().zip(after_fields) {
-        decoder.full(entry)?;
-        let mut states = Vec::new();
+    let mut deltas = Deltas::default();
+    let mut step = Vec::new();
+    for block in after_fields {
         for delta in block.split('|') {
-            decoder.apply(delta, true)?;
-            states.push(decoder.state());
+            decoder.delta(delta, &mut step)?;
+            deltas.push_step(step.drain(..));
         }
-        after_states.push(states);
+        deltas.end_block();
     }
     let exit = decoder.full(exit)?;
     if decoder.next_row != decoder.rows.len() {
@@ -654,7 +658,7 @@ fn decode_results(fields: &[&str]) -> Result<InfoFlowResults, String> {
             decoder.next_row
         ));
     }
-    let states = IndexedStates::new(places, deps, entry_states, after_states, exit)?;
+    let states = IndexedStates::new(places, deps, entry_states, deltas, exit)?;
     Ok(InfoFlowResults::from_indexed_states(
         func,
         states,
@@ -1807,11 +1811,14 @@ mod tests {
                     .map(|&(place, has_row)| (place, has_row.then(|| row.clone()))),
             )
         };
+        let entry = state(&[(0, true), (1, false)]);
+        let mut deltas = Deltas::default();
+        deltas.push_block_of_states(&entry, &[state(&[(1, true)]), state(&[])]);
         let states = IndexedStates::new(
             vec![Place::from_local(Local(0)), Place::from_local(Local(1))],
             vec![flowistry_core::Dep::Arg(Local(1))],
-            vec![state(&[(0, true), (1, false)])],
-            vec![vec![state(&[(1, true)]), state(&[])]],
+            vec![entry],
+            deltas,
             state(&[]),
         )
         .unwrap();
@@ -1828,6 +1835,55 @@ mod tests {
         let line = encode_envelope(&envelope);
         assert_eq!(field(&line, AFTER), "1:0,!0|!1", "{line:?}");
         roundtrip_envelope(envelope);
+    }
+
+    /// A delta names each place at most once, and only a place whose
+    /// presence or row changes. Anything else spells the same states a
+    /// second way, so the decoder rejects it instead of storing it.
+    #[test]
+    fn results_with_non_canonical_deltas_are_rejected() {
+        let line = sample_results_line();
+        let blocks: Vec<&str> = field(&line, AFTER).split('^').collect();
+        let steps: Vec<&str> = blocks[0].split('|').collect();
+        // `line` with `entry` appended to block 0's first delta.
+        let extend = |entry: &str| {
+            let first = format!("{},{entry}", steps[0]);
+            let mut block = steps.clone();
+            block[0] = &first;
+            let block = block.join("|");
+            let mut after = blocks.clone();
+            after[0] = &block;
+            with_field(&line, AFTER, &after.join("^"))
+        };
+        let place_of = |entry: &str| {
+            let place = entry.split(':').next().unwrap();
+            place.trim_start_matches('!').parse::<usize>().unwrap()
+        };
+        let touched: Vec<usize> = steps[0].split(',').map(place_of).collect();
+        // The first statement assigns a place; setting it again repeats it.
+        let set = touched[0];
+        rejected(
+            &extend(&format!("{set}:0")),
+            &format!("place {set} repeats"),
+        );
+        rejected(&extend(&format!("!{set}")), &format!("place {set} repeats"));
+        // Restating an entry-state row the first statement leaves alone.
+        let entry: Vec<&str> = field(&line, ENTRY)
+            .split('|')
+            .next()
+            .unwrap()
+            .split(',')
+            .collect();
+        let kept = entry
+            .iter()
+            .find(|e| !touched.contains(&place_of(e)))
+            .expect("the first statement leaves an argument place alone");
+        rejected(&extend(kept), "does not change");
+        // Removing a place that is not there.
+        let absent = (0..list_len(field(&line, PLACES)))
+            .find(|p| !touched.contains(p) && !entry.iter().any(|e| place_of(e) == *p))
+            .expect("block 0 starts without some place");
+        rejected(&extend(&format!("!{absent}")), "does not change");
     }
 
     /// No byte-level corruption of a `results` line panics the decoder:

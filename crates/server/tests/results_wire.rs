@@ -62,11 +62,10 @@ fn row_table_len(line: &str) -> usize {
 /// Distinct row allocations over every state of `results`.
 fn distinct_rows(results: &InfoFlowResults) -> usize {
     let view = results.indexed();
-    let states = view
-        .entry()
-        .iter()
-        .chain(view.after().iter().flatten())
-        .chain([view.exit()]);
+    let after: Vec<_> = (0..view.entry().len())
+        .flat_map(|block| view.after_states(block))
+        .collect();
+    let states = view.entry().iter().chain(&after).chain([view.exit()]);
     let mut rows: HashSet<*const BitSet> = HashSet::new();
     for state in states {
         rows.extend(

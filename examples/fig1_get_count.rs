@@ -61,7 +61,7 @@ fn main() {
     for bb in body.block_ids() {
         let data = body.block(bb);
         println!("{bb}:");
-        for i in 0..=data.statements.len() {
+        for (i, after) in states.after_states(bb.index()).enumerate() {
             let loc = Location {
                 block: bb,
                 statement_index: i,
@@ -72,8 +72,7 @@ fn main() {
             };
             let what = what.chars().take(60).collect::<String>();
             println!("  {loc}  {what}");
-            let after = &states.after()[bb.index()][i];
-            for (place, deps) in states.sorted_entries(after) {
+            for (place, deps) in states.sorted_entries(&after) {
                 println!("      {place}: {{{}}}", render(&deps));
             }
         }

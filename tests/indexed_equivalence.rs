@@ -12,11 +12,12 @@
 
 use flowistry::prelude::*;
 use flowistry_core::places::all_body_places;
-use flowistry_core::{FunctionSummary, InfoFlowResults};
+use flowistry_core::{DeltaEntry, FunctionSummary, InfoFlowResults};
 use flowistry_corpus::{generate_corpus, DEFAULT_SEED};
 use flowistry_lang::mir::{Local, Place};
 use flowistry_lang::types::FuncId;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn params(condition: Condition, domain: DomainKind) -> AnalysisParams {
     AnalysisParams {
@@ -87,38 +88,111 @@ fn assert_equivalent(
 
 /// Every function of every corpus crate, under the modular condition (the
 /// paper's headline analysis and the hot path of every layer above),
-/// including every point query at every location.
+/// including every point query at every location and the stored shape of
+/// the indexed results.
 #[test]
 fn corpus_modular_results_are_bit_identical() {
     let corpus = generate_corpus(DEFAULT_SEED);
     let base = params(Condition::MODULAR, DomainKind::Indexed);
     // The suite's longest test: two workers, each taking every other crate.
-    let (checked, absent) = std::thread::scope(|scope| {
+    let [checked, absent, stored, per_location] = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..2)
             .map(|worker| {
                 let (corpus, base) = (&corpus, &base);
                 scope.spawn(move || {
-                    let (mut checked, mut absent) = (0usize, 0usize);
+                    let mut counts = [0usize; 4];
                     for krate in corpus.iter().skip(worker).step_by(2) {
                         for &func in &krate.crate_funcs {
                             let program = &krate.program;
                             let results = assert_equivalent(program, func, base, &krate.name);
-                            absent +=
+                            counts[1] +=
                                 assert_point_queries_agree(program, func, &results, &krate.name);
-                            checked += 1;
+                            let (stored, per_location) =
+                                assert_deltas_are_canonical(program, func, &results, &krate.name);
+                            counts[0] += 1;
+                            counts[2] += stored;
+                            counts[3] += per_location;
                         }
                     }
-                    (checked, absent)
+                    counts
                 })
             })
             .collect();
         workers
             .into_iter()
             .map(|w| w.join().expect("worker panicked"))
-            .fold((0, 0), |(c, a), (wc, wa)| (c + wc, a + wa))
+            .fold([0; 4], |total, counts| {
+                std::array::from_fn(|i| total[i] + counts[i])
+            })
     });
     assert!(checked > 300, "corpus shrank: only {checked} functions");
     assert!(absent > 0, "no place outside a place table was queried");
+    println!("stored rows {stored}, per-location present entries {per_location}");
+    assert!(
+        stored * 3 <= per_location,
+        "{stored} stored rows for {per_location} per-location present entries"
+    );
+}
+
+/// The stored shape of `func`'s indexed results. Each step's delta names
+/// exactly the places whose presence or dependencies differ between the
+/// tree oracle's states before and after the step, each once: the
+/// canonical form that equality relies on. Returns the rows the results
+/// store (entry states, deltas, exit) and the present entries of all the
+/// per-location states they stand for.
+fn assert_deltas_are_canonical(
+    program: &CompiledProgram,
+    func: FuncId,
+    (tree, indexed): &(InfoFlowResults, InfoFlowResults),
+    context: &str,
+) -> (usize, usize) {
+    let name = &program.body(func).name;
+    let (_, entry, after, exit, _, _) = tree.raw_parts();
+    let states = indexed.indexed();
+    let deltas = states.deltas();
+    assert_eq!(deltas.num_blocks(), entry.len(), "`{name}` ({context})");
+    let mut per_location = entry.iter().chain([&exit]).map(|s| s.len()).sum();
+    for (block, tree_after) in after.iter().enumerate() {
+        assert_eq!(
+            deltas.num_steps(block),
+            tree_after.len(),
+            "`{name}` ({context})"
+        );
+        let mut before = &entry[block];
+        for (step, state) in tree_after.iter().enumerate() {
+            let mut named: Vec<&Place> = deltas
+                .step(block, step)
+                .iter()
+                .map(|entry| &states.places()[entry.place() as usize])
+                .collect();
+            named.sort();
+            let differing: BTreeSet<&Place> = before
+                .keys()
+                .chain(state.keys())
+                .filter(|place| before.get(*place) != state.get(*place))
+                .collect();
+            assert_eq!(
+                named,
+                differing.into_iter().collect::<Vec<_>>(),
+                "`{name}` block {block} step {step} ({context})"
+            );
+            per_location += state.len();
+            before = state;
+        }
+    }
+    let full_rows = states
+        .entry()
+        .iter()
+        .chain([states.exit()])
+        .flat_map(|state| state.entries())
+        .filter(|(_, row)| row.is_some())
+        .count();
+    let delta_rows = (0..deltas.num_blocks())
+        .flat_map(|block| (0..deltas.num_steps(block)).map(move |step| (block, step)))
+        .flat_map(|(block, step)| deltas.step(block, step))
+        .filter(|entry| matches!(entry, DeltaEntry::Set(_, Some(_))))
+        .count();
+    (full_rows + delta_rows, per_location)
 }
 
 /// The point queries every reader uses (`deps_before`, `deps_after`,
