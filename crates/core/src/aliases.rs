@@ -11,7 +11,7 @@
 //! place of the same type may be aliased", which is what an analysis without
 //! lifetimes would have to assume.
 
-use crate::places::all_body_places;
+use crate::places::{all_body_places, interior_places};
 use flowistry_lang::loans::LoanSets;
 use flowistry_lang::mir::{Body, Place, PlaceElem};
 use flowistry_lang::types::{StructTable, Ty};
@@ -47,17 +47,22 @@ impl<'a> AliasAnalysis<'a> {
                 // "All references of the same type can alias" (§5): the set
                 // of things a reference might point to is the union of the
                 // pointees of *every* reference in the body — every borrowed
-                // place and every opaque argument referent — restricted by
-                // type compatibility at query time. Unborrowed locals are
+                // place, each of its fields, and every opaque argument
+                // referent — restricted by type compatibility at query time.
+                // The fields matter: a `&mut i32` handed back by a callee
+                // may point into a borrowed struct. Unborrowed locals are
                 // not candidates: even without lifetimes, a reference must
                 // point to something that was borrowed.
                 let mut seen = std::collections::BTreeSet::new();
                 let mut out = Vec::new();
                 for (_, set) in loans.iter() {
-                    for place in set {
-                        if seen.insert(place.clone()) {
-                            let ty = body.place_ty(place, structs);
-                            out.push((place.clone(), ty));
+                    for borrowed in set {
+                        let ty = body.place_ty(borrowed, structs);
+                        for place in interior_places(borrowed, &ty, structs) {
+                            if seen.insert(place.clone()) {
+                                let ty = body.place_ty(&place, structs);
+                                out.push((place, ty));
+                            }
                         }
                     }
                 }
@@ -168,17 +173,6 @@ impl<'a> AliasAnalysis<'a> {
             }
         }
     }
-
-    /// Aliases of every reachable referent of `place`, given its type — used
-    /// by the modular call rule to turn type-level reachability (ω-refs)
-    /// into concrete mutated/readable places.
-    pub fn resolve_all(&self, places: impl IntoIterator<Item = Place>) -> BTreeSet<Place> {
-        let mut out = BTreeSet::new();
-        for p in places {
-            out.extend(self.aliases(&p));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -278,6 +272,25 @@ mod tests {
             "expected type-based aliasing in {parent_aliases:?}"
         );
         assert!(aa.mode() == AliasMode::TypeBased);
+    }
+
+    #[test]
+    fn ref_blind_mode_reaches_fields_of_borrowed_places() {
+        // `*r` is an `i32` that points into `t`: without lifetimes the only
+        // type-compatible candidates inside `t` are its fields.
+        let prog = compile(
+            "fn get<'a>(p: &'a mut (i32, i32)) -> &'a mut i32 { return &mut (*p).0; }
+             fn caller() { let mut t = (1, 2); let r = get(&mut t); *r = 5; }",
+        )
+        .unwrap();
+        let body = prog.body_by_name("caller").unwrap();
+        let aa = AliasAnalysis::new(body, &prog.structs, AliasMode::TypeBased);
+        let r = find_local(body, "r");
+        let t = Place::from_local(find_local(body, "t"));
+        let aliases = aa.aliases(&Place::from_local(r).deref());
+        for field in [t.field(0), t.field(1)] {
+            assert!(aliases.contains(&field), "expected {field} in {aliases:?}");
+        }
     }
 
     #[test]

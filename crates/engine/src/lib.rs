@@ -239,14 +239,12 @@ pub struct RunStats {
     pub analyzed: usize,
     /// Functions whose summary came out of the cache.
     pub cache_hits: usize,
-    /// Sequential depth of the schedule: levels executed under the barrier
-    /// scheduler, the condensation's critical-path length under work
-    /// stealing (the two coincide).
+    /// Sequential depth of the schedule: the critical-path length (in
+    /// SCCs) of the call graph's condensation.
     pub levels: usize,
     /// Worker threads used.
     pub threads: usize,
-    /// Successful deque steals (always `0` under the barrier scheduler or
-    /// with a single worker).
+    /// Successful deque steals (always `0` with a single worker).
     pub steals: usize,
 }
 

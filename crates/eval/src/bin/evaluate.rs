@@ -7,13 +7,12 @@
 //! ```
 //!
 //! Subcommands: `table1`, `table2`, `fig2`, `fig3`, `fig4`, `boundary`,
-//! `perf`, `engine`, `chaos`, `noninterference`, `ifc`, `lints`, `all`
-//! (default). Results are printed and also written as JSON under
-//! `results/`. `ifc` runs the labeled-corpus differential (policy checker
-//! vs interpreter) and exits nonzero on any mismatch; `lints` runs every
-//! lint pass plus the inferred effect signatures against the interpreter
-//! soundness oracles and exits nonzero on any under-approximation or false
-//! positive.
+//! `perf`, `chaos`, `noninterference`, `ifc`, `lints`, `all` (default).
+//! Results are printed and also written as JSON under `results/`. `ifc`
+//! runs the labeled-corpus differential (policy checker vs interpreter)
+//! and exits nonzero on any mismatch; `lints` runs every lint pass plus
+//! the inferred effect signatures against the interpreter soundness
+//! oracles and exits nonzero on any under-approximation or false positive.
 //!
 //! Flags:
 //!
@@ -23,18 +22,17 @@
 //!   `FLOWISTRY_ENGINE_THREADS` environment variable, so sweeps are
 //!   reproducible without env plumbing;
 //! * `--smoke` — a fast CI pass: the corpus sweep is limited to the first
-//!   two crates, the engine experiment runs on the smallest profile, and
-//!   the noninterference check uses fewer functions and trials;
-//! * `--no-baseline` — skip the direct per-function baseline sweep (it
-//!   exists only to measure the engine-backed sweep's speedup and roughly
-//!   doubles the corpus measurement at one worker); figures and records
-//!   are identical, the speedup report is omitted.
+//!   two crates, the chaos gauntlet runs on the smallest profile, and the
+//!   noninterference, IFC and lint checks use fewer programs and trials.
+//!
+//! An unknown subcommand or flag, or a malformed value, is a usage error
+//! (exit status 2).
 
 use flowistry_core::Condition;
 use flowistry_eval::report;
 use flowistry_eval::{
-    boundary_stats, diff_stats, measure_corpus_engine_only, measure_corpus_limited,
-    measure_slowdown, per_crate_stats, CrateMeasurements, VariableRecord,
+    boundary_stats, diff_stats, measure_corpus_limited, measure_slowdown, per_crate_stats,
+    CrateMeasurements, VariableRecord,
 };
 use std::path::Path;
 
@@ -49,16 +47,16 @@ fn parse_seed(raw: &str) -> Result<u64, String> {
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("evaluate: {msg}");
-    eprintln!("usage: evaluate [SUBCOMMAND] [--seed N] [--threads N] [--smoke] [--no-baseline]");
+    eprintln!("usage: evaluate [SUBCOMMAND] [--seed N] [--threads N] [--smoke]");
+    eprintln!("subcommands: {}", SUBCOMMANDS.join(", "));
     std::process::exit(2);
 }
 
 /// How much of each experiment to run: the full evaluation or the CI smoke.
 #[derive(Clone, Copy)]
 struct Scale {
-    baseline: bool,
     max_crates: usize,
-    engine_profile: usize,
+    chaos_profile: usize,
     noninterference_crates: usize,
     noninterference_funcs: usize,
     noninterference_trials: usize,
@@ -73,9 +71,8 @@ struct Scale {
 impl Scale {
     fn full() -> Scale {
         Scale {
-            baseline: true,
             max_crates: usize::MAX,
-            engine_profile: 7, // the rg3d stand-in — the largest corpus crate
+            chaos_profile: 7, // the rg3d stand-in — the largest corpus crate
             noninterference_crates: 3,
             noninterference_funcs: 30,
             noninterference_trials: 8,
@@ -90,9 +87,8 @@ impl Scale {
 
     fn smoke() -> Scale {
         Scale {
-            baseline: true,
             max_crates: 2,
-            engine_profile: 0,
+            chaos_profile: 0,
             noninterference_crates: 1,
             noninterference_funcs: 5,
             noninterference_trials: 2,
@@ -106,36 +102,76 @@ impl Scale {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut command = "all".to_string();
+/// Every subcommand; `all` is the default.
+const SUBCOMMANDS: [&str; 12] = [
+    "table1",
+    "table2",
+    "fig2",
+    "fig3",
+    "fig4",
+    "boundary",
+    "perf",
+    "chaos",
+    "noninterference",
+    "ifc",
+    "lints",
+    "all",
+];
+
+/// A parsed command line.
+struct Args {
+    command: &'static str,
+    seed: u64,
+    threads: Option<usize>,
+    scale: Scale,
+}
+
+/// Parses the arguments after the program name; any unknown subcommand or
+/// flag, and any malformed value, is an error.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut command = None;
     let mut seed = flowistry_corpus::DEFAULT_SEED;
+    let mut threads = None;
     let mut scale = Scale::full();
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--seed" => match iter.next().map(|v| parse_seed(v)) {
-                Some(Ok(v)) => seed = v,
-                Some(Err(msg)) => usage_error(&msg),
-                None => usage_error("--seed needs a value"),
-            },
+            "--seed" => seed = parse_seed(iter.next().ok_or("--seed needs a value")?)?,
             "--threads" => {
-                if let Some(n) = iter.next().and_then(|v| v.parse::<usize>().ok()) {
-                    // The engine resolves `threads: 0` through this
-                    // variable, so setting it here (before any engine
-                    // spawns) overrides whatever the environment carried.
-                    std::env::set_var("FLOWISTRY_ENGINE_THREADS", n.to_string());
-                }
+                let raw = iter.next().ok_or("--threads needs a value")?;
+                let n = raw
+                    .parse()
+                    .map_err(|_| format!("malformed --threads {raw:?}: expected a count"))?;
+                threads = Some(n);
             }
-            "--smoke" => {
-                let baseline = scale.baseline;
-                scale = Scale::smoke();
-                scale.baseline = baseline;
-            }
-            "--no-baseline" => scale.baseline = false,
-            other if !other.starts_with("--") => command = other.to_string(),
-            _ => {}
+            "--smoke" => scale = Scale::smoke(),
+            other => match SUBCOMMANDS.iter().find(|&&sub| sub == other) {
+                Some(sub) if command.is_none() => command = Some(*sub),
+                _ => return Err(format!("unexpected argument {other:?}")),
+            },
         }
+    }
+    Ok(Args {
+        command: command.unwrap_or("all"),
+        seed,
+        threads,
+        scale,
+    })
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        command,
+        seed,
+        threads,
+        scale,
+    } = parse_args(&args).unwrap_or_else(|msg| usage_error(&msg));
+    if let Some(n) = threads {
+        // The engine resolves `threads: 0` through this variable, so
+        // setting it here (before any engine spawns) overrides whatever the
+        // environment carried.
+        std::env::set_var("FLOWISTRY_ENGINE_THREADS", n.to_string());
     }
 
     let out_dir = Path::new("results");
@@ -143,7 +179,7 @@ fn main() {
 
     println!("== Flowistry reproduction evaluation (seed 0x{seed:X}) ==\n");
 
-    match command.as_str() {
+    match command {
         "table2" => {
             println!(
                 "{}",
@@ -151,7 +187,6 @@ fn main() {
             );
         }
         "perf" => run_perf(seed, scale, out_dir),
-        "engine" => run_engine(seed, scale, out_dir),
         "chaos" => run_chaos(seed, scale, out_dir),
         "noninterference" => run_noninterference(seed, scale),
         "ifc" => run_ifc(seed, scale, out_dir),
@@ -159,16 +194,9 @@ fn main() {
         cmd => {
             // Everything else needs the corpus measured under the four
             // headline conditions.
-            let conditions = Condition::headline_four();
-            let measurements = if scale.baseline {
-                eprintln!(
-                    "measuring corpus (4 conditions, engine-backed sweep + direct baseline)..."
-                );
-                measure_corpus_limited(seed, &conditions, scale.max_crates)
-            } else {
-                eprintln!("measuring corpus (4 conditions, engine-backed sweep)...");
-                measure_corpus_engine_only(seed, &conditions, scale.max_crates)
-            };
+            eprintln!("measuring corpus (4 conditions)...");
+            let measurements =
+                measure_corpus_limited(seed, &Condition::headline_four(), scale.max_crates);
             let records: Vec<VariableRecord> = measurements
                 .iter()
                 .flat_map(|m| m.records.iter().cloned())
@@ -176,19 +204,18 @@ fn main() {
             write_json(out_dir.join("measurements.json"), &measurements);
 
             match cmd {
-                "table1" => print_table1(&measurements, scale, out_dir),
+                "table1" => print_table1(&measurements, out_dir),
                 "fig2" => print_fig2(&records, out_dir),
                 "fig3" => print_fig3(&records, out_dir),
                 "fig4" => print_fig4(&measurements, out_dir),
                 "boundary" => print_boundary(&records, out_dir),
                 _ => {
-                    print_table1(&measurements, scale, out_dir);
+                    print_table1(&measurements, out_dir);
                     print_fig2(&records, out_dir);
                     print_fig3(&records, out_dir);
                     print_fig4(&measurements, out_dir);
                     print_boundary(&records, out_dir);
                     print_perf_from(&measurements, scale, out_dir);
-                    run_engine(seed, scale, out_dir);
                     println!(
                         "{}",
                         report::render_table2(&flowistry_corpus::paper_profiles(), seed)
@@ -209,18 +236,10 @@ fn write_json<T: flowistry_eval::ToJson>(path: std::path::PathBuf, value: &T) {
     }
 }
 
-fn print_table1(measurements: &[CrateMeasurements], scale: Scale, out_dir: &Path) {
+fn print_table1(measurements: &[CrateMeasurements], out_dir: &Path) {
     let text = report::render_table1(measurements);
     println!("{text}");
     let _ = std::fs::write(out_dir.join("table1.txt"), &text);
-    // The engine-backed sweep comparison rides along with the dataset
-    // summary: same measurements, new dependent variable (time). Without
-    // the baseline there is nothing to compare against.
-    if scale.baseline {
-        let sweep = report::render_sweep(measurements);
-        println!("{sweep}");
-        let _ = std::fs::write(out_dir.join("sweep.txt"), &sweep);
-    }
 }
 
 fn print_fig2(records: &[VariableRecord], out_dir: &Path) {
@@ -288,17 +307,10 @@ fn run_perf(seed: u64, scale: Scale, out_dir: &Path) {
     print_perf_from(&measurements, scale, out_dir);
 }
 
-fn run_engine(seed: u64, scale: Scale, out_dir: &Path) {
-    eprintln!("measuring the incremental engine (cold / warm / edited, sequential / parallel)...");
-    let report = flowistry_eval::measure_incremental(scale.engine_profile, seed);
-    println!("{}", flowistry_eval::render_incremental(&report));
-    write_json(out_dir.join("engine.json"), &report);
-}
-
 fn run_chaos(seed: u64, scale: Scale, out_dir: &Path) {
     eprintln!("running the chaos gauntlet (8 clients, 3 replicas, seeded fault schedule)...");
     let report =
-        flowistry_eval::measure_chaos(scale.engine_profile, seed, 3, 0, 8, scale.service_requests);
+        flowistry_eval::measure_chaos(scale.chaos_profile, seed, 3, 0, 8, scale.service_requests);
     println!("{}", flowistry_eval::render_chaos(&report));
     write_json(out_dir.join("chaos.json"), &report);
     // The repo-root benchmark artifact CI parses and the README links.
@@ -384,7 +396,38 @@ fn run_lints(seed: u64, scale: Scale, out_dir: &Path) {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_seed;
+    use super::{parse_args, parse_seed};
+
+    fn parse(line: &str) -> Result<&'static str, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_args(&args).map(|a| a.command)
+    }
+
+    #[test]
+    fn subcommands_and_flags_parse() {
+        assert_eq!(parse(""), Ok("all"));
+        assert_eq!(parse("fig3 --smoke --threads 2"), Ok("fig3"));
+        assert_eq!(parse("--seed 0xF10A lints"), Ok("lints"));
+        let args: Vec<String> = ["--threads", "3", "--seed", "7"].map(String::from).into();
+        let parsed = parse_args(&args).unwrap();
+        assert_eq!((parsed.threads, parsed.seed), (Some(3), 7));
+    }
+
+    #[test]
+    fn unknown_subcommands_and_flags_are_rejected() {
+        for line in [
+            "engine",
+            "all --no-baseline",
+            "tabel1",
+            "--verbose",
+            "fig2 fig3",
+            "--threads",
+            "--threads many",
+            "--seed",
+        ] {
+            assert!(parse(line).is_err(), "{line:?} was accepted");
+        }
+    }
 
     #[test]
     fn seeds_are_decimal_by_default() {

@@ -6,7 +6,6 @@
 //! [`ToJson`] conversion trait, and a pretty printer. Emission only — the
 //! artifacts are consumed by external plotting tools, never read back.
 
-use crate::engine_perf::IncrementalReport;
 use crate::figures::{BoundaryStats, DiffStats, PerCrateStats};
 use crate::measure::{CrateMeasurements, VariableRecord};
 use crate::perf::SlowdownReport;
@@ -208,9 +207,6 @@ impl ToJson for CrateMeasurements {
                 "median_analysis_micros",
                 self.median_analysis_micros.to_json(),
             ),
-            ("sweep_engine_seconds", self.sweep_engine_seconds.to_json()),
-            ("sweep_direct_seconds", self.sweep_direct_seconds.to_json()),
-            ("sweep_speedup", self.sweep_speedup.to_json()),
             ("records", self.records.to_json()),
         ])
     }
@@ -274,25 +270,6 @@ impl ToJson for SlowdownReport {
             ),
             ("memoized_seconds", self.memoized_seconds.to_json()),
             ("slowdown", self.slowdown.to_json()),
-        ])
-    }
-}
-
-impl ToJson for IncrementalReport {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("krate", self.krate.to_json()),
-            ("num_functions", self.num_functions.to_json()),
-            ("cold_seconds", self.cold_seconds.to_json()),
-            ("warm_seconds", self.warm_seconds.to_json()),
-            ("edited_seconds", self.edited_seconds.to_json()),
-            ("edited_dirty", self.edited_dirty.to_json()),
-            ("edit_speedup", self.edit_speedup.to_json()),
-            ("sequential_seconds", self.sequential_seconds.to_json()),
-            ("parallel_seconds", self.parallel_seconds.to_json()),
-            ("parallel_speedup", self.parallel_speedup.to_json()),
-            ("threads", self.threads.to_json()),
-            ("steals", self.steals.to_json()),
         ])
     }
 }

@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod engine_perf;
 pub mod figures;
 pub mod ifc_diff;
 pub mod json;
@@ -30,13 +29,11 @@ pub mod perf;
 pub mod report;
 
 pub use chaos::{chaos_fault_spec, measure_chaos, render_chaos, ChaosReport};
-pub use engine_perf::{measure_incremental, render_incremental, IncrementalReport};
 pub use figures::{boundary_stats, diff_stats, per_crate_stats, BoundaryStats, DiffStats};
 pub use ifc_diff::{measure_ifc_differential, render_ifc_differential, IfcDifferentialReport};
 pub use json::{Json, ToJson};
 pub use lints::{measure_lints, render_lints, LintEvalReport};
 pub use measure::{
-    measure_corpus, measure_corpus_engine_only, measure_corpus_limited, measure_crate,
-    measure_crate_engine_only, CrateMeasurements, VariableRecord,
+    measure_corpus, measure_corpus_limited, measure_crate, CrateMeasurements, VariableRecord,
 };
 pub use perf::{measure_slowdown, stress_source, SlowdownReport};

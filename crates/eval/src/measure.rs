@@ -2,18 +2,11 @@
 //! record per-variable dependency-set sizes (the paper's dependent variable,
 //! §5.1).
 //!
-//! Since the snapshot redesign the sweep is **engine-backed**: each
-//! condition builds one snapshot per crate (summaries computed bottom-up
-//! once, seeding the snapshot's results memo as a by-product) and serves
-//! every per-function measurement from it, instead of running a
-//! from-scratch `analyze` per function. The old per-function path is still
-//! timed as the baseline, so the JSON output reports the speedup the
-//! snapshot buys — and the per-function *direct* timings keep feeding the
-//! paper's §5.1 median. With one worker thread the two paths do the same
-//! number of body passes (expect a speedup near 1×); the engine's sweep
-//! parallelizes across `FLOWISTRY_ENGINE_THREADS`/`--threads` workers
-//! while the per-function baseline is inherently sequential, so the
-//! reported speedup grows with the worker count.
+//! The records come from the engine: each condition builds one snapshot
+//! per crate (summaries computed bottom-up once, seeding the snapshot's
+//! results memo as a by-product) and serves every per-function measurement
+//! from it. The paper's §5.1 per-function time is measured separately, by
+//! one direct `analyze` per function under the Modular condition.
 
 use flowistry_core::{analyze, AnalysisParams, Condition};
 use flowistry_corpus::GeneratedCrate;
@@ -59,16 +52,6 @@ pub struct CrateMeasurements {
     /// Median per-function analysis time in microseconds (Modular, direct
     /// per-function `analyze` — the paper's §5.1 metric).
     pub median_analysis_micros: f64,
-    /// Seconds for the engine-backed sweep across all conditions: one
-    /// `analyze_all` snapshot per condition plus every per-function query.
-    pub sweep_engine_seconds: f64,
-    /// Seconds for the legacy sweep: a from-scratch per-function `analyze`
-    /// for every function under every condition. `0.0` when the baseline
-    /// was skipped ([`measure_crate_engine_only`]).
-    pub sweep_direct_seconds: f64,
-    /// `sweep_direct_seconds / sweep_engine_seconds` (`0.0` when the
-    /// baseline was skipped).
-    pub sweep_speedup: f64,
     /// All per-variable records, across conditions. Served from the
     /// engine snapshots — bit-identical to the direct path on this corpus
     /// (pinned by `engine_served_records_match_direct_analysis`); note the
@@ -83,31 +66,10 @@ pub struct CrateMeasurements {
 /// Runs the analysis of every crate-local function of `krate` under each of
 /// `conditions` and collects the per-variable records.
 ///
-/// The records are served from one engine snapshot per condition; the
-/// direct per-function path runs afterwards purely as the timing baseline
-/// (its per-function Modular timings also provide
-/// [`CrateMeasurements::median_analysis_micros`]). The baseline roughly
-/// doubles the sweep cost at one worker — use
-/// [`measure_crate_engine_only`] when the speedup report is not needed.
+/// The records are served from one engine snapshot per condition; a direct
+/// per-function `analyze` under the Modular condition is timed for
+/// [`CrateMeasurements::median_analysis_micros`].
 pub fn measure_crate(krate: &GeneratedCrate, conditions: &[Condition]) -> CrateMeasurements {
-    measure_crate_inner(krate, conditions, true)
-}
-
-/// [`measure_crate`] without the full direct baseline: only the Modular
-/// condition is re-run directly (one cheap pass, feeding the paper's §5.1
-/// per-function median); `sweep_direct_seconds`/`sweep_speedup` are `0.0`.
-pub fn measure_crate_engine_only(
-    krate: &GeneratedCrate,
-    conditions: &[Condition],
-) -> CrateMeasurements {
-    measure_crate_inner(krate, conditions, false)
-}
-
-fn measure_crate_inner(
-    krate: &GeneratedCrate,
-    conditions: &[Condition],
-    baseline: bool,
-) -> CrateMeasurements {
     let program = Arc::new(krate.program.clone());
     let available = krate.available_bodies();
     let mut records = Vec::new();
@@ -116,31 +78,19 @@ fn measure_crate_inner(
         total_instrs += program.body(func).instruction_count();
     }
 
-    // Engine-backed sweep: one snapshot per condition serves every
-    // per-function measurement. Only the analysis work (engine build +
-    // analyze_all + results queries) is timed — record extraction happens
-    // outside the timed region, mirroring the baseline loop below, so the
-    // reported speedup compares equal work.
-    let mut sweep_engine_seconds = 0.0f64;
+    // One snapshot per condition serves every per-function measurement.
     for &condition in conditions {
         let params = AnalysisParams {
             condition,
             available_bodies: Some(available.clone()),
             ..AnalysisParams::default()
         };
-        let timed = Instant::now();
         let mut engine =
             AnalysisEngine::new(program.clone(), EngineConfig::default().with_params(params));
         engine.analyze_all();
         let snapshot = engine.snapshot();
-        let per_func: Vec<_> = krate
-            .crate_funcs
-            .iter()
-            .map(|&func| (func, snapshot.results(func)))
-            .collect();
-        sweep_engine_seconds += timed.elapsed().as_secs_f64();
-
-        for (func, results) in per_func {
+        for &func in &krate.crate_funcs {
+            let results = snapshot.results(func);
             let body = program.body(func);
             for (local, deps) in results.user_variable_deps(body) {
                 let name = body
@@ -160,36 +110,23 @@ fn measure_crate_inner(
         }
     }
 
-    // The baseline the snapshot replaced: a from-scratch analyze() per
-    // function per condition. Timed for the speedup report; its Modular
-    // per-function timings are the paper's §5.1 metric. Without `baseline`
-    // only the (cheap) Modular pass runs, for the median.
-    let mut modular_times = Vec::new();
-    let baseline_start = Instant::now();
-    for &condition in conditions {
-        if !baseline && condition != Condition::MODULAR {
-            continue;
-        }
-        let params = AnalysisParams {
-            condition,
-            available_bodies: Some(available.clone()),
-            ..AnalysisParams::default()
-        };
-        for &func in &krate.crate_funcs {
+    // The paper's §5.1 metric: a from-scratch Modular analyze() per
+    // function.
+    let params = AnalysisParams {
+        available_bodies: Some(available),
+        ..AnalysisParams::for_condition(Condition::MODULAR)
+    };
+    let mut modular_times: Vec<f64> = krate
+        .crate_funcs
+        .iter()
+        .map(|&func| {
             let start = Instant::now();
             let results = analyze(&program, func, &params);
             let elapsed = start.elapsed();
-            if condition == Condition::MODULAR {
-                modular_times.push(elapsed.as_secs_f64() * 1e6);
-            }
             std::hint::black_box(&results);
-        }
-    }
-    let sweep_direct_seconds = if baseline {
-        baseline_start.elapsed().as_secs_f64()
-    } else {
-        0.0
-    };
+            elapsed.as_secs_f64() * 1e6
+        })
+        .collect();
 
     let num_vars = records
         .iter()
@@ -210,13 +147,6 @@ fn measure_crate_inner(
         num_vars,
         avg_instrs_per_func: total_instrs as f64 / krate.crate_funcs.len().max(1) as f64,
         median_analysis_micros,
-        sweep_engine_seconds,
-        sweep_direct_seconds,
-        sweep_speedup: if baseline {
-            sweep_direct_seconds / sweep_engine_seconds.max(1e-9)
-        } else {
-            0.0
-        },
         records,
     }
 }
@@ -233,30 +163,10 @@ pub fn measure_corpus_limited(
     conditions: &[Condition],
     max_crates: usize,
 ) -> Vec<CrateMeasurements> {
-    measure_corpus_inner(seed, conditions, max_crates, true)
-}
-
-/// [`measure_corpus_limited`] without the direct baseline sweep — the fast
-/// path (`evaluate --no-baseline`): figures and records are identical, the
-/// speedup fields stay `0.0`.
-pub fn measure_corpus_engine_only(
-    seed: u64,
-    conditions: &[Condition],
-    max_crates: usize,
-) -> Vec<CrateMeasurements> {
-    measure_corpus_inner(seed, conditions, max_crates, false)
-}
-
-fn measure_corpus_inner(
-    seed: u64,
-    conditions: &[Condition],
-    max_crates: usize,
-    baseline: bool,
-) -> Vec<CrateMeasurements> {
     flowistry_corpus::generate_corpus(seed)
         .iter()
         .take(max_crates)
-        .map(|k| measure_crate_inner(k, conditions, baseline))
+        .map(|k| measure_crate(k, conditions))
         .collect()
 }
 
@@ -293,27 +203,7 @@ mod tests {
         }
         // The number of records is (#vars) * (#conditions).
         assert_eq!(m.records.len(), m.num_vars * conditions.len());
-        // Both sweep paths ran and produced a finite speedup.
-        assert!(m.sweep_engine_seconds > 0.0);
-        assert!(m.sweep_direct_seconds > 0.0);
-        assert!(m.sweep_speedup > 0.0);
-    }
-
-    #[test]
-    fn engine_only_mode_produces_identical_records_without_the_baseline() {
-        let profile = &paper_profiles()[0];
-        let krate = generate_crate(profile, DEFAULT_SEED);
-        let conditions = [Condition::MODULAR, Condition::WHOLE_PROGRAM];
-        let with = measure_crate(&krate, &conditions);
-        let without = measure_crate_engine_only(&krate, &conditions);
-        assert_eq!(with.records, without.records);
-        assert!(
-            without.median_analysis_micros > 0.0,
-            "median still measured"
-        );
-        assert_eq!(without.sweep_direct_seconds, 0.0);
-        assert_eq!(without.sweep_speedup, 0.0);
-        assert!(with.sweep_direct_seconds > 0.0);
+        assert!(m.median_analysis_micros > 0.0);
     }
 
     #[test]

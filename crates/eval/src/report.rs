@@ -40,44 +40,6 @@ pub fn render_table1(measurements: &[CrateMeasurements]) -> String {
     out
 }
 
-/// Renders the engine-backed sweep comparison: per crate, the time to
-/// serve every per-function measurement from one snapshot per condition
-/// versus the legacy from-scratch `analyze` per function.
-pub fn render_sweep(measurements: &[CrateMeasurements]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Engine-backed sweep vs per-function analyze (all conditions)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<12} {:>14} {:>14} {:>9}",
-        "Crate", "snapshot (ms)", "direct (ms)", "speedup"
-    );
-    let (mut engine_total, mut direct_total) = (0.0f64, 0.0f64);
-    for m in measurements {
-        let _ = writeln!(
-            out,
-            "{:<12} {:>14.3} {:>14.3} {:>8.2}x",
-            m.name,
-            m.sweep_engine_seconds * 1e3,
-            m.sweep_direct_seconds * 1e3,
-            m.sweep_speedup
-        );
-        engine_total += m.sweep_engine_seconds;
-        direct_total += m.sweep_direct_seconds;
-    }
-    let _ = writeln!(
-        out,
-        "{:<12} {:>14.3} {:>14.3} {:>8.2}x",
-        "Total:",
-        engine_total * 1e3,
-        direct_total * 1e3,
-        direct_total / engine_total.max(1e-9)
-    );
-    out
-}
-
 /// Renders one difference distribution (a panel of Figure 2 or Figure 3).
 pub fn render_diff(title: &str, stats: &DiffStats) -> String {
     let mut out = String::new();
@@ -230,9 +192,6 @@ mod tests {
             num_vars: 300,
             avg_instrs_per_func: 16.6,
             median_analysis_micros: 120.0,
-            sweep_engine_seconds: 0.05,
-            sweep_direct_seconds: 0.4,
-            sweep_speedup: 8.0,
             records: vec![
                 VariableRecord {
                     krate: "rayon".into(),
@@ -260,9 +219,6 @@ mod tests {
         assert!(text.contains("rayon"));
         assert!(text.contains("Total:"));
         assert!(text.contains("LOC"));
-        let sweep = render_sweep(&[fake_measurement()]);
-        assert!(sweep.contains("speedup"));
-        assert!(sweep.contains("8.00x"));
     }
 
     #[test]

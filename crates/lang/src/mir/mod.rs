@@ -638,12 +638,6 @@ impl Body {
         self.try_place_ty(place, structs)
             .unwrap_or_else(|| panic!("ill-typed place {place} in body of `{}`", self.name))
     }
-
-    /// Number of user-visible variables (locals with names). This is the
-    /// "# Vars" metric of Table 1.
-    pub fn user_var_count(&self) -> usize {
-        self.local_decls.iter().filter(|d| d.name.is_some()).count()
-    }
 }
 
 #[cfg(test)]

@@ -206,12 +206,6 @@ impl BackendLauncher for InProcessLauncher {
     }
 }
 
-/// What a routed request gets back from the backend pool.
-pub(crate) enum BackendReply {
-    /// The backend's verbatim response line.
-    Line(String),
-}
-
 /// The shared pipelined data connection to one backend. All client
 /// connections' routed requests multiplex over it; responses come back in
 /// write order, so an in-order queue of reply senders is enough to match
@@ -220,7 +214,7 @@ struct BackendConn {
     writer: TcpStream,
     /// Senders for responses not yet received, in request order. Shared
     /// with the reader thread, which pops the front per response line.
-    inflight: Arc<Mutex<VecDeque<Sender<BackendReply>>>>,
+    inflight: Arc<Mutex<VecDeque<Sender<String>>>>,
     /// Set by the reader thread when the connection dies.
     dead: Arc<AtomicBool>,
 }
@@ -263,8 +257,7 @@ impl BackendConn {
                 ));
             }
         }
-        let inflight: Arc<Mutex<VecDeque<Sender<BackendReply>>>> =
-            Arc::new(Mutex::new(VecDeque::new()));
+        let inflight: Arc<Mutex<VecDeque<Sender<String>>>> = Arc::new(Mutex::new(VecDeque::new()));
         let dead = Arc::new(AtomicBool::new(false));
         {
             let inflight = inflight.clone();
@@ -288,7 +281,7 @@ impl BackendConn {
                         let sender = inflight.lock().expect("inflight lock").pop_front();
                         match sender {
                             Some(tx) => {
-                                let _ = tx.send(BackendReply::Line(trimmed));
+                                let _ = tx.send(trimmed);
                             }
                             None => break, // response with no request: protocol torn
                         }
@@ -311,7 +304,7 @@ impl BackendConn {
     /// arrive on. The enqueue and the write happen under the caller's
     /// exclusive borrow, so the inflight order always matches the write
     /// order.
-    fn send(&mut self, line: &str) -> io::Result<Receiver<BackendReply>> {
+    fn send(&mut self, line: &str) -> io::Result<Receiver<String>> {
         if self.dead.load(Ordering::SeqCst) {
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
@@ -405,6 +398,12 @@ pub(crate) const BREAKER_CLOSED: u8 = 0;
 pub(crate) const BREAKER_OPEN: u8 = 1;
 pub(crate) const BREAKER_HALF_OPEN: u8 = 2;
 
+/// Consecutive send failures before a backend's circuit opens.
+const BREAKER_THRESHOLD: u32 = 5;
+/// How long an open circuit waits before letting one half-open probe
+/// request through.
+const BREAKER_COOLDOWN: Duration = Duration::from_millis(500);
+
 /// One ring slot of the fleet: the launcher that makes instances, the
 /// current instance, its connections, and its health state.
 pub(crate) struct Backend {
@@ -481,11 +480,12 @@ impl Backend {
     }
 
     /// Whether the circuit breaker lets a send through. Closed: always.
-    /// Open: only once `cooldown` has elapsed, and then exactly one caller
-    /// wins the transition to half-open and carries the probe request —
-    /// everyone else keeps failing fast until that probe settles via
-    /// [`Backend::record_send_success`] or [`Backend::record_send_failure`].
-    pub(crate) fn breaker_allows(&self, cooldown: Duration) -> bool {
+    /// Open: only once [`BREAKER_COOLDOWN`] has elapsed, and then exactly
+    /// one caller wins the transition to half-open and carries the probe
+    /// request — everyone else keeps failing fast until that probe settles
+    /// via [`Backend::record_send_success`] or
+    /// [`Backend::record_send_failure`].
+    pub(crate) fn breaker_allows(&self) -> bool {
         match self.breaker.load(Ordering::SeqCst) {
             BREAKER_CLOSED => true,
             BREAKER_OPEN => {
@@ -493,7 +493,7 @@ impl Backend {
                     .breaker_opened_at
                     .lock()
                     .expect("breaker lock")
-                    .is_none_or(|t| t.elapsed() >= cooldown);
+                    .is_none_or(|t| t.elapsed() >= BREAKER_COOLDOWN);
                 cooled
                     && self
                         .breaker
@@ -521,13 +521,14 @@ impl Backend {
         }
     }
 
-    /// A send failed (or its response was lost): after `threshold`
-    /// consecutive failures — or immediately, if this was the half-open
-    /// probe — the breaker opens.
-    pub(crate) fn record_send_failure(&self, threshold: u32) {
+    /// A send failed (or its response was lost): after
+    /// [`BREAKER_THRESHOLD`] consecutive failures — or immediately, if this
+    /// was the half-open probe — the breaker opens.
+    pub(crate) fn record_send_failure(&self) {
         let failures = self.send_failures.fetch_add(1, Ordering::SeqCst) + 1;
         let state = self.breaker.load(Ordering::SeqCst);
-        if state == BREAKER_HALF_OPEN || (state == BREAKER_CLOSED && failures >= threshold) {
+        if state == BREAKER_HALF_OPEN || (state == BREAKER_CLOSED && failures >= BREAKER_THRESHOLD)
+        {
             *self.breaker_opened_at.lock().expect("breaker lock") = Some(Instant::now());
             self.breaker.store(BREAKER_OPEN, Ordering::SeqCst);
             self.metrics.breaker_state.set(i64::from(BREAKER_OPEN));
@@ -541,7 +542,7 @@ impl Backend {
 
     /// Sends one routed request line over the shared data connection,
     /// opening (and authenticating) it first when needed.
-    pub(crate) fn send(&self, line: &str) -> io::Result<Receiver<BackendReply>> {
+    pub(crate) fn send(&self, line: &str) -> io::Result<Receiver<String>> {
         let mut conn = self.conn.lock().expect("backend conn lock");
         if conn.as_ref().is_none_or(|c| c.dead.load(Ordering::SeqCst)) {
             let addr = self

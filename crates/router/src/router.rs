@@ -16,15 +16,15 @@
 //! ## Failure
 //!
 //! A request whose backend dies mid-flight is retried on the key's ring
-//! successors (bounded by [`RouterConfig::retry_attempts`]); only when
-//! every candidate fails does the client see a structured `error`
-//! envelope. The supervisor probes each backend's control connection with
-//! `stats`; after [`RouterConfig::failure_threshold`] consecutive misses
-//! the instance is killed, relaunched (warm-starting from the shared
-//! summary-cache dir), re-authenticated, caught up by replaying the full
-//! update history, and only then marked healthy for routing again.
+//! successors (three attempts in all); only when every candidate fails
+//! does the client see a structured `error` envelope. The supervisor
+//! probes each backend's control connection with `stats`; after
+//! [`RouterConfig::failure_threshold`] consecutive misses the instance is
+//! killed, relaunched (warm-starting from the shared summary-cache dir),
+//! re-authenticated, caught up by replaying the full update history, and
+//! only then marked healthy for routing again.
 
-use crate::backend::{Backend, BackendLauncher, BackendReply};
+use crate::backend::{Backend, BackendLauncher};
 use crate::ring::HashRing;
 use flowistry_engine::{QueryEnvelope, QueryRequest, QueryResponse};
 use flowistry_obs::{Counter, Gauge, Registry};
@@ -38,6 +38,11 @@ use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Health-probe read timeout.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
+/// Attempts per routed request across ring successors.
+const RETRY_ATTEMPTS: u32 = 3;
 
 /// Fleet-front configuration. The budget knobs (auth, rate, line size)
 /// mirror [`flowistry_server::ServerConfig`] — the router applies them at
@@ -63,18 +68,8 @@ pub struct RouterConfig {
     pub max_update_bytes: usize,
     /// Health-probe period (`None` = 250ms).
     pub health_interval: Option<Duration>,
-    /// Health-probe read timeout (`None` = 2s).
-    pub probe_timeout: Option<Duration>,
     /// Consecutive probe failures before a respawn (`0` = 3).
     pub failure_threshold: u32,
-    /// Attempts per routed request across ring successors (`0` = 3).
-    pub retry_attempts: u32,
-    /// Consecutive send failures before a backend's circuit opens
-    /// (`0` = 5).
-    pub breaker_threshold: u32,
-    /// How long an open circuit waits before letting one half-open probe
-    /// request through (`None` = 500ms).
-    pub breaker_cooldown: Option<Duration>,
     /// Metrics registry (`None` = a private one; see
     /// [`FlowRouter::metrics_registry`]).
     pub registry: Option<Arc<Registry>>,
@@ -146,36 +141,12 @@ impl RouterConfig {
         self.health_interval.unwrap_or(Duration::from_millis(250))
     }
 
-    fn effective_probe_timeout(&self) -> Duration {
-        self.probe_timeout.unwrap_or(Duration::from_secs(2))
-    }
-
     fn effective_failure_threshold(&self) -> u32 {
         if self.failure_threshold == 0 {
             3
         } else {
             self.failure_threshold
         }
-    }
-
-    fn effective_retry_attempts(&self) -> u32 {
-        if self.retry_attempts == 0 {
-            3
-        } else {
-            self.retry_attempts
-        }
-    }
-
-    fn effective_breaker_threshold(&self) -> u32 {
-        if self.breaker_threshold == 0 {
-            5
-        } else {
-            self.breaker_threshold
-        }
-    }
-
-    fn effective_breaker_cooldown(&self) -> Duration {
-        self.breaker_cooldown.unwrap_or(Duration::from_millis(500))
     }
 }
 
@@ -271,9 +242,7 @@ impl RouterShared {
         chain: &[usize],
         start: usize,
         line: &str,
-    ) -> Option<(usize, Receiver<BackendReply>)> {
-        let threshold = self.config.effective_breaker_threshold();
-        let cooldown = self.config.effective_breaker_cooldown();
+    ) -> Option<(usize, Receiver<String>)> {
         for only_healthy in [true, false] {
             for offset in 0..chain.len() {
                 let index = chain[(start + offset) % chain.len()];
@@ -281,12 +250,12 @@ impl RouterShared {
                 if only_healthy && !backend.is_healthy() {
                     continue;
                 }
-                if !backend.breaker_allows(cooldown) {
+                if !backend.breaker_allows() {
                     continue;
                 }
                 match backend.send(line) {
                     Ok(rx) => return Some((index, rx)),
-                    Err(_) => backend.record_send_failure(threshold),
+                    Err(_) => backend.record_send_failure(),
                 }
             }
         }
@@ -402,7 +371,7 @@ fn apply_update(backend: &Backend, source: &str, target_epoch: Option<u64>) -> i
 /// A routed request in flight: the receiver its response arrives on, plus
 /// everything needed to retry it if the backend dies mid-flight.
 struct Routed {
-    rx: Receiver<BackendReply>,
+    rx: Receiver<String>,
     /// The verbatim request line, for retries.
     line: String,
     /// Fallback order across backends (ring chain of the routing key).
@@ -497,8 +466,6 @@ impl Handler for RouterShared {
             mut attempts,
             deadline,
         } = routed;
-        let max_attempts = self.config.effective_retry_attempts();
-        let breaker_threshold = self.config.effective_breaker_threshold();
         loop {
             let current = &self.backends[chain[position % chain.len()]];
             let received = match deadline {
@@ -510,7 +477,7 @@ impl Handler for RouterShared {
                 }
             };
             match received {
-                Ok(BackendReply::Line(response)) => {
+                Ok(response) => {
                     current.record_send_success();
                     return response;
                 }
@@ -526,12 +493,12 @@ impl Handler for RouterShared {
                     // to the key's next ring successor and try again —
                     // unless the deadline budget is already spent.
                     current.metrics.retries.inc();
-                    current.record_send_failure(breaker_threshold);
+                    current.record_send_failure();
                     if deadline.is_some_and(|d| Instant::now() >= d) {
                         self.metrics.deadline_exceeded.inc();
                         return self.error_envelope("deadline exceeded".to_string());
                     }
-                    if attempts >= max_attempts {
+                    if attempts >= RETRY_ATTEMPTS {
                         self.metrics.lost_requests.inc();
                         return self.error_envelope(format!(
                             "router: request lost after {attempts} attempts"
@@ -706,7 +673,6 @@ impl Drop for FlowRouter {
 /// replays the update history into it, and returns it to the ring.
 fn health_loop(shared: &RouterShared, stop: &AtomicBool) {
     let interval = shared.config.effective_health_interval();
-    let probe_timeout = shared.config.effective_probe_timeout();
     let threshold = shared.config.effective_failure_threshold();
     while !stop.load(Ordering::SeqCst) {
         // Sleep in short slices: a long probe interval must not hold the
@@ -727,7 +693,7 @@ fn health_loop(shared: &RouterShared, stop: &AtomicBool) {
                     Err(_) => continue,
                     Ok(guard) => {
                         drop(guard);
-                        probe(backend, probe_timeout)
+                        probe(backend, PROBE_TIMEOUT)
                     }
                 }
             };

@@ -88,6 +88,72 @@ fn whole_program_is_at_least_as_precise_on_every_variable() {
     }
 }
 
+/// The paper's precision ordering, checked as set containment on every
+/// variable of the whole evaluation corpus: at each function's exit,
+/// Whole-program ⊆ Modular ⊆ Mut-blind and Modular ⊆ Ref-blind. Each
+/// ablation drops information the analysis uses, so it can only add
+/// dependencies; a variable that breaks this is a soundness or precision
+/// bug, and every one is reported.
+#[test]
+fn condition_dependency_sets_nest_on_every_corpus_variable() {
+    // (finer, coarser): every dependency under `finer` is also one under
+    // `coarser`.
+    let pairs = [
+        (Condition::WHOLE_PROGRAM, Condition::MODULAR),
+        (Condition::MODULAR, Condition::MUT_BLIND),
+        (Condition::MODULAR, Condition::REF_BLIND),
+    ];
+    let (mut variables, mut violations) = (0usize, Vec::new());
+    for krate in flowistry_corpus::generate_corpus(flowistry_corpus::DEFAULT_SEED) {
+        let params: Vec<(Condition, AnalysisParams)> = Condition::headline_four()
+            .into_iter()
+            .map(|condition| {
+                let params = AnalysisParams {
+                    condition,
+                    available_bodies: Some(krate.available_bodies()),
+                    ..AnalysisParams::default()
+                };
+                (condition, params)
+            })
+            .collect();
+        for &func in &krate.crate_funcs {
+            let body = krate.program.body(func);
+            let deps: Vec<(Condition, Vec<(Local, DepSet)>)> = params
+                .iter()
+                .map(|(c, p)| {
+                    (
+                        *c,
+                        analyze(&krate.program, func, p).user_variable_deps(body),
+                    )
+                })
+                .collect();
+            let of = |condition| &deps.iter().find(|(c, _)| *c == condition).unwrap().1;
+            variables += of(Condition::MODULAR).len();
+            for (finer, coarser) in pairs {
+                for ((local, small), (_, large)) in of(finer).iter().zip(of(coarser)) {
+                    let missing: Vec<String> =
+                        small.difference(large).map(Dep::to_string).collect();
+                    if !missing.is_empty() {
+                        violations.push(format!(
+                            "{}::{}::{local}: {finer} has {}, {coarser} does not",
+                            krate.name,
+                            body.name,
+                            missing.join(", ")
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(variables > 10_000, "only {variables} corpus variables");
+    assert!(
+        violations.is_empty(),
+        "{} containment violations:\n{}",
+        violations.len(),
+        violations.join("\n")
+    );
+}
+
 #[test]
 fn interpreter_agrees_with_the_semantics_of_the_flows() {
     let program = compile(BANK).unwrap();

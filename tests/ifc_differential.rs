@@ -9,7 +9,9 @@
 //!    observes — checked by running the interpreter on input pairs that
 //!    differ only in the high inputs and comparing the sink call traces.
 //!    Drivers containing `#[declassify]` are excluded: released data
-//!    legitimately varies with high inputs.
+//!    legitimately varies with high inputs. This runs the evaluation's
+//!    experiment, [`measure_ifc_differential`], the one `evaluate ifc`
+//!    reports.
 //!
 //! 2. **Annotations and conventions agree.** On the labeled corpus the
 //!    source annotations and the naming conventions express the same
@@ -22,100 +24,42 @@
 //! read tree-domain or indexed results.
 
 use flowistry::core::{analyze, AnalysisParams, Condition, DomainKind, FunctionSummary};
+use flowistry::corpus::labeled::DIFFERENTIAL_PROGRAMS;
 use flowistry::corpus::{differential_corpus, generate_corpus, LabeledProgram, DEFAULT_SEED};
+use flowistry::eval::measure_ifc_differential;
 use flowistry::ifc::{Policy, PolicyChecker};
-use flowistry::interp::{CallEvent, Interpreter, Rng, Value};
 use flowistry::lang::types::FuncId;
 use flowistry::lang::StableHasher;
 use flowistry::lint::Linter;
-
-const TRIALS_PER_DRIVER: usize = 4;
 
 fn whole_program() -> AnalysisParams {
     AnalysisParams::for_condition(Condition::WHOLE_PROGRAM)
 }
 
-/// The sink-visible behavior of one execution: every call to a sink
-/// function, in order, with its argument values.
-fn sink_trace(calls: &[CallEvent], sinks: &[String]) -> Vec<(String, Vec<Value>)> {
-    calls
-        .iter()
-        .filter(|c| sinks.contains(&c.callee))
-        .map(|c| (c.callee.clone(), c.args.clone()))
-        .collect()
-}
-
+/// Property 1, through the evaluation's own experiment: every mismatch it
+/// records (observed interference, or a policy that could not be built)
+/// fails the test.
 #[test]
 fn analysis_secure_drivers_show_no_interference() {
-    let corpus = differential_corpus();
+    let report = measure_ifc_differential(DEFAULT_SEED, DIFFERENTIAL_PROGRAMS, 4);
     assert!(
-        corpus.len() >= 200,
+        report.programs >= 200,
         "differential corpus must span at least 200 programs"
     );
-
-    let mut rng = Rng::new(0xD1FF);
-    let mut clean_drivers = 0usize;
-    let mut compared = 0usize;
-
-    for p in &corpus {
-        let policy = Policy::from_annotations(&p.program)
-            .unwrap_or_else(|e| panic!("{}: bad annotations: {e}", p.name));
-        let checker = PolicyChecker::new(&p.program, policy)
-            .unwrap_or_else(|e| panic!("{}: bad policy: {e}", p.name))
-            .with_params(whole_program());
-        let interp = Interpreter::new(&p.program);
-
-        for d in &p.drivers {
-            let report = checker
-                .check_function(&d.name)
-                .expect("driver exists by construction");
-            if !report.is_clean() || d.declassifies {
-                continue;
-            }
-            clean_drivers += 1;
-            let func = p.program.func_id(&d.name).expect("driver exists");
-
-            for _ in 0..TRIALS_PER_DRIVER {
-                let base: Vec<Value> = (0..d.num_params)
-                    .map(|_| Value::Int(rng.small_int()))
-                    .collect();
-                let mut varied = base.clone();
-                for &i in &d.high_inputs {
-                    let Value::Int(old) = base[i] else {
-                        unreachable!()
-                    };
-                    let mut next = rng.small_int();
-                    if next == old {
-                        next += 1;
-                    }
-                    varied[i] = Value::Int(next);
-                }
-                let (Ok(a), Ok(b)) = (
-                    interp.run_with_env(func, base.clone()),
-                    interp.run_with_env(func, varied.clone()),
-                ) else {
-                    continue; // runtime error (fuel, arithmetic): trial is inconclusive
-                };
-                compared += 1;
-                let ta = sink_trace(&a.calls, &p.sink_names);
-                let tb = sink_trace(&b.calls, &p.sink_names);
-                assert_eq!(
-                    ta, tb,
-                    "interference in analysis-secure driver {}::{} \
-                     (base {base:?}, varied {varied:?}):\n{}",
-                    p.name, d.name, p.source
-                );
-            }
-        }
-    }
-
     assert!(
-        clean_drivers >= 50,
-        "oracle is vacuous: only {clean_drivers} analysis-secure drivers"
+        report.is_clean(),
+        "interference in analysis-secure drivers:\n{}",
+        report.interference_mismatches.join("\n")
     );
     assert!(
-        compared >= 100,
-        "oracle is vacuous: only {compared} executions compared"
+        report.secure_drivers >= 50,
+        "oracle is vacuous: only {} analysis-secure drivers",
+        report.secure_drivers
+    );
+    assert!(
+        report.executions_compared >= 100,
+        "oracle is vacuous: only {} executions compared",
+        report.executions_compared
     );
 }
 

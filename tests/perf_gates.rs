@@ -48,6 +48,33 @@ fn profile(name: &str) -> GeneratedCrate {
 // single-function edit, on the largest corpus crate.
 // ---------------------------------------------------------------------------
 
+/// Edits the body of `helper_0` in a generated crate's source: inserts one
+/// extra statement right after the function's opening brace, which changes
+/// that function's content hash and nothing else's.
+fn edit_one_helper(source: &str) -> Option<String> {
+    let fn_start = source.find("fn helper_0")?;
+    let brace = source[fn_start..].find('{')? + fn_start;
+    let mut edited = String::with_capacity(source.len() + 32);
+    edited.push_str(&source[..=brace]);
+    edited.push_str("\n    let zedit = 1;");
+    edited.push_str(&source[brace + 1..]);
+    Some(edited)
+}
+
+#[test]
+fn edit_changes_exactly_one_function() {
+    let src = "fn helper_0(x: i32, y: i32) -> i32 {\n    return x + y;\n}\n\
+               fn drive_0(a: i32) -> i32 { return helper_0(a, 2); }\n";
+    let edited = edit_one_helper(src).unwrap();
+    assert!(edited.contains("zedit"));
+    let p1 = flowistry_lang::compile(src).unwrap();
+    let p2 = flowistry_lang::compile(&edited).unwrap();
+    let h1 = flowistry_lang::function_content_hash(&p1, p1.func_id("helper_0").unwrap());
+    let h2 = flowistry_lang::function_content_hash(&p2, p2.func_id("helper_0").unwrap());
+    assert_ne!(h1, h2);
+    assert!(edit_one_helper("fn nothing() {}").is_none());
+}
+
 /// On the rg3d stand-in (the largest corpus crate): cold `analyze_all`,
 /// then `analyze_all` after editing one helper, on one worker. The ratio is
 /// a property of the cache (dirty cone vs whole program), and thread
@@ -55,8 +82,7 @@ fn profile(name: &str) -> GeneratedCrate {
 /// `(cold seconds, cold analyzed, warm seconds, warm analyzed)`.
 fn cold_then_edited() -> (f64, usize, f64, usize) {
     let krate = profile("rg3d");
-    let edited_source =
-        flowistry_eval::engine_perf::edit_one_helper(&krate.source).expect("helper_0 exists");
+    let edited_source = edit_one_helper(&krate.source).expect("helper_0 exists");
     let edited = flowistry_lang::compile(&edited_source).expect("edited crate compiles");
     let params = AnalysisParams {
         condition: Condition::WHOLE_PROGRAM,
