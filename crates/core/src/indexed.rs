@@ -73,10 +73,26 @@ impl DomainTables {
 ///
 /// Rows are only ever written for present places, so the present places
 /// and their rows ([`IndexedTheta::entries`]) are the whole state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct IndexedTheta {
     rows: IndexMatrix,
     present: BitSet,
+}
+
+impl Clone for IndexedTheta {
+    fn clone(&self) -> Self {
+        IndexedTheta {
+            rows: self.rows.clone(),
+            present: self.present.clone(),
+        }
+    }
+
+    /// Forwards to the rows and the presence set, so rows already shared
+    /// with `source` are kept, not re-counted.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows.clone_from(&source.rows);
+        self.present.clone_from(&source.present);
+    }
 }
 
 /// Whether two rows hold the same dependencies (`None`: no dependencies).
@@ -1394,8 +1410,9 @@ pub(crate) fn analyze_indexed_inner(
     let mut deltas = Deltas::default();
     let mut log = StepLog::default();
     let mut exit = IndexedTheta::empty(compiled.n_places);
+    let mut state = IndexedTheta::empty(compiled.n_places);
     for (plan, entry) in compiled.blocks.iter().zip(&entry_states) {
-        let mut state = entry.clone();
+        state.clone_from(entry);
         for stmt in &plan.stmts {
             if let Some(assign) = stmt {
                 compiled.apply_assign(plan, assign, &mut state, &mut log);
@@ -1449,6 +1466,38 @@ mod parts_tests {
         assert!(theta.contains(1) && !theta.contains(2));
         assert!(std::ptr::eq(theta.row(3).unwrap(), &*row));
         assert!(theta.row(1).is_none());
+    }
+
+    #[test]
+    fn clone_from_matches_clone_and_keeps_the_source_intact() {
+        let row = Arc::new([0, 2].into_iter().collect::<BitSet>());
+        let other = Arc::new([1].into_iter().collect::<BitSet>());
+        let source = state(&[(0, Some(&row)), (2, None), (4, Some(&row))]);
+        // A shorter target, a longer one (past the source's last row and
+        // past 128 places, so the presence set spills), and one sharing a
+        // row with the source already.
+        let targets = [
+            state(&[(1, Some(&other))]),
+            state(&[(0, None), (2, Some(&other)), (7, Some(&other)), (300, None)]),
+            state(&[(0, Some(&row)), (3, None)]),
+        ];
+        for mut target in targets {
+            target.clone_from(&source);
+            assert_eq!(target, source.clone());
+            assert!(target.entries().eq(source.entries()));
+            assert!(std::ptr::eq(target.row(0).unwrap(), &*row));
+            assert!(std::ptr::eq(target.row(4).unwrap(), &*row));
+            // Writing the working state leaves the source's rows alone.
+            target.rows.insert(0, 9);
+            target.rows.insert(2, 9);
+            target.present.insert(5);
+            assert_eq!(
+                source.row(0).unwrap().iter().collect::<Vec<_>>(),
+                vec![0, 2]
+            );
+            assert!(source.row(2).is_none() && !source.contains(5));
+            assert!(std::ptr::eq(source.row(0).unwrap(), &*row));
+        }
     }
 
     /// The deltas of one block given as full states.

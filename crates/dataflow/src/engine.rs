@@ -127,12 +127,15 @@ pub fn iterate_to_fixpoint<A: Analysis>(
     worklist.push(std::cmp::Reverse((0, graph.start_node())));
     on_worklist[graph.start_node()] = true;
 
+    // One working state for every visit: `clone_from` lets a domain reuse
+    // its allocations and keep whatever it already shares with the entry.
+    let mut state = analysis.bottom();
     let mut iterations = 0;
     while let Some(std::cmp::Reverse((_, node))) = worklist.pop() {
         on_worklist[node] = false;
         iterations += 1;
 
-        let mut state = entry_states[node].clone();
+        state.clone_from(&entry_states[node]);
         analysis.transfer_block(node, &mut state);
 
         for succ in graph.successors(node) {

@@ -108,9 +108,25 @@ enum Words {
 /// Capacity is implicit — any index beyond the stored words is simply
 /// absent — so sets over differently sized universes compare and union
 /// freely.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BitSet {
     words: Words,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            words: self.words.clone(),
+        }
+    }
+
+    /// Reuses `self`'s spilled words when both sets are spilled.
+    fn clone_from(&mut self, source: &Self) {
+        match (&mut self.words, &source.words) {
+            (Words::Spilled(own), Words::Spilled(src)) => own.clone_from(src),
+            (own, src) => *own = src.clone(),
+        }
+    }
 }
 
 impl Default for BitSet {
@@ -308,9 +324,36 @@ impl JoinSemiLattice for BitSet {
 /// block's entry state, or a record of what a statement changed) can keep
 /// mutating the matrix: the kept row is copied on its next write and never
 /// changes under the caller.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct IndexMatrix {
     rows: Vec<Option<Arc<BitSet>>>,
+}
+
+impl Clone for IndexMatrix {
+    fn clone(&self) -> Self {
+        IndexMatrix {
+            rows: self.rows.clone(),
+        }
+    }
+
+    /// Points every slot at the source's row, touching only the slots that
+    /// differ: a slot already sharing the source's `Arc` (or empty in both)
+    /// keeps it without a refcount round trip. The result shares every row
+    /// with `source`, so a later write unshares it as after `clone`.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows.truncate(source.rows.len());
+        for (own, src) in self.rows.iter_mut().zip(&source.rows) {
+            let shared = match (&*own, src) {
+                (Some(own), Some(src)) => Arc::ptr_eq(own, src),
+                (own, src) => own.is_none() && src.is_none(),
+            };
+            if !shared {
+                *own = src.clone();
+            }
+        }
+        let len = self.rows.len();
+        self.rows.extend_from_slice(&source.rows[len..]);
+    }
 }
 
 impl IndexMatrix {
@@ -649,6 +692,91 @@ mod tests {
         assert!(d.rows[0].is_none());
         d.set_row(0, [3].into_iter().collect());
         assert!(d.row(0).unwrap().contains(3));
+    }
+
+    /// Every slot of `a` holds the same allocation as `b`'s (or both none).
+    fn shares_every_row(a: &IndexMatrix, b: &IndexMatrix) -> bool {
+        a.rows.len() == b.rows.len()
+            && a.rows.iter().zip(&b.rows).all(|pair| match pair {
+                (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+                (x, y) => x.is_none() && y.is_none(),
+            })
+    }
+
+    #[test]
+    fn matrix_clone_from_matches_clone_and_shares_rows() {
+        let mut source = IndexMatrix::with_rows(5);
+        source.insert(0, 1);
+        source.insert(2, 7);
+        source.insert(4, 300);
+        let kept = source.row_arc(2).cloned();
+        // Targets shorter and longer than the source, with slots that are
+        // `None` where the source has a row and rows where it has `None`,
+        // and one slot already sharing the source's row.
+        let mut shorter = IndexMatrix::with_rows(2);
+        shorter.insert(1, 9);
+        let mut longer = IndexMatrix::with_rows(9);
+        longer.insert(0, 5);
+        longer.insert(3, 6);
+        longer.insert(8, 2);
+        longer.set_row_arc(2, kept.clone());
+        for mut target in [shorter, longer, IndexMatrix::default()] {
+            target.clone_from(&source);
+            assert_eq!(target, source.clone());
+            assert!(shares_every_row(&target, &source));
+            assert!(Arc::ptr_eq(
+                target.row_arc(2).unwrap(),
+                kept.as_ref().unwrap()
+            ));
+        }
+        // An empty source empties the target.
+        let mut target = source.clone();
+        target.clone_from(&IndexMatrix::default());
+        assert_eq!(target.num_rows(), 0);
+    }
+
+    #[test]
+    fn writes_after_clone_from_never_reach_the_source() {
+        let mut source = IndexMatrix::with_rows(3);
+        source.insert(0, 1);
+        source.insert(1, 2);
+        let before = source.clone();
+        let mut working = IndexMatrix::with_rows(3);
+        // A row the working state owns alone, about to be replaced.
+        working.insert(0, 40);
+        working.clone_from(&source);
+        working.insert(0, 3);
+        working.row_mut(1).clear();
+        working.insert(2, 4);
+        let mut other = IndexMatrix::with_rows(2);
+        other.insert(1, 50);
+        assert!(working.join(&other));
+        assert_eq!(source, before);
+        assert!(shares_every_row(&source, &before));
+        assert_eq!(source.row(0).unwrap().iter().collect::<Vec<_>>(), vec![1]);
+        assert!(source.row(2).is_none());
+        // And the working state can be reset from the source again.
+        working.clone_from(&source);
+        assert_eq!(working, source);
+        assert!(shares_every_row(&working, &source));
+    }
+
+    #[test]
+    fn bitset_clone_from_matches_clone_across_storage() {
+        let inline: BitSet = [3].into_iter().collect();
+        let spilled: BitSet = [3, 900].into_iter().collect();
+        let other_spilled: BitSet = [1000, 2000].into_iter().collect();
+        for source in [&inline, &spilled] {
+            for target in [&inline, &spilled, &other_spilled] {
+                let mut copy = target.clone();
+                copy.clone_from(source);
+                assert_eq!(&copy, source);
+                assert_eq!(
+                    copy.iter().collect::<Vec<_>>(),
+                    source.iter().collect::<Vec<_>>()
+                );
+            }
+        }
     }
 
     #[test]

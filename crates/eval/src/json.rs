@@ -124,6 +124,12 @@ pub trait ToJson {
     fn to_json(&self) -> Json;
 }
 
+impl ToJson for Json {
+    fn to_json(&self) -> Json {
+        self.clone()
+    }
+}
+
 impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)

@@ -5,9 +5,11 @@
 //! are *ownership-safe* (data is never simultaneously aliased and mutated).
 //! The checker enforces an NLL-like discipline:
 //!
-//! * a loan is **live** from its creation until the last use of any local
-//!   whose type may carry it (computed via local liveness plus region
-//!   reachability over the outlives constraints);
+//! * a loan is **live** at a location when some local live on entry to it
+//!   has a type that may carry it: one mentioning a region the loan's region
+//!   reaches over the outlives constraints. Live locals are dense bitsets
+//!   (`ceil(n_locals / 64)` words) from a backward fixpoint over blocks, and
+//!   each loan's carrier locals are one bitset computed once per body;
 //! * while a unique loan of `p` is live, `p`'s conflicting places may not be
 //!   read, written, or borrowed (except through the loan itself);
 //! * while a shared loan of `p` is live, `p`'s conflicting places may not be
@@ -22,7 +24,6 @@ use crate::ast::Mutability;
 use crate::mir::*;
 use crate::span::Diagnostic;
 use crate::types::RegionVid;
-use std::collections::{HashMap, HashSet};
 
 /// A loan: a borrow of `place` with a given mutability and region, created
 /// at `location`.
@@ -44,18 +45,35 @@ pub fn check_body(body: &Body) -> Vec<Diagnostic> {
     if loans.is_empty() {
         return Vec::new();
     }
-    let live_locals = liveness(body);
-    let reach = region_reachability(body);
+    let words = body.local_decls.len().div_ceil(64);
+    let carriers = loan_carriers(body, &loans, words);
+    let block_live_in = block_live_in(body, words);
     let mut errors = Vec::new();
+    // The live-in set of each location of the current block (`words` per
+    // location) from one backward walk, the set under that walk, and the
+    // loans live at the location being checked.
+    let mut live_at: Vec<u64> = Vec::new();
+    let mut cur = vec![0u64; words];
+    let mut live = Vec::new();
 
     for bb in body.block_ids() {
         let data = body.block(bb);
+        let n = data.statements.len();
+        live_at.resize((n + 1) * words, 0);
+        live_out(body, bb, &block_live_in, &mut cur);
+        transfer_terminator(&mut cur, data.terminator());
+        live_at[n * words..].copy_from_slice(&cur);
+        for (i, stmt) in data.statements.iter().enumerate().rev() {
+            transfer_statement(&mut cur, stmt);
+            live_at[i * words..(i + 1) * words].copy_from_slice(&cur);
+        }
+
         for (i, stmt) in data.statements.iter().enumerate() {
             let loc = Location {
                 block: bb,
                 statement_index: i,
             };
-            let live = live_loans(body, &loans, &live_locals, &reach, loc);
+            loans_live_at(&loans, &carriers, &live_at[i * words..], &mut live);
             if let StatementKind::Assign(place, rvalue) = &stmt.kind {
                 check_write(body, place, &live, loc, stmt.span, &mut errors);
                 match rvalue {
@@ -78,9 +96,9 @@ pub fn check_body(body: &Body) -> Vec<Diagnostic> {
         }
         let loc = Location {
             block: bb,
-            statement_index: data.statements.len(),
+            statement_index: n,
         };
-        let live = live_loans(body, &loans, &live_locals, &reach, loc);
+        loans_live_at(&loans, &carriers, &live_at[n * words..], &mut live);
         match &data.terminator().kind {
             TerminatorKind::Call {
                 args, destination, ..
@@ -224,179 +242,154 @@ fn check_borrow(
     }
 }
 
-/// Loans live at `loc`: the loan's region reaches a region mentioned in the
-/// type of some local that is live at `loc`, or the loan was created at an
-/// earlier statement of the same block and its value has not yet died.
-fn live_loans<'a>(
-    body: &Body,
+/// Collects into `out`, in loan order, the loans live where `live` (a
+/// location's live-in set) holds: those with a carrier local in `live`.
+fn loans_live_at<'a>(
     loans: &'a [Loan],
-    live_locals: &HashMap<Location, HashSet<Local>>,
-    reach: &HashMap<RegionVid, HashSet<RegionVid>>,
-    loc: Location,
-) -> Vec<&'a Loan> {
-    let live = match live_locals.get(&loc) {
-        Some(set) => set,
-        None => return Vec::new(),
-    };
-    // Regions mentioned by live locals.
-    let mut live_regions: HashSet<RegionVid> = HashSet::new();
-    for local in live {
-        for r in body.local_decl(*local).ty.regions() {
-            live_regions.insert(r);
+    carriers: &[Vec<u64>],
+    live: &[u64],
+    out: &mut Vec<&'a Loan>,
+) {
+    out.clear();
+    out.extend(
+        loans
+            .iter()
+            .zip(carriers)
+            .filter(|(_, carrier)| carrier.iter().zip(live).any(|(c, l)| c & l != 0))
+            .map(|(loan, _)| loan),
+    );
+}
+
+/// Per loan, the locals that may carry it: those whose type mentions a
+/// region the loan's region reaches over `longer :> shorter` edges (the
+/// loan's region included).
+fn loan_carriers(body: &Body, loans: &[Loan], words: usize) -> Vec<Vec<u64>> {
+    let n_regions = body.regions.len();
+    let mut edges: Vec<Vec<RegionVid>> = vec![Vec::new(); n_regions];
+    for c in &body.outlives {
+        if let Some(next) = edges.get_mut(c.longer.0 as usize) {
+            next.push(c.shorter);
         }
     }
+    let local_regions: Vec<Vec<RegionVid>> = body
+        .local_decls
+        .iter()
+        .map(|decl| decl.ty.regions())
+        .collect();
+    let mut reached = vec![false; n_regions];
+    let mut stack = Vec::new();
     loans
         .iter()
-        .filter(|loan| {
-            reach
-                .get(&loan.region)
-                .map(|reached| reached.iter().any(|r| live_regions.contains(r)))
-                .unwrap_or(false)
+        .map(|loan| {
+            reached.fill(false);
+            stack.push(loan.region);
+            while let Some(r) = stack.pop() {
+                if let Some(seen @ false) = reached.get_mut(r.0 as usize) {
+                    *seen = true;
+                    stack.extend(&edges[r.0 as usize]);
+                }
+            }
+            let mut carrier = vec![0u64; words];
+            for (i, regions) in local_regions.iter().enumerate() {
+                if regions
+                    .iter()
+                    .any(|r| reached.get(r.0 as usize) == Some(&true))
+                {
+                    carrier[i / 64] |= 1 << (i % 64);
+                }
+            }
+            carrier
         })
         .collect()
 }
 
-/// For each region, the set of regions its loans flow into (including
-/// itself): reachability over `longer :> shorter` edges.
-fn region_reachability(body: &Body) -> HashMap<RegionVid, HashSet<RegionVid>> {
-    let mut edges: HashMap<RegionVid, Vec<RegionVid>> = HashMap::new();
-    for c in &body.outlives {
-        edges.entry(c.longer).or_default().push(c.shorter);
-    }
-    let mut out = HashMap::new();
-    for i in 0..body.regions.len() {
-        let start = RegionVid(i as u32);
-        let mut seen = HashSet::new();
-        let mut stack = vec![start];
-        while let Some(r) = stack.pop() {
-            if seen.insert(r) {
-                if let Some(next) = edges.get(&r) {
-                    stack.extend(next.iter().copied());
-                }
-            }
-        }
-        out.insert(start, seen);
-    }
-    out
+fn mark_live(live: &mut [u64], local: Local) {
+    live[local.index() / 64] |= 1 << (local.index() % 64);
 }
 
-/// Per-location live locals (backward may-analysis).
-fn liveness(body: &Body) -> HashMap<Location, HashSet<Local>> {
-    // live-out of each block, iterated to fixpoint.
-    let n = body.basic_blocks.len();
-    let mut live_in: Vec<HashSet<Local>> = vec![HashSet::new(); n];
-    let preds = body.predecessors();
-
-    // Transfer over one block: returns the live set before the block given
-    // the live set after it, and records per-location sets.
-    fn block_transfer(
-        body: &Body,
-        bb: BasicBlock,
-        mut live: HashSet<Local>,
-        record: Option<&mut HashMap<Location, HashSet<Local>>>,
-    ) -> HashSet<Local> {
-        let data = body.block(bb);
-        let mut per_loc: Vec<(Location, HashSet<Local>)> = Vec::new();
-
-        // Terminator first (we walk backwards).
-        let term_loc = Location {
-            block: bb,
-            statement_index: data.statements.len(),
-        };
-        match &data.terminator().kind {
-            TerminatorKind::Call {
-                args, destination, ..
-            } => {
-                if destination.projection.is_empty() {
-                    live.remove(&destination.local);
-                } else {
-                    live.insert(destination.local);
-                }
-                for op in args {
-                    if let Some(p) = op.place() {
-                        live.insert(p.local);
-                    }
-                }
-            }
-            TerminatorKind::SwitchBool { discr, .. } => {
-                if let Some(p) = discr.place() {
-                    live.insert(p.local);
-                }
-            }
-            TerminatorKind::Return => {
-                live.insert(Local::RETURN);
-            }
-            _ => {}
-        }
-        per_loc.push((term_loc, live.clone()));
-
-        for (i, stmt) in data.statements.iter().enumerate().rev() {
-            if let StatementKind::Assign(place, rvalue) = &stmt.kind {
-                if place.projection.is_empty() {
-                    live.remove(&place.local);
-                } else {
-                    live.insert(place.local);
-                }
-                match rvalue {
-                    Rvalue::Ref { place: p, .. } => {
-                        live.insert(p.local);
-                    }
-                    _ => {
-                        for op in rvalue.operands() {
-                            if let Some(p) = op.place() {
-                                live.insert(p.local);
-                            }
-                        }
-                    }
-                }
-            }
-            per_loc.push((
-                Location {
-                    block: bb,
-                    statement_index: i,
-                },
-                live.clone(),
-            ));
-        }
-
-        if let Some(record) = record {
-            for (loc, set) in per_loc {
-                record.insert(loc, set);
-            }
-        }
-        live
+/// A whole-local assignment kills the local; a write to a projection keeps
+/// (and so uses) the rest of it.
+fn define(live: &mut [u64], place: &Place) {
+    if place.projection.is_empty() {
+        live[place.local.index() / 64] &= !(1 << (place.local.index() % 64));
+    } else {
+        mark_live(live, place.local);
     }
+}
 
-    // Fixpoint over blocks.
+/// Backward transfer of one statement: the assigned place, then the
+/// rvalue's operands (or the borrowed place).
+fn transfer_statement(live: &mut [u64], stmt: &Statement) {
+    if let StatementKind::Assign(place, rvalue) = &stmt.kind {
+        define(live, place);
+        match rvalue {
+            Rvalue::Ref { place: p, .. } => mark_live(live, p.local),
+            _ => {
+                for op in rvalue.operands() {
+                    if let Some(p) = op.place() {
+                        mark_live(live, p.local);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Backward transfer of a terminator: a call's destination, then its
+/// arguments; a branch's discriminant; `Return` uses the return place.
+fn transfer_terminator(live: &mut [u64], term: &Terminator) {
+    match &term.kind {
+        TerminatorKind::Call {
+            args, destination, ..
+        } => {
+            define(live, destination);
+            for p in args.iter().filter_map(Operand::place) {
+                mark_live(live, p.local);
+            }
+        }
+        TerminatorKind::SwitchBool { discr, .. } => {
+            if let Some(p) = discr.place() {
+                mark_live(live, p.local);
+            }
+        }
+        TerminatorKind::Return => mark_live(live, Local::RETURN),
+        _ => {}
+    }
+}
+
+/// Writes into `out` the union of the live-in sets of `bb`'s successors.
+fn live_out(body: &Body, bb: BasicBlock, block_live_in: &[Vec<u64>], out: &mut [u64]) {
+    out.fill(0);
+    for succ in body.successors(bb) {
+        for (o, w) in out.iter_mut().zip(&block_live_in[succ.index()]) {
+            *o |= w;
+        }
+    }
+}
+
+/// The live-in set of every block: a backward may-analysis over local
+/// bitsets, iterated to a fixpoint.
+fn block_live_in(body: &Body, words: usize) -> Vec<Vec<u64>> {
+    let n = body.basic_blocks.len();
+    let mut live_in = vec![vec![0u64; words]; n];
+    let mut live = vec![0u64; words];
     let mut changed = true;
     while changed {
         changed = false;
-        for bb in body.block_ids().collect::<Vec<_>>().into_iter().rev() {
-            // live-out = union of live-in of successors
-            let mut live_out = HashSet::new();
-            for succ in body.successors(bb) {
-                live_out.extend(live_in[succ.index()].iter().copied());
+        for bb in (0..n as u32).rev().map(BasicBlock) {
+            live_out(body, bb, &live_in, &mut live);
+            let data = body.block(bb);
+            transfer_terminator(&mut live, data.terminator());
+            for stmt in data.statements.iter().rev() {
+                transfer_statement(&mut live, stmt);
             }
-            let new_in = block_transfer(body, bb, live_out, None);
-            if new_in != live_in[bb.index()] {
-                live_in[bb.index()] = new_in;
+            if live != live_in[bb.index()] {
+                live_in[bb.index()].copy_from_slice(&live);
                 changed = true;
             }
         }
     }
-    // A location's live set is the set *after* that instruction has been
-    // reached going backwards from the block end; record per-location data.
-    let mut per_location = HashMap::new();
-    for bb in body.block_ids() {
-        let mut live_out = HashSet::new();
-        for succ in body.successors(bb) {
-            live_out.extend(live_in[succ.index()].iter().copied());
-        }
-        block_transfer(body, bb, live_out, Some(&mut per_location));
-        // preds is only used to keep the analysis honest about reachability.
-        let _ = &preds;
-    }
-    per_location
+    live_in
 }
 
 #[cfg(test)]

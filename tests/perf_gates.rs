@@ -6,8 +6,7 @@
 //! * the work-stealing scheduler: on a corpus built for per-level cost
 //!   skew, its makespan stays near the critical-path lower bound;
 //! * the indexed dataflow domain: at least 3× faster than the tree domain
-//!   on the large-body profile (writes `BENCH_infoflow.json` at the
-//!   repository root);
+//!   on the large-body profile (writes `results/infoflow.json`);
 //! * per-function telemetry: at most 5% of the analysis it wraps.
 //!
 //! Wall-clock ratios only mean something in an optimized build, so those
@@ -376,8 +375,8 @@ fn timed_sweep(krate: &GeneratedCrate, domain: DomainKind) -> (f64, usize) {
     (start.elapsed().as_secs_f64(), statements)
 }
 
-/// The indexed domain against the tree domain; also writes the
-/// `BENCH_infoflow.json` trajectory artifact.
+/// The indexed domain against the tree domain; also writes the timings to
+/// `results/infoflow.json`.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing gate; CI runs it with --release")]
 fn indexed_domain_is_3x_faster_than_tree_on_rav1e() {
@@ -415,8 +414,11 @@ fn indexed_domain_is_3x_faster_than_tree_on_rav1e() {
         ("indexed".into(), domain_obj(indexed_secs)),
         ("speedup".into(), Json::Num(speedup)),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_infoflow.json");
-    std::fs::write(path, report.pretty() + "\n").expect("write BENCH_infoflow.json");
+    // One timed sample per run: it goes under the untracked `results/`.
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/results");
+    std::fs::create_dir_all(dir).expect("create results/");
+    let path = format!("{dir}/infoflow.json");
+    std::fs::write(&path, report.pretty() + "\n").expect("write results/infoflow.json");
 
     assert!(
         speedup >= 3.0,

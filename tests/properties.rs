@@ -100,12 +100,13 @@ proptest! {
         prop_assert!(read.is_subset(&all));
     }
 
-    /// Randomly generated straight-line programs: the blind ablations are
-    /// never more precise than the modular analysis, and the whole-program
-    /// condition is never less precise (§5's monotonicity expectations).
+    /// Randomly generated programs: as sets of dependencies, per variable,
+    /// Whole-program ⊆ Modular ⊆ Mut-blind and Modular ⊆ Ref-blind (§5's
+    /// monotonicity expectations). Besides scalar code, the recipes pass
+    /// references to callees, shared and unique, so the ablations differ.
     #[test]
     fn condition_monotonicity_on_random_programs(
-        ops in prop::collection::vec((0u8..4, 0usize..4, 0usize..4), 1..8),
+        ops in prop::collection::vec((0u8..6, 0usize..4, 0usize..4), 1..8),
     ) {
         // Build a small function from a random recipe of statements over
         // four mutable scalars.
@@ -114,15 +115,21 @@ proptest! {
         for (kind, x, y) in &ops {
             let x = x % 4;
             let y = y % 4;
-            match kind % 4 {
+            match kind % 6 {
                 0 => body.push_str(&format!("    v{x} = v{x} + v{y};\n")),
                 1 => body.push_str(&format!("    v{x} = v{y} * 2;\n")),
                 2 => body.push_str(&format!("    if v{y} > 0 {{ v{x} = v{x} + 1; }}\n")),
-                _ => body.push_str(&format!("    v{x} = helper(v{y}, v{x});\n")),
+                3 => body.push_str(&format!("    v{x} = helper(v{y}, v{x});\n")),
+                4 => body.push_str(&format!("    bump(&mut v{x}, {y});\n")),
+                _ => body.push_str(&format!("    v{x} = peek(&v{y}) + v{x};\n")),
             }
         }
         body.push_str("    return v0 + v1;\n}\n");
-        let src = format!("fn helper(p: i32, q: i32) -> i32 {{ return p + 1; }}\n{body}");
+        let src = format!(
+            "fn helper(p: i32, q: i32) -> i32 {{ return p + 1; }}\n\
+             fn bump(p: &mut i32, q: i32) {{ *p = *p + q; }}\n\
+             fn peek(p: &i32) -> i32 {{ return *p; }}\n{body}"
+        );
 
         let program = compile(&src).expect("generated program compiles");
         let func = program.func_id("f").unwrap();
@@ -131,9 +138,12 @@ proptest! {
         let mut_blind = analyze(&program, func, &AnalysisParams::for_condition(Condition::MUT_BLIND));
         let ref_blind = analyze(&program, func, &AnalysisParams::for_condition(Condition::REF_BLIND));
         for (local, deps) in modular.user_variable_deps(program.body(func)) {
-            prop_assert!(whole.exit_deps_of_local(local).len() <= deps.len());
-            prop_assert!(mut_blind.exit_deps_of_local(local).len() >= deps.len());
-            prop_assert!(ref_blind.exit_deps_of_local(local).len() >= deps.len());
+            let finer = whole.exit_deps_of_local(local);
+            prop_assert!(finer.is_subset(&deps), "{local}: Whole-program {finer:?} ⊄ Modular {deps:?}\n{src}");
+            let coarser = mut_blind.exit_deps_of_local(local);
+            prop_assert!(deps.is_subset(&coarser), "{local}: Modular {deps:?} ⊄ Mut-blind {coarser:?}\n{src}");
+            let coarser = ref_blind.exit_deps_of_local(local);
+            prop_assert!(deps.is_subset(&coarser), "{local}: Modular {deps:?} ⊄ Ref-blind {coarser:?}\n{src}");
         }
     }
 
