@@ -8,6 +8,7 @@
 //! condition, the IFC checker, the noninterference tests) see *which*
 //! parameters influence a result.
 
+use flowistry_dataflow::JoinSemiLattice;
 use flowistry_lang::mir::{Local, Location};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -55,9 +56,11 @@ pub type DepSet = BTreeSet<Dep>;
 
 /// The dependency context Θ: a map from places to their dependencies.
 ///
-/// The map is a join-semilattice under key-wise union (paper §4.1), which is
-/// exactly the `JoinSemiLattice` impl for `BTreeMap<_, BTreeSet<_>>` provided
-/// by `flowistry-dataflow`.
+/// The map joins under key-wise union (paper §4.1), the `JoinSemiLattice`
+/// impl for `BTreeMap<_, BTreeSet<_>>` provided by `flowistry-dataflow`.
+/// A missing key still holds a value implicitly, what
+/// [`ThetaExt::read_conflicts`] returns for it, which that union drops; the
+/// analysis joins with [`ThetaExt::join_keeping_reads`], which keeps it.
 pub type Theta = BTreeMap<Place, DepSet>;
 
 /// Convenience operations on Θ used by the transfer functions.
@@ -80,6 +83,12 @@ pub trait ThetaExt {
     /// `deps` to every *other* conflicting key (ancestors see their value
     /// change; siblings are untouched).
     fn strong_update(&mut self, place: &Place, deps: DepSet);
+
+    /// Joins `other` into `self` so that every place reads at least what it
+    /// read on either side: keys unite key-wise, and a key present on one
+    /// side only also gets the other side's [`ThetaExt::read_conflicts`]
+    /// value for it. Returns whether `self` changed.
+    fn join_keeping_reads(&mut self, other: &Self) -> bool;
 }
 
 impl ThetaExt for Theta {
@@ -128,6 +137,28 @@ impl ThetaExt for Theta {
             }
         }
         self.insert(place.clone(), deps);
+    }
+
+    fn join_keeping_reads(&mut self, other: &Self) -> bool {
+        // The keys only `other` has read `self` as it is before the join.
+        let seeds: Vec<(Place, DepSet)> = other
+            .keys()
+            .filter(|place| !self.contains_key(*place))
+            .map(|place| (place.clone(), self.read_conflicts(place)))
+            .collect();
+        let mut changed = false;
+        for (place, deps) in self.iter_mut() {
+            if !other.contains_key(place) {
+                for dep in other.read_conflicts(place) {
+                    changed |= deps.insert(dep);
+                }
+            }
+        }
+        changed |= self.join(other);
+        for (place, seed) in seeds {
+            self.get_mut(&place).expect("joined key").extend(seed);
+        }
+        changed
     }
 }
 
@@ -218,6 +249,30 @@ mod tests {
         assert_eq!(theta[&place(1, &[Field(0)])], DepSet::from([loc(7, 7)]));
         // Ancestor accumulates (its value did change).
         assert_eq!(theta[&place(1, &[])], DepSet::from([loc(0, 0), loc(7, 7)]));
+    }
+
+    #[test]
+    fn join_keeps_what_a_missing_key_reads() {
+        use PlaceElem::Field;
+        // Before a loop `t` holds `_1`; after its body `t.0 = b` it also
+        // has a key `t.0`. Joined either way, `t.0` reads both values.
+        let (t, t0) = (place(1, &[]), place(1, &[Field(0)]));
+        let arg = Dep::Arg(Local(1));
+        let before = Theta::from([(t.clone(), DepSet::from([arg]))]);
+        let mut after = before.clone();
+        after.strong_update(&t0, DepSet::from([loc(2, 0)]));
+        let mut joined = before.clone();
+        assert!(joined.join_keeping_reads(&after));
+        assert_eq!(joined[&t0], DepSet::from([arg, loc(2, 0)]));
+        let mut reversed = after.clone();
+        assert!(reversed.join_keeping_reads(&before));
+        assert_eq!(reversed, joined);
+        assert!(!joined.join_keeping_reads(&after));
+        assert!(!joined.join_keeping_reads(&before));
+        // Key-wise union alone loses `_1` for `t.0`.
+        let mut united = before;
+        united.join(&after);
+        assert_eq!(united[&t0], DepSet::from([loc(2, 0)]));
     }
 
     #[test]

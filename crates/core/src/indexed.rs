@@ -29,10 +29,12 @@
 use crate::aliases::{AliasAnalysis, AliasMode};
 use crate::condition::AnalysisParams;
 use crate::deps::{Dep, DepSet, Theta};
-use crate::infoflow::{resolve_callee_summary, BodyGraph, InfoFlowResults, SharedCtx};
+use crate::infoflow::{
+    resolve_callee_summary, run_fixpoint, BodyGraph, InfoFlowResults, SharedCtx,
+};
 use crate::places::{interior_places_with_derefs, readable_places, transitive_refs};
 use crate::summary::FunctionSummary;
-use flowistry_dataflow::engine::{iterate_to_fixpoint, Analysis};
+use flowistry_dataflow::engine::Analysis;
 use flowistry_dataflow::indexed::{BitSet, IndexMatrix, IndexedDomain};
 use flowistry_dataflow::{ControlDependencies, JoinSemiLattice};
 use flowistry_lang::mir::{
@@ -73,6 +75,14 @@ impl DomainTables {
 ///
 /// Rows are only ever written for present places, so the present places
 /// and their rows ([`IndexedTheta::entries`]) are the whole state.
+///
+/// An absent place still holds a value implicitly: what `read_conflicts`
+/// returns for it, from its present subplaces or ancestors. So the
+/// analysis joins two states by uniting rows and presence and, for a place
+/// present on one side only, also adding the other side's
+/// `read_conflicts` value for it. Uniting alone (this type's
+/// [`JoinSemiLattice`] impl) would drop that value, and the fixpoint's
+/// answer would depend on the order it visits blocks in.
 #[derive(Debug, PartialEq, Eq)]
 pub struct IndexedTheta {
     rows: IndexMatrix,
@@ -742,6 +752,38 @@ impl CompiledBody {
     // These mirror `ThetaExt` exactly, with the place scans replaced by
     // precomputed conflict bitsets intersected with the presence set.
 
+    /// Joins `from` into `into` by the rule of [`IndexedTheta`]: rows and
+    /// presence unite, and a place present on one side only also gets the
+    /// other side's `read_conflicts` value for it. Returns whether `into`
+    /// changed.
+    fn join(&self, into: &mut IndexedTheta, from: &IndexedTheta) -> bool {
+        if into.present == from.present {
+            return into.rows.join_rows(&from.rows);
+        }
+        // The places only `from` has read `into` as it is before the join.
+        let mut seeds = Vec::new();
+        for p in from.present.iter().filter(|&p| !into.present.contains(p)) {
+            let mut seed = BitSet::new();
+            self.read_conflicts_into(into, p, &mut seed);
+            if !seed.is_empty() {
+                seeds.push((p, seed));
+            }
+        }
+        let mut changed = false;
+        let mut implicit = BitSet::new();
+        for p in into.present.iter().filter(|&p| !from.present.contains(p)) {
+            implicit.clear();
+            self.read_conflicts_into(from, p, &mut implicit);
+            changed |= into.rows.union_into_row(p, &implicit);
+        }
+        changed |= into.rows.join_rows(&from.rows);
+        changed |= into.present.union(&from.present);
+        for (p, seed) in &seeds {
+            into.rows.union_into_row(*p, seed);
+        }
+        changed
+    }
+
     fn read_conflicts_into(&self, state: &IndexedTheta, p: u32, out: &mut BitSet) {
         let mut found_sub = false;
         for q in self.subplaces[p as usize].iter() {
@@ -989,6 +1031,10 @@ impl Analysis for IndexedFlowAnalysis<'_> {
             self.compiled.apply_assign(plan, assign, state, &mut ());
         }
         self.compiled.apply_terminator_plan(plan, state, &mut ());
+    }
+
+    fn join(&self, into: &mut IndexedTheta, from: &IndexedTheta) -> bool {
+        self.compiled.join(into, from)
     }
 }
 
@@ -1399,7 +1445,7 @@ pub(crate) fn analyze_indexed_inner(
     let analysis = IndexedFlowAnalysis {
         compiled: &compiled,
     };
-    let fixpoint = iterate_to_fixpoint(&graph, &analysis);
+    let fixpoint = run_fixpoint(&graph, &analysis, ctx);
 
     // Replay each block from its entry state, recording what each
     // statement and the terminator change. The entry states hold every
@@ -1423,7 +1469,7 @@ pub(crate) fn analyze_indexed_inner(
         log.end_step(&state, &mut deltas);
         deltas.end_block();
         if plan.is_return {
-            exit.join(&state);
+            compiled.join(&mut exit, &state);
         }
     }
 

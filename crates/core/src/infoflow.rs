@@ -10,8 +10,11 @@
 //! * function calls are handled modularly from the callee's type signature
 //!   (T-App), or by recursive analysis under the Whole-program condition;
 //! * indirect flows are added through control dependence (§4.1);
-//! * the per-block join is key-wise set union and the pass iterates to a
-//!   fixpoint.
+//! * the per-block join is key-wise set union, where a place present on
+//!   one side only also gets what reading it on the other side returns
+//!   ([`ThetaExt::join_keeping_reads`](crate::deps::ThetaExt::join_keeping_reads)),
+//!   and the pass iterates to a fixpoint that visits loop bodies before
+//!   loop exits.
 
 #[cfg(feature = "tree-domain")]
 use crate::aliases::{AliasAnalysis, AliasMode};
@@ -24,10 +27,11 @@ use crate::indexed::{IndexedStates, IndexedTheta};
 use crate::places::{interior_places_with_derefs, readable_places, transitive_refs};
 use crate::summary::FunctionSummary;
 #[cfg(feature = "tree-domain")]
-use flowistry_dataflow::engine::{iterate_to_fixpoint, Analysis};
+use flowistry_dataflow::engine::iterate_in_order;
+use flowistry_dataflow::engine::{iterate_to_fixpoint, Analysis, AnalysisResults};
 #[cfg(feature = "tree-domain")]
 use flowistry_dataflow::ControlDependencies;
-use flowistry_dataflow::Graph;
+use flowistry_dataflow::{Graph, VecGraph};
 use flowistry_lang::mir::{BasicBlock, Body, Local, Location, Operand, Place, TerminatorKind};
 #[cfg(feature = "tree-domain")]
 use flowistry_lang::mir::{Rvalue, StatementKind};
@@ -40,18 +44,27 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// A CFG adapter exposing a MIR [`Body`] to the dataflow crate.
+/// A CFG adapter exposing a MIR [`Body`] to the dataflow crate: its
+/// successor and predecessor lists are built once, in terminator order.
 pub struct BodyGraph<'a> {
     body: &'a Body,
-    preds: Vec<Vec<BasicBlock>>,
+    graph: VecGraph,
 }
 
 impl<'a> BodyGraph<'a> {
     /// Wraps a body.
     pub fn new(body: &'a Body) -> Self {
+        let edges: Vec<(usize, usize)> = body
+            .block_ids()
+            .flat_map(|bb| {
+                body.successors(bb)
+                    .into_iter()
+                    .map(move |succ| (bb.index(), succ.index()))
+            })
+            .collect();
         BodyGraph {
             body,
-            preds: body.predecessors(),
+            graph: VecGraph::new(body.basic_blocks.len(), BasicBlock::START.index(), &edges),
         }
     }
 
@@ -72,20 +85,16 @@ impl<'a> BodyGraph<'a> {
 
 impl Graph for BodyGraph<'_> {
     fn num_nodes(&self) -> usize {
-        self.body.basic_blocks.len()
+        self.graph.num_nodes()
     }
     fn start_node(&self) -> usize {
-        BasicBlock::START.index()
+        self.graph.start_node()
     }
-    fn successors(&self, node: usize) -> Vec<usize> {
-        self.body
-            .successors(BasicBlock(node as u32))
-            .into_iter()
-            .map(|b| b.index())
-            .collect()
+    fn successors(&self, node: usize) -> &[usize] {
+        self.graph.successors(node)
     }
-    fn predecessors(&self, node: usize) -> Vec<usize> {
-        self.preds[node].iter().map(|b| b.index()).collect()
+    fn predecessors(&self, node: usize) -> &[usize] {
+        self.graph.predecessors(node)
     }
 }
 
@@ -136,6 +145,26 @@ pub(crate) struct SharedCtx<'s> {
     pub(crate) stack: Vec<FuncId>,
     pub(crate) seeds: Option<&'s dyn SummaryStore>,
     pub(crate) memo: HashMap<FuncId, CachedSummary>,
+    /// Whether every fixpoint of the run takes its priority from the plain
+    /// reverse post-order (see [`analyze_in_reverse_post_order`]).
+    #[cfg(feature = "tree-domain")]
+    pub(crate) plain_order: bool,
+}
+
+/// Runs one body's fixpoint in the loop-aware order
+/// ([`iterate_to_fixpoint`]), or in the plain reverse post-order when the
+/// run asks for it.
+pub(crate) fn run_fixpoint<A: Analysis>(
+    graph: &BodyGraph<'_>,
+    analysis: &A,
+    ctx: &RefCell<SharedCtx<'_>>,
+) -> AnalysisResults<A::Domain> {
+    #[cfg(feature = "tree-domain")]
+    if ctx.borrow().plain_order {
+        return iterate_in_order(graph, analysis, &graph.reverse_post_order());
+    }
+    let _ = ctx; // read only by test builds
+    iterate_to_fixpoint(graph, analysis)
 }
 
 /// The results of analyzing one function under one condition.
@@ -457,6 +486,23 @@ pub fn analyze(
     analyze_dispatch(program, func, params, &ctx)
 }
 
+/// [`analyze`] with every fixpoint of the run, callees' included, taking
+/// its worklist priority from [`Graph::reverse_post_order`] instead of the
+/// loop-aware order. The results must compare equal to [`analyze`]'s:
+/// tests use this to check that the answer does not depend on the order.
+#[cfg(feature = "tree-domain")]
+pub fn analyze_in_reverse_post_order(
+    program: &CompiledProgram,
+    func: FuncId,
+    params: &AnalysisParams,
+) -> InfoFlowResults {
+    let ctx = RefCell::new(SharedCtx {
+        plain_order: true,
+        ..SharedCtx::default()
+    });
+    analyze_dispatch(program, func, params, &ctx)
+}
+
 /// Runs the analysis on whichever state representation
 /// [`AnalysisParams::domain`] selects. Both paths share the recursion
 /// context, so whole-program recursion stays on one representation all the
@@ -492,9 +538,8 @@ pub fn analyze_with_summaries(
     summaries: &dyn SummaryStore,
 ) -> InfoFlowResults {
     let ctx = RefCell::new(SharedCtx {
-        stack: Vec::new(),
         seeds: Some(summaries),
-        memo: HashMap::new(),
+        ..SharedCtx::default()
     });
     analyze_dispatch(program, func, params, &ctx)
 }
@@ -609,7 +654,7 @@ fn analyze_inner(
         hit_boundary: Cell::new(false),
     };
 
-    let fixpoint = iterate_to_fixpoint(&graph, &analysis);
+    let fixpoint = run_fixpoint(&graph, &analysis, ctx);
 
     // Reconstruct per-location states from the block entry states.
     let mut entry_states = Vec::with_capacity(body.basic_blocks.len());
@@ -634,8 +679,7 @@ fn analyze_inner(
         };
         analysis.apply_terminator(term_loc, &data.terminator().kind, &mut state);
         if matches!(data.terminator().kind, TerminatorKind::Return) {
-            use flowistry_dataflow::JoinSemiLattice;
-            exit_theta.join(&state);
+            exit_theta.join_keeping_reads(&state);
         }
         states.push(state);
         entry_states.push(entry);
@@ -700,6 +744,10 @@ impl Analysis for FlowAnalysis<'_, '_> {
             statement_index: data.statements.len(),
         };
         self.apply_terminator(term_loc, &data.terminator().kind, state);
+    }
+
+    fn join(&self, into: &mut Theta, from: &Theta) -> bool {
+        into.join_keeping_reads(from)
     }
 }
 

@@ -65,6 +65,8 @@ pub use condition::{AnalysisParams, Condition, DomainKind};
 pub use deps::{Dep, DepSet, Theta, ThetaExt};
 pub use flowistry_dataflow::indexed::BitSet;
 pub use indexed::{DeltaEntry, Deltas, IndexedStates, IndexedTheta};
+#[cfg(feature = "tree-domain")]
+pub use infoflow::analyze_in_reverse_post_order;
 pub use infoflow::{
     analyze, analyze_with_summaries, compute_summary, compute_summary_with_results, BodyGraph,
     CachedSummary, InfoFlowResults, SummaryStore,

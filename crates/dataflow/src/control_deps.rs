@@ -42,7 +42,7 @@ impl ControlDependencies {
                 continue; // only branch points induce control dependence
             }
             let y_ipdom = pdt.immediate_post_dominator(y);
-            for s in succs {
+            for &s in succs {
                 let mut runner = Some(s);
                 while let Some(x) = runner {
                     if Some(x) == y_ipdom || !pdt.reaches_exit(x) {

@@ -17,7 +17,7 @@ pub struct DominatorTree {
 
 impl DominatorTree {
     /// Computes the dominator tree of `graph` rooted at its start node.
-    pub fn new(graph: &impl Graph) -> Self {
+    pub fn new<G: Graph + ?Sized>(graph: &G) -> Self {
         let rpo = graph.reverse_post_order();
         let mut order_index = vec![usize::MAX; graph.num_nodes()];
         for (i, &n) in rpo.iter().enumerate() {
@@ -31,13 +31,8 @@ impl DominatorTree {
         while changed {
             changed = false;
             for &node in rpo.iter().skip(1) {
-                let preds: Vec<usize> = graph
-                    .predecessors(node)
-                    .into_iter()
-                    .filter(|&p| order_index[p] != usize::MAX)
-                    .collect();
                 let mut new_idom: Option<usize> = None;
-                for &p in &preds {
+                for &p in graph.predecessors(node) {
                     if idom[p].is_none() {
                         continue;
                     }
@@ -133,7 +128,7 @@ impl PostDominatorTree {
         let virtual_exit = n;
         let mut edges = Vec::new();
         for node in 0..n {
-            for succ in graph.successors(node) {
+            for &succ in graph.successors(node) {
                 edges.push((succ, node)); // reversed
             }
         }

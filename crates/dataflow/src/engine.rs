@@ -66,6 +66,14 @@ pub trait Analysis {
 
     /// Applies the whole block `node` to `state` in place.
     fn transfer_block(&self, node: usize, state: &mut Self::Domain);
+
+    /// Joins `from` into `into`, returning `true` if `into` changed. The
+    /// fixpoint joins every block's exit state into its successors' entry
+    /// states with it. An analysis whose states hold facts implicitly, so
+    /// that the domain's own join would drop some of them, overrides it.
+    fn join(&self, into: &mut Self::Domain, from: &Self::Domain) -> bool {
+        into.join(from)
+    }
 }
 
 /// The result of running an [`Analysis`]: the entry state of every block.
@@ -103,28 +111,46 @@ impl<D: JoinSemiLattice> AnalysisResults<D> {
 /// Runs `analysis` over `graph` to a fixpoint and returns per-block entry
 /// states.
 ///
-/// Blocks are visited in reverse post-order; a worklist re-queues successors
-/// whose entry state changed. Termination follows from the domain being a
-/// join-semilattice with finite height on the facts actually generated, as
-/// argued in §4.1 of the paper.
+/// A worklist re-queues the successors whose entry state changed and
+/// always visits the queued block that comes first in
+/// [`Graph::loop_aware_reverse_post_order`]: a loop's body runs again
+/// before the code after the loop whenever the loop header's state grows,
+/// and a block runs once its forward predecessors have. Termination follows
+/// from the domain being a join-semilattice with finite height on the facts
+/// actually generated, as argued in §4.1 of the paper.
 pub fn iterate_to_fixpoint<A: Analysis>(
     graph: &impl Graph,
     analysis: &A,
+) -> AnalysisResults<A::Domain> {
+    iterate_in_order(graph, analysis, &graph.loop_aware_reverse_post_order())
+}
+
+/// [`iterate_to_fixpoint`] with the worklist priority taken from `order`,
+/// which must list every node reachable from the start node. The fixpoint
+/// of a monotone analysis whose [`Analysis::join`] is a least upper bound
+/// does not depend on the order, only the number of visits does; tests
+/// compare orders through this.
+pub fn iterate_in_order<A: Analysis>(
+    graph: &impl Graph,
+    analysis: &A,
+    order: &[usize],
 ) -> AnalysisResults<A::Domain> {
     let n = graph.num_nodes();
     let mut entry_states: Vec<A::Domain> = vec![analysis.bottom(); n];
     entry_states[graph.start_node()] = analysis.initial();
 
-    let rpo = graph.reverse_post_order();
-    let mut rpo_index = vec![usize::MAX; n];
-    for (i, &node) in rpo.iter().enumerate() {
-        rpo_index[node] = i;
+    let mut priority = vec![usize::MAX; n];
+    for (i, &node) in order.iter().enumerate() {
+        priority[node] = i;
     }
 
     let mut on_worklist = vec![false; n];
     let mut worklist: std::collections::BinaryHeap<std::cmp::Reverse<(usize, usize)>> =
         std::collections::BinaryHeap::new();
-    worklist.push(std::cmp::Reverse((0, graph.start_node())));
+    worklist.push(std::cmp::Reverse((
+        priority[graph.start_node()],
+        graph.start_node(),
+    )));
     on_worklist[graph.start_node()] = true;
 
     // One working state for every visit: `clone_from` lets a domain reuse
@@ -138,10 +164,10 @@ pub fn iterate_to_fixpoint<A: Analysis>(
         state.clone_from(&entry_states[node]);
         analysis.transfer_block(node, &mut state);
 
-        for succ in graph.successors(node) {
-            if entry_states[succ].join(&state) && !on_worklist[succ] {
+        for &succ in graph.successors(node) {
+            if analysis.join(&mut entry_states[succ], &state) && !on_worklist[succ] {
                 on_worklist[succ] = true;
-                worklist.push(std::cmp::Reverse((rpo_index[succ], succ)));
+                worklist.push(std::cmp::Reverse((priority[succ], succ)));
             }
         }
     }
@@ -192,6 +218,21 @@ mod tests {
         assert!(results.entry(1).contains(&2));
         assert!(results.entry(3).contains(&2));
         assert!(results.iterations() >= 4);
+    }
+
+    #[test]
+    fn code_after_a_loop_runs_once_the_loop_has_settled() {
+        // 0 -> 1 (header) -> {2 (body) -> 1, 3 -> 4 -> 5}, body listed
+        // first as `while` lowers. In plain reverse post-order the body
+        // comes last, so 3, 4 and 5 run again after the body's first visit.
+        let g = VecGraph::new(6, 0, &[(0, 1), (1, 2), (1, 3), (2, 1), (3, 4), (4, 5)]);
+        let loop_aware = iterate_to_fixpoint(&g, &Collect);
+        let plain = iterate_in_order(&g, &Collect, &g.reverse_post_order());
+        for n in 0..6 {
+            assert_eq!(loop_aware.entry(n), plain.entry(n));
+        }
+        assert_eq!(loop_aware.iterations(), 8);
+        assert_eq!(plain.iterations(), 11);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! A dependency-free toolkit of classic control-flow-graph algorithms used by
 //! the information flow analysis (paper §4.1):
 //!
-//! * [`graph`] — a minimal directed-graph abstraction over basic blocks;
+//! * [`graph`] — a minimal directed-graph abstraction over basic blocks,
+//!   with plain and loop-aware reverse post-orders;
 //! * [`engine`] — a generic forward dataflow engine over join-semilattices,
-//!   iterated to fixpoint with a worklist;
+//!   iterated to fixpoint with a worklist that visits loop bodies before
+//!   loop exits;
 //! * [`dominators`] — dominator and post-dominator trees via the
 //!   Cooper–Harvey–Kennedy "simple, fast dominance" algorithm;
 //! * [`control_deps`] — control dependence via post-dominance frontiers

@@ -556,17 +556,6 @@ impl Body {
         self.block(bb).terminator().kind.successors()
     }
 
-    /// Computes the predecessor map of the CFG.
-    pub fn predecessors(&self) -> Vec<Vec<BasicBlock>> {
-        let mut preds = vec![Vec::new(); self.basic_blocks.len()];
-        for bb in self.block_ids() {
-            for succ in self.successors(bb) {
-                preds[succ.index()].push(bb);
-            }
-        }
-        preds
-    }
-
     /// All locations in the body, in block order then statement order
     /// (terminator locations included).
     pub fn all_locations(&self) -> Vec<Location> {

@@ -276,6 +276,78 @@ fn corpus_headline_conditions_are_bit_identical() {
     }
 }
 
+/// The fixpoint's answer does not depend on its visit order. Every corpus
+/// function under the four headline conditions has the same block entry
+/// states, deltas and exit state whether every fixpoint of the run takes
+/// its priority from the loop-aware order (`analyze`) or from plain
+/// reverse post-order, and the loop-aware order never needs more visits.
+#[test]
+fn corpus_results_do_not_depend_on_the_visit_order() {
+    use flowistry_core::analyze_in_reverse_post_order;
+
+    let corpus = generate_corpus(DEFAULT_SEED);
+    let [analyses, loop_aware_visits, plain_visits] = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|worker| {
+                let corpus = &corpus;
+                scope.spawn(move || {
+                    let mut counts = [0usize; 3];
+                    for krate in corpus.iter().skip(worker).step_by(2) {
+                        for condition in Condition::headline_four() {
+                            let params = AnalysisParams {
+                                condition,
+                                available_bodies: Some(krate.available_bodies()),
+                                memoize_summaries: condition.whole_program,
+                                ..AnalysisParams::default()
+                            };
+                            for &func in &krate.crate_funcs {
+                                let program = &krate.program;
+                                let loop_aware = analyze(program, func, &params);
+                                let plain = analyze_in_reverse_post_order(program, func, &params);
+                                let why = || {
+                                    format!(
+                                        "`{}` under {condition} ({})",
+                                        program.body(func).name,
+                                        krate.name
+                                    )
+                                };
+                                let (a, b) = (loop_aware.indexed(), plain.indexed());
+                                assert_eq!(a.entry(), b.entry(), "entry states: {}", why());
+                                assert_eq!(a.deltas(), b.deltas(), "deltas: {}", why());
+                                assert_eq!(a.exit(), b.exit(), "exit state: {}", why());
+                                assert_eq!(loop_aware.hit_boundary(), plain.hit_boundary());
+                                assert!(
+                                    loop_aware.iterations() <= plain.iterations(),
+                                    "{} visits against {}: {}",
+                                    loop_aware.iterations(),
+                                    plain.iterations(),
+                                    why()
+                                );
+                                counts[0] += 1;
+                                counts[1] += loop_aware.iterations();
+                                counts[2] += plain.iterations();
+                            }
+                        }
+                    }
+                    counts
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("worker panicked"))
+            .fold([0; 3], |total, counts| {
+                std::array::from_fn(|i| total[i] + counts[i])
+            })
+    });
+    println!("{analyses} analyses: {loop_aware_visits} visits loop-aware, {plain_visits} plain");
+    assert!(
+        analyses > 4 * 700,
+        "corpus shrank: only {analyses} analyses"
+    );
+    assert!(loop_aware_visits < plain_visits);
+}
+
 /// Seeded summary stores must behave identically too: computing every
 /// summary bottom-up (the engine's unit of work) and re-serving analyses
 /// from the seeds yields the same summaries on both domains.
