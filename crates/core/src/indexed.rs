@@ -203,9 +203,9 @@ impl IndexedTheta {
         deps: &mut IndexedDomain<Dep>,
     ) -> Self {
         IndexedTheta::from_entries(theta.iter().map(|(place, set)| {
-            let row: BitSet = set.iter().map(|&dep| deps.intern(dep)).collect();
+            let row: BitSet = set.iter().map(|dep| deps.intern(dep)).collect();
             (
-                places.intern(place.clone()),
+                places.intern(place),
                 (!row.is_empty()).then(|| Arc::new(row)),
             )
         }))
@@ -1060,47 +1060,47 @@ impl PlanBuilder<'_, '_, '_> {
     }
 
     fn intern(&mut self, place: &Place) -> u32 {
-        self.places.intern(place.clone())
+        self.places.intern(place)
     }
 
-    /// Alias indices of `place`, in the tree path's `BTreeSet` order.
-    fn alias_indices(&mut self, place: &Place) -> Vec<u32> {
-        self.aliases
-            .aliases(place)
-            .iter()
-            .map(|alias| self.places.intern(alias.clone()))
-            .collect()
+    /// Pushes the alias indices of `place` onto `out`, in the tree path's
+    /// `BTreeSet` order. A place without a `Deref` aliases only itself, so
+    /// it skips alias resolution.
+    fn push_aliases(&mut self, place: &Place, out: &mut Vec<u32>) {
+        if !place.has_deref() {
+            out.push(self.intern(place));
+            return;
+        }
+        for alias in &self.aliases.aliases(place) {
+            out.push(self.intern(alias));
+        }
     }
 
-    fn read_plan_place(&mut self, place: &Place) -> ReadPlan {
-        self.alias_indices(place)
-    }
-
-    fn read_plan_operand(&mut self, op: &Operand) -> ReadPlan {
-        match op.place() {
-            Some(place) => self.read_plan_place(place),
-            None => Vec::new(),
+    fn push_operand_reads(&mut self, op: &Operand, out: &mut ReadPlan) {
+        if let Some(place) = op.place() {
+            self.push_aliases(place, out);
         }
     }
 
     /// The reads of [`FlowAnalysis::arg_read_deps`]: the argument itself
     /// plus everything reachable through references in its signature type.
-    fn arg_read_plan(&mut self, arg: &Operand, sig_ty: &Ty) -> ReadPlan {
-        let mut out = self.read_plan_operand(arg);
+    fn push_arg_reads(&mut self, arg: &Operand, sig_ty: &Ty, out: &mut ReadPlan) {
+        self.push_operand_reads(arg, out);
         if let Some(place) = arg.place() {
             for readable in readable_places(place, sig_ty, &self.program.structs) {
-                out.extend(self.read_plan_place(&readable));
+                self.push_aliases(&readable, out);
             }
         }
-        out
     }
 
     fn mut_plan(&mut self, place: &Place) -> MutPlan {
-        let aliases = self.alias_indices(place);
-        if aliases.len() == 1 {
-            MutPlan::Strong(aliases[0])
-        } else {
-            MutPlan::Weak(aliases)
+        if !place.has_deref() {
+            return MutPlan::Strong(self.intern(place));
+        }
+        let aliases = self.aliases.aliases(place);
+        match aliases.first() {
+            Some(only) if aliases.len() == 1 => MutPlan::Strong(self.intern(only)),
+            _ => MutPlan::Weak(aliases.iter().map(|alias| self.intern(alias)).collect()),
         }
     }
 
@@ -1110,23 +1110,22 @@ impl PlanBuilder<'_, '_, '_> {
         plan
     }
 
+    fn operand_reads(&mut self, op: &Operand) -> ReadPlan {
+        let mut out = Vec::new();
+        self.push_operand_reads(op, &mut out);
+        out
+    }
+
     fn assign_plan(&mut self, loc: Location, place: &Place, rvalue: &Rvalue) -> AssignPlan {
-        let reads = match rvalue {
-            Rvalue::Use(op) | Rvalue::UnaryOp(_, op) => self.read_plan_operand(op),
-            Rvalue::BinaryOp(_, a, b) => {
-                let mut out = self.read_plan_operand(a);
-                out.extend(self.read_plan_operand(b));
-                out
-            }
-            Rvalue::Ref { place, .. } => self.read_plan_place(place),
-            Rvalue::Aggregate(_, ops) => {
-                let mut out = Vec::new();
-                for op in ops {
-                    out.extend(self.read_plan_operand(op));
+        let mut reads = Vec::new();
+        match rvalue {
+            Rvalue::Ref { place, .. } => self.push_aliases(place, &mut reads),
+            _ => {
+                for op in rvalue.operands() {
+                    self.push_operand_reads(op, &mut reads);
                 }
-                out
             }
-        };
+        }
         let mutation = self.mut_plan(place);
         let aggregate = match (rvalue, &mutation) {
             (Rvalue::Aggregate(_, ops), MutPlan::Strong(target)) => {
@@ -1136,7 +1135,7 @@ impl PlanBuilder<'_, '_, '_> {
                         .enumerate()
                         .map(|(i, op)| {
                             let field = self.intern(&target_place.field(i as u32));
-                            (field, Self::dedup(self.read_plan_operand(op)))
+                            (field, Self::dedup(self.operand_reads(op)))
                         })
                         .collect(),
                 )
@@ -1185,17 +1184,17 @@ impl PlanBuilder<'_, '_, '_> {
                     let idx = (param.0 as usize).checked_sub(1)?;
                     Some((args.get(idx)?, sig.inputs.get(idx)?))
                 };
+                // Each parameter's reads, built on its first use.
                 let mut src_plans: HashMap<Local, ReadPlan> = HashMap::new();
-                let mut src_plan = |builder: &mut Self, param: Local| -> ReadPlan {
-                    if let Some(plan) = src_plans.get(&param) {
-                        return plan.clone();
-                    }
-                    let plan = match arg_of(param) {
-                        Some((arg, sig_ty)) => builder.arg_read_plan(arg, sig_ty),
-                        None => Vec::new(),
-                    };
-                    src_plans.insert(param, plan.clone());
-                    plan
+                let mut push_src = |builder: &mut Self, param: Local, out: &mut ReadPlan| {
+                    let plan = src_plans.entry(param).or_insert_with(|| {
+                        let mut plan = Vec::new();
+                        if let Some((arg, sig_ty)) = arg_of(param) {
+                            builder.push_arg_reads(arg, sig_ty, &mut plan);
+                        }
+                        plan
+                    });
+                    out.extend_from_slice(plan);
                 };
 
                 let mut mutations = Vec::new();
@@ -1210,17 +1209,18 @@ impl PlanBuilder<'_, '_, '_> {
                     target
                         .projection
                         .extend(mutation.projection.iter().copied());
-                    let targets = self.alias_indices(&target);
+                    let mut targets = Vec::new();
+                    self.push_aliases(&target, &mut targets);
                     let mut srcs = Vec::new();
                     for src in &mutation.sources {
-                        srcs.extend(src_plan(self, *src));
+                        push_src(self, *src, &mut srcs);
                     }
                     mutations.push((targets, Self::dedup(srcs)));
                 }
 
                 let mut ret_reads = Vec::new();
                 for src in &summary.return_sources {
-                    ret_reads.extend(src_plan(self, *src));
+                    push_src(self, *src, &mut ret_reads);
                 }
                 CallKind::Summary {
                     mutations,
@@ -1231,14 +1231,14 @@ impl PlanBuilder<'_, '_, '_> {
             None => {
                 let mut arg_reads = Vec::new();
                 for (arg, sig_ty) in args.iter().zip(&sig.inputs) {
-                    arg_reads.extend(self.arg_read_plan(arg, sig_ty));
+                    self.push_arg_reads(arg, sig_ty, &mut arg_reads);
                 }
                 let only_unique = !self.params.condition.mut_blind;
                 let mut ref_targets = Vec::new();
                 for (arg, sig_ty) in args.iter().zip(&sig.inputs) {
                     let Some(place) = arg.place() else { continue };
                     for rref in transitive_refs(place, sig_ty, &self.program.structs, only_unique) {
-                        ref_targets.extend(self.alias_indices(&rref.place));
+                        self.push_aliases(&rref.place, &mut ref_targets);
                     }
                 }
                 CallKind::Modular {
@@ -1266,7 +1266,7 @@ impl PlanBuilder<'_, '_, '_> {
                     block: dep_bb,
                     statement_index: dep_data.statements.len(),
                 };
-                ctrl.push((self.dep_instr(term_loc), self.read_plan_operand(discr)));
+                ctrl.push((self.dep_instr(term_loc), self.operand_reads(discr)));
             }
         }
 

@@ -58,7 +58,6 @@ impl<'a> BodyGraph<'a> {
             .block_ids()
             .flat_map(|bb| {
                 body.successors(bb)
-                    .into_iter()
                     .map(move |succ| (bb.index(), succ.index()))
             })
             .collect();

@@ -38,14 +38,14 @@ impl<T: Clone + Eq + Hash> IndexedDomain<T> {
         }
     }
 
-    /// Returns the index of `value`, interning it if it is new.
-    pub fn intern(&mut self, value: T) -> u32 {
-        if let Some(&idx) = self.indices.get(&value) {
+    /// Returns the index of `value`, interning a clone of it if it is new.
+    pub fn intern(&mut self, value: &T) -> u32 {
+        if let Some(&idx) = self.indices.get(value) {
             return idx;
         }
         let idx = u32::try_from(self.values.len()).expect("domain exceeds u32 indices");
         self.values.push(value.clone());
-        self.indices.insert(value, idx);
+        self.indices.insert(value.clone(), idx);
         idx
     }
 
@@ -497,9 +497,9 @@ mod tests {
     #[test]
     fn interner_roundtrips_and_is_stable() {
         let mut domain = IndexedDomain::new();
-        let a = domain.intern("a");
-        let b = domain.intern("b");
-        assert_eq!(domain.intern("a"), a);
+        let a = domain.intern(&"a");
+        let b = domain.intern(&"b");
+        assert_eq!(domain.intern(&"a"), a);
         assert_ne!(a, b);
         assert_eq!(domain.value(a), &"a");
         assert_eq!(domain.index_of(&"b"), Some(b));

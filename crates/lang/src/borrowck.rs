@@ -271,11 +271,6 @@ fn loan_carriers(body: &Body, loans: &[Loan], words: usize) -> Vec<Vec<u64>> {
             next.push(c.shorter);
         }
     }
-    let local_regions: Vec<Vec<RegionVid>> = body
-        .local_decls
-        .iter()
-        .map(|decl| decl.ty.regions())
-        .collect();
     let mut reached = vec![false; n_regions];
     let mut stack = Vec::new();
     loans
@@ -290,10 +285,10 @@ fn loan_carriers(body: &Body, loans: &[Loan], words: usize) -> Vec<Vec<u64>> {
                 }
             }
             let mut carrier = vec![0u64; words];
-            for (i, regions) in local_regions.iter().enumerate() {
-                if regions
-                    .iter()
-                    .any(|r| reached.get(r.0 as usize) == Some(&true))
+            for (i, decl) in body.local_decls.iter().enumerate() {
+                if decl
+                    .ty
+                    .any_region(&mut |r| reached.get(r.0 as usize) == Some(&true))
                 {
                     carrier[i / 64] |= 1 << (i % 64);
                 }

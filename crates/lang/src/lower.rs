@@ -196,11 +196,10 @@ impl<'a> LowerCx<'a> {
         local
     }
 
-    fn expr_ty(&self, e: &Expr) -> Ty {
+    fn expr_ty(&self, e: &Expr) -> &'a Ty {
         self.table
             .expr_tys
             .get(&e.id)
-            .cloned()
             .expect("expression was not type checked")
     }
 
@@ -232,7 +231,7 @@ impl<'a> LowerCx<'a> {
                 if *declassify {
                     self.pending_declassify = Some(init.id);
                 }
-                let ty = self.freshen(&self.table.var_tys[var.0 as usize].clone());
+                let ty = self.freshen(&self.table.var_tys[var.0 as usize]);
                 let name = self.table.var_names[var.0 as usize].clone();
                 let mutable = self.table.var_mut[var.0 as usize];
                 let rvalue = self.lower_expr_to_rvalue(init);
@@ -366,7 +365,7 @@ impl<'a> LowerCx<'a> {
             }
             StmtKind::Expr(e) => {
                 // Evaluate for effect: lower into a temporary.
-                let ty = self.freshen(&self.expr_ty(e));
+                let ty = self.freshen(self.expr_ty(e));
                 let rvalue = self.lower_expr_to_rvalue(e);
                 let temp = self.new_temp(ty, stmt.span);
                 self.push_stmt(
@@ -420,7 +419,7 @@ impl<'a> LowerCx<'a> {
                     .lookup(name)
                     .expect("struct literal for unknown struct survived type checking");
                 // Reorder field initializers into declaration order.
-                let def = self.structs.get(sid).clone();
+                let def = self.structs.get(sid);
                 let mut ops = Vec::with_capacity(def.fields.len());
                 for (fname, _) in &def.fields {
                     let (_, fexpr) = fields
@@ -447,7 +446,7 @@ impl<'a> LowerCx<'a> {
             ExprKind::Bool(b) => Operand::Constant(ConstValue::Bool(*b)),
             ExprKind::Var(_) | ExprKind::Field(..) | ExprKind::Deref(_) => self.place_operand(expr),
             _ => {
-                let ty = self.freshen(&self.expr_ty(expr));
+                let ty = self.freshen(self.expr_ty(expr));
                 let rvalue = self.lower_expr_to_rvalue(expr);
                 let temp = self.new_temp(ty, expr.span);
                 self.push_stmt(
@@ -479,7 +478,7 @@ impl<'a> LowerCx<'a> {
             .get(&expr.id)
             .expect("call was not resolved during type checking");
         let arg_ops: Vec<Operand> = args.iter().map(|a| self.lower_expr_to_operand(a)).collect();
-        let ty = self.freshen(&self.expr_ty(expr));
+        let ty = self.freshen(self.expr_ty(expr));
         let dest = self.new_temp(ty, expr.span);
         let next = self.new_block();
         if self.pending_declassify == Some(expr.id) {
@@ -526,11 +525,11 @@ impl<'a> LowerCx<'a> {
                 let container = match base_ty {
                     Ty::Ref(_, _, inner) => {
                         place = place.deref();
-                        (*inner).clone()
+                        inner
                     }
                     other => other,
                 };
-                let idx = field_index(&container, field, self.structs)
+                let idx = field_index(container, field, self.structs)
                     .expect("field resolution survived type checking");
                 place.field(idx)
             }
@@ -548,7 +547,7 @@ impl<'a> LowerCx<'a> {
         if expr.is_place() {
             self.lower_place(expr)
         } else {
-            let ty = self.freshen(&self.expr_ty(expr));
+            let ty = self.freshen(self.expr_ty(expr));
             let rvalue = self.lower_expr_to_rvalue(expr);
             let temp = self.new_temp(ty, expr.span);
             self.push_stmt(

@@ -310,14 +310,15 @@ pub enum Rvalue {
 }
 
 impl Rvalue {
-    /// All operands read by this rvalue.
-    pub fn operands(&self) -> Vec<&Operand> {
-        match self {
-            Rvalue::Use(o) | Rvalue::UnaryOp(_, o) => vec![o],
-            Rvalue::BinaryOp(_, a, b) => vec![a, b],
-            Rvalue::Ref { .. } => vec![],
-            Rvalue::Aggregate(_, ops) => ops.iter().collect(),
-        }
+    /// All operands read by this rvalue, in order.
+    pub fn operands(&self) -> impl Iterator<Item = &Operand> {
+        let (pair, rest): ([Option<&Operand>; 2], &[Operand]) = match self {
+            Rvalue::Use(o) | Rvalue::UnaryOp(_, o) => ([Some(o), None], &[]),
+            Rvalue::BinaryOp(_, a, b) => ([Some(a), Some(b)], &[]),
+            Rvalue::Ref { .. } => ([None, None], &[]),
+            Rvalue::Aggregate(_, ops) => ([None, None], ops),
+        };
+        pair.into_iter().flatten().chain(rest)
     }
 }
 
@@ -416,18 +417,20 @@ pub enum TerminatorKind {
 }
 
 impl TerminatorKind {
-    /// The CFG successors of this terminator.
-    pub fn successors(&self) -> Vec<BasicBlock> {
-        match self {
-            TerminatorKind::Goto { target } => vec![*target],
+    /// The CFG successors of this terminator, in order.
+    pub fn successors(&self) -> impl Iterator<Item = BasicBlock> {
+        let pair = match *self {
+            TerminatorKind::Goto { target } | TerminatorKind::Call { target, .. } => {
+                [Some(target), None]
+            }
             TerminatorKind::SwitchBool {
                 true_block,
                 false_block,
                 ..
-            } => vec![*true_block, *false_block],
-            TerminatorKind::Call { target, .. } => vec![*target],
-            TerminatorKind::Return | TerminatorKind::Unreachable => vec![],
-        }
+            } => [Some(true_block), Some(false_block)],
+            TerminatorKind::Return | TerminatorKind::Unreachable => [None, None],
+        };
+        pair.into_iter().flatten()
     }
 }
 
@@ -552,7 +555,7 @@ impl Body {
     }
 
     /// CFG successors of `bb`.
-    pub fn successors(&self, bb: BasicBlock) -> Vec<BasicBlock> {
+    pub fn successors(&self, bb: BasicBlock) -> impl Iterator<Item = BasicBlock> {
         self.block(bb).terminator().kind.successors()
     }
 
@@ -697,13 +700,20 @@ mod tests {
             true_block: BasicBlock(1),
             false_block: BasicBlock(2),
         };
-        assert_eq!(t.successors(), vec![BasicBlock(1), BasicBlock(2)]);
-        assert!(TerminatorKind::Return.successors().is_empty());
+        assert_eq!(
+            t.successors().collect::<Vec<_>>(),
+            vec![BasicBlock(1), BasicBlock(2)]
+        );
+        assert!(TerminatorKind::Return
+            .successors()
+            .collect::<Vec<_>>()
+            .is_empty());
         assert_eq!(
             TerminatorKind::Goto {
                 target: BasicBlock(7)
             }
-            .successors(),
+            .successors()
+            .collect::<Vec<_>>(),
             vec![BasicBlock(7)]
         );
     }
@@ -723,20 +733,26 @@ mod tests {
         assert_eq!(
             Rvalue::BinaryOp(BinOp::Add, a.clone(), b.clone())
                 .operands()
+                .collect::<Vec<_>>()
                 .len(),
             2
         );
-        assert_eq!(Rvalue::Use(a.clone()).operands().len(), 1);
+        assert_eq!(
+            Rvalue::Use(a.clone()).operands().collect::<Vec<_>>().len(),
+            1
+        );
         assert!(Rvalue::Ref {
             region: RegionVid(0),
             mutbl: Mutability::Mut,
             place: place(1, &[])
         }
         .operands()
+        .collect::<Vec<_>>()
         .is_empty());
         assert_eq!(
             Rvalue::Aggregate(AggregateKind::Tuple, vec![a, b])
                 .operands()
+                .collect::<Vec<_>>()
                 .len(),
             2
         );

@@ -115,12 +115,31 @@ impl Parser {
         self.tokens[self.pos].span
     }
 
+    /// Consumes the current token and returns it, moving its kind out of
+    /// the buffer: the parser never rewinds, and behind `pos` it reads only
+    /// spans, so the consumed slot keeps its span and an `Eof` kind. The
+    /// final `Eof` stays in place, so bumping at the end is a no-op.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+        let span = self.tokens[self.pos].span;
         if self.pos + 1 < self.tokens.len() {
+            let kind = std::mem::replace(&mut self.tokens[self.pos].kind, TokenKind::Eof);
             self.pos += 1;
+            Token { kind, span }
+        } else {
+            Token {
+                kind: TokenKind::Eof,
+                span,
+            }
         }
-        t
+    }
+
+    /// Consumes an `Ident` or `Lifetime` token the caller has matched and
+    /// returns its name.
+    fn bump_name(&mut self) -> String {
+        match self.bump().kind {
+            TokenKind::Ident(name) | TokenKind::Lifetime(name) => name,
+            other => unreachable!("bump_name at `{other}`"),
+        }
     }
 
     fn check(&self, kind: &TokenKind) -> bool {
@@ -148,10 +167,10 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<(String, Span), Diagnostic> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                let t = self.bump();
-                Ok((name, t.span))
+        match self.peek() {
+            TokenKind::Ident(_) => {
+                let span = self.peek_span();
+                Ok((self.bump_name(), span))
             }
             other => Err(Diagnostic::error(
                 format!("expected identifier, found `{other}`"),
@@ -161,11 +180,8 @@ impl Parser {
     }
 
     fn expect_lifetime(&mut self) -> Result<String, Diagnostic> {
-        match self.peek().clone() {
-            TokenKind::Lifetime(name) => {
-                self.bump();
-                Ok(name)
-            }
+        match self.peek() {
+            TokenKind::Lifetime(_) => Ok(self.bump_name()),
             other => Err(Diagnostic::error(
                 format!("expected lifetime, found `{other}`"),
                 self.peek_span(),
@@ -517,7 +533,7 @@ impl Parser {
     }
 
     fn ty_contents(&mut self) -> Result<AstTy, Diagnostic> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::I32 => {
                 self.bump();
                 Ok(AstTy::Int)
@@ -526,10 +542,7 @@ impl Parser {
                 self.bump();
                 Ok(AstTy::Bool)
             }
-            TokenKind::Ident(name) => {
-                self.bump();
-                Ok(AstTy::Named(name))
-            }
+            TokenKind::Ident(_) => Ok(AstTy::Named(self.bump_name())),
             TokenKind::LParen => {
                 self.bump();
                 if self.eat(&TokenKind::RParen) {
@@ -551,12 +564,8 @@ impl Parser {
             }
             TokenKind::Amp => {
                 self.bump();
-                let lifetime = if let TokenKind::Lifetime(lt) = self.peek().clone() {
-                    self.bump();
-                    Some(lt)
-                } else {
-                    None
-                };
+                let lifetime =
+                    matches!(self.peek(), TokenKind::Lifetime(_)).then(|| self.bump_name());
                 let mutbl = if self.eat(&TokenKind::Mut) {
                     Mutability::Mut
                 } else {
@@ -600,7 +609,7 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<Stmt, Diagnostic> {
         let start = self.peek_span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Pound => {
                 let (aname, arg, aspan) = self.outer_attr()?;
                 if aname != "declassify" || arg.is_some() {
@@ -899,7 +908,7 @@ impl Parser {
 
     fn unary_expr(&mut self) -> Result<Expr, Diagnostic> {
         let start = self.peek_span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Minus => {
                 self.bump();
                 let operand = self.nested(Self::unary_expr)?;
@@ -955,7 +964,7 @@ impl Parser {
         let mut e = self.primary_expr()?;
         while self.check(&TokenKind::Dot) {
             self.bump();
-            let field = match self.peek().clone() {
+            let field = match *self.peek() {
                 TokenKind::Int(n) => {
                     self.bump();
                     if n < 0 {
@@ -966,11 +975,8 @@ impl Parser {
                     }
                     FieldName::Index(n as u32)
                 }
-                TokenKind::Ident(name) => {
-                    self.bump();
-                    FieldName::Named(name)
-                }
-                other => {
+                TokenKind::Ident(_) => FieldName::Named(self.bump_name()),
+                ref other => {
                     return Err(Diagnostic::error(
                         format!("expected field name or index after `.`, found `{other}`"),
                         self.peek_span(),
@@ -985,7 +991,7 @@ impl Parser {
 
     fn primary_expr(&mut self) -> Result<Expr, Diagnostic> {
         let start = self.peek_span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Int(n) => {
                 self.bump();
                 self.mk_expr(ExprKind::Int(n), start)
@@ -1020,8 +1026,8 @@ impl Parser {
                     Ok(first)
                 }
             }
-            TokenKind::Ident(name) => {
-                self.bump();
+            TokenKind::Ident(_) => {
+                let name = self.bump_name();
                 if self.check(&TokenKind::LParen) {
                     self.bump();
                     let mut args = Vec::new();
@@ -1055,7 +1061,7 @@ impl Parser {
                     self.mk_expr(ExprKind::Var(name), start)
                 }
             }
-            other => Err(Diagnostic::error(
+            ref other => Err(Diagnostic::error(
                 format!("expected expression, found `{other}`"),
                 start,
             )),
@@ -1201,6 +1207,56 @@ mod tests {
     #[test]
     fn rejects_assignment_to_non_place() {
         assert!(parse_program("fn f() { 1 + 2 = 3; }").is_err());
+    }
+
+    /// Each error names the token it stopped at, and its span covers
+    /// exactly that token, also after the tokens before it were consumed.
+    #[test]
+    fn errors_name_the_offending_token() {
+        let cases = [
+            ("fn f() { let x = 1 y; }", "expected `;`, found `y`", "y"),
+            ("fn f() { return a b; }", "expected `;`, found `b`", "b"),
+            ("fn f() { x.y z; }", "expected `;`, found `z`", "z"),
+            ("fn f() { g(a b); }", "expected `)`, found `b`", "b"),
+            ("fn f(x: i32 y: i32) { }", "expected `)`, found `y`", "y"),
+            (
+                "fn f() { let p = P { a: 1 b: 2 }; }",
+                "expected `}`, found `b`",
+                "b",
+            ),
+            (
+                "fn f() { let 5 = 1; }",
+                "expected identifier, found `5`",
+                "5",
+            ),
+            ("fn fn() { }", "expected identifier, found `fn`", "fn"),
+            (
+                "fn f() { let x = ; }",
+                "expected expression, found `;`",
+                ";",
+            ),
+            (
+                "fn f() { let x = y + ); }",
+                "expected expression, found `)`",
+                ")",
+            ),
+            ("fn f(x: 'a) { }", "expected type, found `'a`", "'a"),
+            ("fn f<x>() { }", "expected lifetime, found `x`", "x"),
+            (
+                "fn f() { x.(1); }",
+                "expected field name or index after `.`, found `(`",
+                "(",
+            ),
+            ("fn f() { } g", "expected `fn` or `struct`, found `g`", "g"),
+        ];
+        for (src, message, token) in cases {
+            let err = parse_program(src).unwrap_err();
+            assert_eq!(err.message, message, "for {src:?}");
+            let (lo, hi) = (err.span.lo as usize, err.span.hi as usize);
+            assert_eq!(&src[lo..hi], token, "span for {src:?}");
+        }
+        let err = parse_expr("a b").unwrap_err();
+        assert_eq!(err.message, "expected `<eof>`, found `b`");
     }
 
     #[test]

@@ -363,8 +363,8 @@ impl<'a> FnChecker<'a> {
     fn check_fn(&mut self) -> Result<(), Diagnostic> {
         // Parameters are bindings; their types are the signature types with
         // regions erased (lowering re-instantiates the signature regions).
-        for (param, sig_ty) in self.func.params.iter().zip(self.sig.inputs.clone()) {
-            let ty = Self::erase_regions(&sig_ty);
+        for (param, sig_ty) in self.func.params.iter().zip(&self.sig.inputs) {
+            let ty = Self::erase_regions(sig_ty);
             // Parameters are mutable when they are unique references or when
             // reassignment is never checked; Rox treats parameters as
             // immutable bindings (matching Rust without `mut` patterns).
@@ -373,7 +373,7 @@ impl<'a> FnChecker<'a> {
         }
 
         let ret_ty = Self::erase_regions(&self.sig.output);
-        self.check_block(&self.func.body.clone())?;
+        self.check_block(&self.func.body)?;
 
         if ret_ty != Ty::Unit && !Self::block_always_returns(&self.func.body) {
             return Err(Diagnostic::error(
@@ -777,7 +777,7 @@ impl<'a> FnChecker<'a> {
                 let sid = self.structs.lookup(name).ok_or_else(|| {
                     Diagnostic::error(format!("unknown struct `{name}`"), expr.span)
                 })?;
-                let def = self.structs.get(sid).clone();
+                let def = self.structs.get(sid);
                 if fields.len() != def.fields.len() {
                     return Err(Diagnostic::error(
                         format!(
@@ -795,9 +795,9 @@ impl<'a> FnChecker<'a> {
                             fexpr.span,
                         )
                     })?;
-                    let expected = def.fields[idx as usize].1.clone();
+                    let expected = &def.fields[idx as usize].1;
                     let got = self.check_expr(fexpr)?;
-                    if !got.compatible(&expected) {
+                    if !got.compatible(expected) {
                         return Err(Diagnostic::error(
                             format!(
                                 "field `{fname}` of `{name}` has type `{}` but the initializer has type `{}`",

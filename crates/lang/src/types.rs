@@ -92,18 +92,20 @@ impl Ty {
     /// (pre-order) order.
     pub fn regions(&self) -> Vec<RegionVid> {
         let mut out = Vec::new();
-        self.collect_regions(&mut out);
+        self.any_region(&mut |r| {
+            out.push(r);
+            false
+        });
         out
     }
 
-    fn collect_regions(&self, out: &mut Vec<RegionVid>) {
+    /// Whether `pred` holds for some region in the type, visited in the
+    /// order of [`Ty::regions`]; allocates nothing.
+    pub fn any_region(&self, pred: &mut impl FnMut(RegionVid) -> bool) -> bool {
         match self {
-            Ty::Unit | Ty::Int | Ty::Bool | Ty::Struct(_) => {}
-            Ty::Tuple(tys) => tys.iter().for_each(|t| t.collect_regions(out)),
-            Ty::Ref(r, _, inner) => {
-                out.push(*r);
-                inner.collect_regions(out);
-            }
+            Ty::Unit | Ty::Int | Ty::Bool | Ty::Struct(_) => false,
+            Ty::Tuple(tys) => tys.iter().any(|t| t.any_region(pred)),
+            Ty::Ref(r, _, inner) => pred(*r) || inner.any_region(pred),
         }
     }
 
@@ -364,6 +366,14 @@ mod tests {
             ),
         ]);
         assert_eq!(t.regions(), vec![RegionVid(3), RegionVid(5), RegionVid(9)]);
+        let mut seen = Vec::new();
+        assert!(t.any_region(&mut |r| {
+            seen.push(r);
+            r == RegionVid(5)
+        }));
+        assert_eq!(seen, vec![RegionVid(3), RegionVid(5)]);
+        assert!(!t.any_region(&mut |r| r == RegionVid(4)));
+        assert!(!Ty::Tuple(vec![Ty::Int]).any_region(&mut |_| true));
     }
 
     #[test]
