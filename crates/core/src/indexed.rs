@@ -32,7 +32,9 @@ use crate::deps::{Dep, DepSet, Theta};
 use crate::infoflow::{
     resolve_callee_summary, run_fixpoint, BodyGraph, InfoFlowResults, SharedCtx,
 };
-use crate::places::{interior_places_with_derefs, readable_places, transitive_refs};
+use crate::places::{
+    interior_places, interior_places_with_derefs, readable_places, transitive_refs,
+};
 use crate::summary::FunctionSummary;
 use flowistry_dataflow::engine::Analysis;
 use flowistry_dataflow::indexed::{BitSet, IndexMatrix, IndexedDomain};
@@ -42,6 +44,7 @@ use flowistry_lang::mir::{
 };
 use flowistry_lang::types::{FuncId, Ty};
 use flowistry_lang::CompiledProgram;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -683,6 +686,9 @@ struct AssignPlan {
     /// target index and the field operand's reads. Present only when the
     /// assigned place has a single alias, like the tree path.
     aggregate: Option<Vec<(u32, ReadPlan)>>,
+    /// Places inside a strong target that get a key holding what they
+    /// read if they have none, like the tree path.
+    interior: Vec<u32>,
 }
 
 /// The compiled transfer of a `Call` terminator.
@@ -914,6 +920,15 @@ impl CompiledBody {
                 self.strong_update(state, *target, field_kappa, log);
             }
         }
+        for &q in &plan.interior {
+            if !state.present.contains(q) {
+                let mut deps = BitSet::new();
+                self.read_conflicts_into(state, q, &mut deps);
+                log.before_write(state, q);
+                state.rows.set_row(q, deps);
+                state.present.insert(q);
+            }
+        }
     }
 
     /// Applies the compiled terminator to `state`.
@@ -1116,6 +1131,24 @@ impl PlanBuilder<'_, '_, '_> {
         out
     }
 
+    /// The places inside a strongly updated aggregate, outermost first.
+    fn interior_plan(&mut self, target: u32) -> Vec<u32> {
+        let (body, structs) = (self.body, &self.program.structs);
+        let place = self.places.value(target);
+        // Most targets are scalar locals: their declared type decides
+        // without building a projected one.
+        let ty = if place.projection.is_empty() {
+            Cow::Borrowed(&body.local_decl(place.local).ty)
+        } else {
+            Cow::Owned(body.place_ty(place, structs))
+        };
+        if !matches!(*ty, Ty::Tuple(_) | Ty::Struct(_)) {
+            return Vec::new();
+        }
+        let interior = interior_places(place, &ty, structs);
+        interior[1..].iter().map(|q| self.intern(q)).collect()
+    }
+
     fn assign_plan(&mut self, loc: Location, place: &Place, rvalue: &Rvalue) -> AssignPlan {
         let mut reads = Vec::new();
         match rvalue {
@@ -1127,6 +1160,10 @@ impl PlanBuilder<'_, '_, '_> {
             }
         }
         let mutation = self.mut_plan(place);
+        let interior = match mutation {
+            MutPlan::Strong(target) => self.interior_plan(target),
+            MutPlan::Weak(_) => Vec::new(),
+        };
         let aggregate = match (rvalue, &mutation) {
             (Rvalue::Aggregate(_, ops), MutPlan::Strong(target)) => {
                 let target_place = self.places.value(*target).clone();
@@ -1147,6 +1184,7 @@ impl PlanBuilder<'_, '_, '_> {
             reads: Self::dedup(reads),
             mutation,
             aggregate,
+            interior,
         }
     }
 

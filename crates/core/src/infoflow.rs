@@ -6,7 +6,9 @@
 //! * the state is the dependency context Θ ([`Theta`]): a map from places to
 //!   the set of locations (and arguments) that influence their value;
 //! * assignments update the conflicts of the assigned place's aliases
-//!   (T-Assign / T-AssignDeref);
+//!   (T-Assign / T-AssignDeref); a strong update of an aggregate also gives
+//!   every place inside it a key, so a field never reads its siblings'
+//!   later writes through the aggregate's key;
 //! * function calls are handled modularly from the callee's type signature
 //!   (T-App), or by recursive analysis under the Whole-program condition;
 //! * indirect flows are added through control dependence (§4.1);
@@ -24,7 +26,9 @@ use crate::deps::ThetaExt;
 use crate::deps::{Dep, DepSet, Theta};
 use crate::indexed::{IndexedStates, IndexedTheta};
 #[cfg(feature = "tree-domain")]
-use crate::places::{interior_places_with_derefs, readable_places, transitive_refs};
+use crate::places::{
+    interior_places, interior_places_with_derefs, readable_places, transitive_refs,
+};
 use crate::summary::FunctionSummary;
 #[cfg(feature = "tree-domain")]
 use flowistry_dataflow::engine::iterate_in_order;
@@ -833,19 +837,34 @@ impl FlowAnalysis<'_, '_> {
 
         self.apply_mutation(place, kappa.clone(), state);
 
+        let aliases = self.aliases.aliases(place);
+        if aliases.len() != 1 {
+            return;
+        }
+        let target = aliases.into_iter().next().expect("len checked");
+
         // Field-sensitive refinement for aggregates: the i-th field of the
         // target depends only on the i-th operand (plus the control and
         // location context), not on its siblings.
         if let Rvalue::Aggregate(_, ops) = rvalue {
-            let aliases = self.aliases.aliases(place);
-            if aliases.len() == 1 {
-                let target = aliases.into_iter().next().expect("len checked");
-                for (i, op) in ops.iter().enumerate() {
-                    let mut field_kappa = DepSet::from([Dep::Instr(loc)]);
-                    field_kappa.extend(self.control_kappa(loc.block, state));
-                    field_kappa.extend(self.operand_deps(op, state));
-                    state.strong_update(&target.field(i as u32), field_kappa);
-                }
+            for (i, op) in ops.iter().enumerate() {
+                let mut field_kappa = DepSet::from([Dep::Instr(loc)]);
+                field_kappa.extend(self.control_kappa(loc.block, state));
+                field_kappa.extend(self.operand_deps(op, state));
+                state.strong_update(&target.field(i as u32), field_kappa);
+            }
+        }
+
+        // A strong update of an aggregate gives each place inside it a key
+        // holding what it reads now. Without one, a place reads through the
+        // aggregate's key, which a later write of a sibling field also
+        // grows, so the place would read that write too.
+        let structs = &self.program.structs;
+        let ty = self.body.place_ty(&target, structs);
+        for interior in interior_places(&target, &ty, structs).into_iter().skip(1) {
+            if !state.contains_key(&interior) {
+                let deps = state.read_conflicts(&interior);
+                state.insert(interior, deps);
             }
         }
     }

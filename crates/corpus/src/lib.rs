@@ -18,6 +18,7 @@
 pub mod generator;
 pub mod labeled;
 pub mod profiles;
+pub mod random;
 
 pub use generator::{generate_corpus, generate_crate, GeneratedCrate};
 pub use labeled::{
@@ -25,3 +26,4 @@ pub use labeled::{
     LabeledDriver, LabeledProfile, LabeledProgram,
 };
 pub use profiles::{paper_profiles, CrateProfile, DEFAULT_SEED};
+pub use random::random_program;

@@ -7,16 +7,18 @@
 //! and backward slices. This suite asserts exactly that over
 //!
 //! * the full generated corpus (all ten profile crates), and
-//! * proptest-style randomly generated programs exercising branches,
-//!   loops, references, aggregates and calls.
+//! * 128 seeded programs from `flowistry_corpus::random_program`, with
+//!   branches, loops, references, tuples and calls. A failure names the
+//!   seed and size; `random_program(seed, size)` rebuilds the program.
 
 use flowistry::prelude::*;
 use flowistry_core::places::all_body_places;
 use flowistry_core::{DeltaEntry, FunctionSummary, InfoFlowResults};
-use flowistry_corpus::{generate_corpus, DEFAULT_SEED};
+use flowistry_corpus::{generate_corpus, random_program, DEFAULT_SEED};
 use flowistry_lang::mir::{Local, Place};
 use flowistry_lang::types::FuncId;
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 fn params(condition: Condition, domain: DomainKind) -> AnalysisParams {
@@ -384,51 +386,20 @@ fn corpus_seeded_summaries_are_bit_identical() {
     }
 }
 
-/// Builds a small function from a random recipe of statements over four
-/// mutable scalars, two helpers (one mutating through `&mut`, one reading
-/// through `&`), branches and a loop — enough to exercise every transfer
-/// rule of the analysis.
-fn program_from_recipe(ops: &[(u8, usize, usize)]) -> String {
-    let mut body = String::from(
-        "fn bump(p: &mut i32, v: i32) { *p = *p + v; }\n\
-         fn read_pair(a: &i32, b: i32) -> i32 { return *a + b; }\n\
-         fn f(a: i32, b: i32, c: i32, d: i32) -> i32 {\n",
-    );
-    body.push_str(
-        "    let mut v0 = a;\n    let mut v1 = b;\n    let mut v2 = c;\n    let mut v3 = d;\n    let mut t = (a, b);\n",
-    );
-    for (kind, x, y) in ops {
-        let x = x % 4;
-        let y = y % 4;
-        match kind % 8 {
-            0 => body.push_str(&format!("    v{x} = v{x} + v{y};\n")),
-            1 => body.push_str(&format!("    v{x} = v{y} * 2;\n")),
-            2 => body.push_str(&format!("    if v{y} > 0 {{ v{x} = v{x} + 1; }}\n")),
-            3 => body.push_str(&format!("    while v{x} > v{y} {{ v{x} = v{x} - 1; }}\n")),
-            4 => body.push_str(&format!("    bump(&mut v{x}, v{y});\n")),
-            5 => body.push_str(&format!("    v{x} = read_pair(&v{y}, v{x});\n")),
-            6 => body.push_str(&format!("    t = (v{x}, v{y});\n")),
-            _ => body.push_str(&format!("    t.{} = v{y};\n", x % 2)),
-        }
-    }
-    body.push_str("    return v0 + v1 + t.0;\n}\n");
-    body
-}
-
-proptest! {
-    /// Random programs: the two domains agree on every function, under the
-    /// four headline conditions, including naive (unmemoized) whole-program
-    /// recursion.
-    #[test]
-    fn random_programs_are_bit_identical(
-        ops in prop::collection::vec((0u8..8, 0usize..4, 0usize..4), 1..10),
-    ) {
-        let src = program_from_recipe(&ops);
+/// Random programs: the two domains agree on every function, under the
+/// four headline conditions, including naive (unmemoized) whole-program
+/// recursion.
+#[test]
+fn random_programs_are_bit_identical() {
+    for seed in 0..128 {
+        let size = StdRng::seed_from_u64(seed).gen_range(1..9);
+        let src = random_program(seed, size);
         let program = compile(&src).expect("generated program compiles");
+        let context = format!("random_program({seed}, {size})");
         for condition in Condition::headline_four() {
             let base = params(condition, DomainKind::Indexed);
             for i in 0..program.bodies.len() {
-                assert_equivalent(&program, FuncId(i as u32), &base, "random");
+                assert_equivalent(&program, FuncId(i as u32), &base, &context);
             }
         }
     }
