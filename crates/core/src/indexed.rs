@@ -44,7 +44,6 @@ use flowistry_lang::mir::{
 };
 use flowistry_lang::types::{FuncId, Ty};
 use flowistry_lang::CompiledProgram;
-use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -1135,14 +1134,8 @@ impl PlanBuilder<'_, '_, '_> {
     fn interior_plan(&mut self, target: u32) -> Vec<u32> {
         let (body, structs) = (self.body, &self.program.structs);
         let place = self.places.value(target);
-        // Most targets are scalar locals: their declared type decides
-        // without building a projected one.
-        let ty = if place.projection.is_empty() {
-            Cow::Borrowed(&body.local_decl(place.local).ty)
-        } else {
-            Cow::Owned(body.place_ty(place, structs))
-        };
-        if !matches!(*ty, Ty::Tuple(_) | Ty::Struct(_)) {
+        let ty = body.place_ty(place, structs);
+        if !matches!(ty, Ty::Tuple(_) | Ty::Struct(_)) {
             return Vec::new();
         }
         let interior = interior_places(place, &ty, structs);

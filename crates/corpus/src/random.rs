@@ -6,8 +6,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write;
 
-/// The statement shapes of `f`'s body. Leaves come first, then the two
-/// compound shapes, so a prefix of [`STMTS`] is the choice at a given
+/// The statement shapes of `f`'s body. Leaves come first, then `If`,
+/// then the two loops, so a prefix of [`STMTS`] is the choice at a given
 /// nesting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stmt {
@@ -23,9 +23,10 @@ enum Stmt {
     DagCall,
     If,
     While,
+    Countdown,
 }
 
-const STMTS: [Stmt; 12] = [
+const STMTS: [Stmt; 13] = [
     Stmt::Arith,
     Stmt::Helper,
     Stmt::TupleLiteral,
@@ -38,6 +39,7 @@ const STMTS: [Stmt; 12] = [
     Stmt::DagCall,
     Stmt::If,
     Stmt::While,
+    Stmt::Countdown,
 ];
 
 /// Statements nest at most this deep below `f`'s body.
@@ -52,7 +54,8 @@ const VARS: usize = 4;
 ///
 /// Every program compiles with no borrow diagnostic and terminates under
 /// the interpreter for any arguments: each loop counts up to one of `f`'s
-/// parameters (or a constant), which nothing reassigns. Reborrows through a
+/// parameters (or a constant), which nothing reassigns, and stops there if
+/// its other exit test has not stopped it first. Reborrows through a
 /// local reference (`&mut (*y).1`) stay out of the grammar until the
 /// borrow checker can confirm that such programs are well-borrowed. The
 /// program has three parts:
@@ -68,7 +71,9 @@ const VARS: usize = 4;
 ///   `size` random statements: arithmetic, helper calls, tuple assignment
 ///   and field writes, `bump(&mut _)` and `read_pair(&_, _)`, writes
 ///   through `slot`, calls into the DAG, and `if` and `while` with nested
-///   bodies, including field writes inside loops.
+///   bodies, including field writes inside loops. A countdown loop
+///   `while k < n && v0 > v1 { ..; v0 = v0 - 1; .. }` also exits on
+///   scalars that its body writes.
 pub fn random_program(seed: u64, size: usize) -> String {
     generate(seed, size).0
 }
@@ -156,8 +161,8 @@ impl Generator {
     /// One random statement at nesting `depth` below `f`'s body.
     fn stmt(&mut self, depth: usize, in_loop: bool) {
         let choices = match (depth < MAX_DEPTH, in_loop) {
-            (false, _) => STMTS.len() - 2,
-            (true, true) => STMTS.len() - 1,
+            (false, _) => STMTS.len() - 3,
+            (true, true) => STMTS.len() - 2,
             (true, false) => STMTS.len(),
         };
         let kind = STMTS[self.rng.gen_range(0..choices)];
@@ -211,6 +216,18 @@ impl Generator {
                 let _ = writeln!(self.src, "{pad}while {k} < {bound} {{");
                 self.block(depth + 1, true);
                 let _ = writeln!(self.src, "{pad}    {k} = {k} + 1;\n{pad}}}");
+                return;
+            }
+            Stmt::Countdown => {
+                let k = self.fresh("k");
+                let bound = self.input();
+                let _ = writeln!(self.src, "{pad}let mut {k} = 0;");
+                let _ = writeln!(self.src, "{pad}while {k} < {bound} && v{x} > v{y} {{");
+                self.block(depth + 1, true);
+                let _ = writeln!(
+                    self.src,
+                    "{pad}    v{x} = v{x} - 1;\n{pad}    {k} = {k} + 1;\n{pad}}}"
+                );
                 return;
             }
         };

@@ -304,10 +304,13 @@ fn nesting_at_the_limit_compiles_and_analyzes_on_a_small_stack() {
 }
 
 /// Programs whose loop overwrites one field of a tuple that may never be
-/// entered: after the loop, `t.0` holds `b` or still `a`. Joining the loop
-/// header's states must keep `a` for `t.0`, which the pre-loop state holds
-/// only through its ancestor `t`.
-const LOOP_FIELD_PROGRAMS: [(&str, &str); 3] = [
+/// entered: after the loop, the field holds `b` or still `a`. The first
+/// three have a key for `t.0` before the loop, from the assignment of `t`.
+/// The last writes a field seven projections deep, below the depth to
+/// which an assignment keys the places inside an aggregate, so before the
+/// loop only an ancestor holds its value: joining the loop header's states
+/// must keep `a` for it, which key-wise union alone would drop.
+const LOOP_FIELD_PROGRAMS: [(&str, &str); 4] = [
     (
         "while, straight tail",
         "fn mk(a: i32) -> (i32, i32) { return (a, a); }
@@ -333,6 +336,17 @@ const LOOP_FIELD_PROGRAMS: [(&str, &str); 3] = [
              let mut t = mk(a); let mut k = 0;
              loop { if k >= n { break; } t.0 = b; k = k + 1; }
              let x = t.0; let y = x + 1; return y;
+         }",
+    ),
+    (
+        "while, field below the key depth",
+        "fn mk(a: i32) -> (((((((i32, i32), i32), i32), i32), i32), i32), i32) {
+             return (((((((a, a), a), a), a), a), a), a);
+         }
+         fn big(a: i32, b: i32, n: i32) -> i32 {
+             let mut t = mk(a); let mut k = 0;
+             while k < n { t.0.0.0.0.0.0.0 = b; k = k + 1; }
+             let x = t.0.0.0.0.0.0.0; return x;
          }",
     ),
 ];

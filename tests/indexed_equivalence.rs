@@ -17,8 +17,6 @@ use flowistry_core::{DeltaEntry, FunctionSummary, InfoFlowResults};
 use flowistry_corpus::{generate_corpus, random_program, DEFAULT_SEED};
 use flowistry_lang::mir::{Local, Place};
 use flowistry_lang::types::FuncId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 fn params(condition: Condition, domain: DomainKind) -> AnalysisParams {
@@ -392,7 +390,7 @@ fn corpus_seeded_summaries_are_bit_identical() {
 #[test]
 fn random_programs_are_bit_identical() {
     for seed in 0..128 {
-        let size = StdRng::seed_from_u64(seed).gen_range(1..9);
+        let size = 1 + seed as usize % 8;
         let src = random_program(seed, size);
         let program = compile(&src).expect("generated program compiles");
         let context = format!("random_program({seed}, {size})");

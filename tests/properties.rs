@@ -154,7 +154,7 @@ fn reads_are_subsets_of_recorded_deps() {
 #[test]
 fn condition_monotonicity_on_random_programs() {
     for seed in 0..CASES {
-        let size = StdRng::seed_from_u64(seed).gen_range(1..10);
+        let size = 1 + seed as usize % 9;
         let src = random_program(seed, size);
         let program = compile(&src).expect("generated program compiles");
         let func = program.func_id("f").unwrap();
@@ -188,8 +188,7 @@ fn condition_monotonicity_on_random_programs() {
 #[test]
 fn noninterference_on_random_programs() {
     for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let size = rng.gen_range(1..10);
+        let size = 1 + seed as usize % 9;
         let src = random_program(seed, size);
         let program = compile(&src).expect("generated program compiles");
         let func = program.func_id("f").unwrap();
@@ -198,7 +197,7 @@ fn noninterference_on_random_programs() {
             func,
             &AnalysisParams::default(),
             6,
-            rng.next_u64(),
+            StdRng::seed_from_u64(seed).next_u64(),
         )
         .expect("signature supported");
         assert!(
