@@ -24,6 +24,8 @@
 //! * `--smoke` — a fast CI pass: the corpus sweep is limited to the first
 //!   two crates, the chaos gauntlet runs on the smallest profile, and the
 //!   noninterference, IFC and lint checks use fewer programs and trials.
+//!   A smoke run writes only under `results/`; the tracked repo-root
+//!   `BENCH_chaos.json` and `BENCH_lints.json` change only on a full run.
 //!
 //! An unknown subcommand or flag, or a malformed value, is a usage error
 //! (exit status 2).
@@ -66,6 +68,10 @@ struct Scale {
     ifc_trials: usize,
     lint_programs: usize,
     lint_trials: usize,
+    /// Whether the run rewrites the tracked repo-root `BENCH_*.json`
+    /// artifacts. Only a full-scale run does: a smoke run writes its
+    /// reports under `results/` alone.
+    writes_bench: bool,
 }
 
 impl Scale {
@@ -82,6 +88,7 @@ impl Scale {
             ifc_trials: 4,
             lint_programs: 210,
             lint_trials: 4,
+            writes_bench: true,
         }
     }
 
@@ -98,6 +105,7 @@ impl Scale {
             ifc_trials: 2,
             lint_programs: 24,
             lint_trials: 2,
+            writes_bench: false,
         }
     }
 }
@@ -313,9 +321,11 @@ fn run_chaos(seed: u64, scale: Scale, out_dir: &Path) {
         flowistry_eval::measure_chaos(scale.chaos_profile, seed, 3, 0, 8, scale.service_requests);
     println!("{}", flowistry_eval::render_chaos(&report));
     write_json(out_dir.join("chaos.json"), &report);
-    // The repo-root benchmark artifact CI parses and the README links.
-    let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos.json");
-    write_json(std::path::PathBuf::from(bench), &report);
+    // The repo-root benchmark artifact the README links.
+    if scale.writes_bench {
+        let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos.json");
+        write_json(std::path::PathBuf::from(bench), &report);
+    }
     if !report.invariant_violations.is_empty() || !report.post_chaos_bit_identical {
         eprintln!(
             "chaos gauntlet FAILED: {} invariant violations, bit-identical recovery: {}",
@@ -380,15 +390,17 @@ fn run_lints(seed: u64, scale: Scale, out_dir: &Path) {
     let report = flowistry_eval::measure_lints(seed, scale.lint_programs, scale.lint_trials);
     println!("{}", flowistry_eval::render_lints(&report));
     write_json(out_dir.join("lints.json"), &report);
-    // The repo-root benchmark artifact CI parses and the README links. It
+    // The repo-root benchmark artifact CI diffs and the README links. It
     // is tracked, so it keeps only the seeded counts: the wall time, which
     // moves on every run, stays in `results/lints.json`.
-    let mut bench = report.to_json();
-    if let Json::Obj(fields) = &mut bench {
-        fields.retain(|(key, _)| key != "lint_wall_millis");
+    if scale.writes_bench {
+        let mut bench = report.to_json();
+        if let Json::Obj(fields) = &mut bench {
+            fields.retain(|(key, _)| key != "lint_wall_millis");
+        }
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lints.json");
+        write_json(std::path::PathBuf::from(path), &bench);
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lints.json");
-    write_json(std::path::PathBuf::from(path), &bench);
     if !report.is_clean() {
         eprintln!(
             "lint differential FAILED: {} effect under-approximations, {} dead-store false positives, {} unused-mut false positives",

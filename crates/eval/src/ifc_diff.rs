@@ -122,11 +122,7 @@ pub fn measure_ifc_differential(
                 let mut varied = base.clone();
                 for &i in &d.high_inputs {
                     let Value::Int(old) = base[i] else { continue };
-                    let mut next = rng.small_int();
-                    if next == old {
-                        next += 1;
-                    }
-                    varied[i] = Value::Int(next);
+                    varied[i] = Value::Int(rng.other_small_int(old));
                 }
                 let (Ok(a), Ok(b)) = (
                     interp.run_with_env(func, base.clone()),

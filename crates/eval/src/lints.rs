@@ -25,7 +25,7 @@
 use crate::json::{Json, ToJson};
 use flowistry_core::{analyze, AnalysisParams, Condition, FunctionSummary};
 use flowistry_corpus::generate_labeled_corpus;
-use flowistry_interp::{Interpreter, Outcome, Rng, Value};
+use flowistry_interp::{input_tys, random_value, Interpreter, Outcome, Rng, Value};
 use flowistry_lang::mir::{ConstValue, Local, Operand, Rvalue, StatementKind};
 use flowistry_lang::types::{FuncId, Ty};
 use flowistry_lang::{CallGraph, CompiledProgram};
@@ -117,25 +117,6 @@ fn observables(o: &Outcome) -> (&Value, &[flowistry_interp::CallEvent], &[Option
     (&o.return_value, &o.calls, &o.environment.locals)
 }
 
-/// A random value of a supported effective type.
-fn random_value(ty: &Ty, rng: &mut Rng) -> Value {
-    match ty {
-        Ty::Bool => Value::Bool(rng.bool()),
-        _ => Value::Int(rng.small_int()),
-    }
-}
-
-/// The referent type of a supported parameter: scalars stay themselves,
-/// references to scalars yield the scalar. `None` rejects the signature
-/// for the interpreter oracles (aggregates, nested references).
-fn supported_effective_ty(ty: &Ty) -> Option<&Ty> {
-    match ty {
-        Ty::Int | Ty::Bool => Some(ty),
-        Ty::Ref(_, _, inner) if matches!(**inner, Ty::Int | Ty::Bool) => Some(inner),
-        _ => None,
-    }
-}
-
 /// Runs the lint evaluation over `programs` labeled programs (plus the
 /// fixtures) with `trials` interpreter executions per function.
 pub fn measure_lints(seed: u64, programs: usize, trials: usize) -> LintEvalReport {
@@ -209,26 +190,27 @@ pub fn measure_lints(seed: u64, programs: usize, trials: usize) -> LintEvalRepor
             }
 
             let sig = program.signature(func);
-            let supported: Option<Vec<&Ty>> =
-                sig.inputs.iter().map(supported_effective_ty).collect();
-            let Some(effective) = supported else {
+            let Some(effective) = input_tys(&sig.inputs) else {
                 continue;
             };
             let context = format!("{name}::{}", sig.name);
 
             for _ in 0..trials {
-                let base: Vec<Value> = effective
+                let Some(base) = effective
                     .iter()
-                    .map(|ty| random_value(ty, &mut rng))
-                    .collect();
+                    .map(|ty| random_value(ty, &program.structs, &mut rng))
+                    .collect::<Option<Vec<Value>>>()
+                else {
+                    continue;
+                };
                 let Ok(run) = interp.run_with_env(func, base.clone()) else {
                     continue;
                 };
 
                 check_reads(
                     &interp,
+                    program,
                     func,
-                    sig,
                     &effect.reads,
                     &base,
                     &run,
@@ -255,8 +237,8 @@ pub fn measure_lints(seed: u64, programs: usize, trials: usize) -> LintEvalRepor
 #[allow(clippy::too_many_arguments)]
 fn check_reads(
     interp: &Interpreter<'_>,
+    program: &CompiledProgram,
     func: FuncId,
-    sig: &flowistry_lang::types::FnSig,
     reads: &BTreeSet<Local>,
     base: &[Value],
     run: &Outcome,
@@ -264,21 +246,16 @@ fn check_reads(
     rng: &mut Rng,
     report: &mut LintEvalReport,
 ) {
-    for (i, ty) in sig.inputs.iter().enumerate() {
+    for (i, ty) in program.signature(func).inputs.iter().enumerate() {
         if matches!(ty, Ty::Ref(..)) || reads.contains(&Local(i as u32 + 1)) {
             continue;
         }
         let mut varied = base.to_vec();
         varied[i] = match &base[i] {
             Value::Bool(b) => Value::Bool(!b),
-            Value::Int(old) => {
-                let mut next = rng.small_int();
-                if next == *old {
-                    next += 1;
-                }
-                Value::Int(next)
-            }
-            other => other.clone(),
+            Value::Int(old) => Value::Int(rng.other_small_int(*old)),
+            _ => random_value(ty, &program.structs, rng)
+                .expect("input_tys admits only reference-free parameters"),
         };
         let Ok(other) = interp.run_with_env(func, varied.clone()) else {
             continue;

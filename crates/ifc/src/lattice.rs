@@ -629,6 +629,8 @@ pub struct PolicyChecker<'a> {
     program: &'a CompiledProgram,
     policy: Policy,
     lattice: SecurityLattice,
+    /// The policy's sinks, resolved once (see [`PolicyChecker::sinks`]).
+    sinks: Vec<(FuncId, Label)>,
     params: AnalysisParams,
 }
 
@@ -644,10 +646,19 @@ impl<'a> PolicyChecker<'a> {
     pub fn new(program: &'a CompiledProgram, policy: Policy) -> Result<Self, PolicyError> {
         let lattice = policy.lattice.build();
         validate_policy(program, &policy, &lattice)?;
+        let mut sinks: Vec<(FuncId, Label)> = Vec::new();
+        for (f, c) in &policy.sink_clearances {
+            if let (Some(id), Some(c)) = (program.func_id(f), lattice.label(c)) {
+                if !sinks.iter().any(|(s, _)| *s == id) {
+                    sinks.push((id, c));
+                }
+            }
+        }
         Ok(PolicyChecker {
             program,
             policy,
             lattice,
+            sinks,
             params: AnalysisParams::default(),
         })
     }
@@ -682,9 +693,18 @@ impl<'a> PolicyChecker<'a> {
             .collect()
     }
 
-    /// Checks `func` using precomputed analysis results (e.g. served by the
-    /// incremental engine).
-    pub fn check_with_results(&self, func: FuncId, results: &InfoFlowResults) -> PolicyReport {
+    /// The sinks the policy declares, with their clearances, in policy
+    /// order. A sink declared twice keeps its first clearance.
+    pub fn sinks(&self) -> &[(FuncId, Label)] {
+        &self.sinks
+    }
+
+    /// Labels `func`'s dependency values under the policy: every source
+    /// above bottom (parameters, call results, labeled locals) with the
+    /// dependencies that carry it, and everything its declassification
+    /// points release. [`PolicyChecker::check_with_results`] and the lint
+    /// passes both read a policy only through this.
+    pub fn labels(&self, func: FuncId, results: &InfoFlowResults) -> FunctionLabels {
         let body = self.program.body(func);
         let lat = &self.lattice;
         let bottom = lat.bottom();
@@ -695,25 +715,34 @@ impl<'a> PolicyChecker<'a> {
             .and_then(|n| lat.label(n))
             .unwrap_or(bottom);
 
-        // Label every dependency value the policy speaks about. Entries at
-        // bottom are dropped: they can never raise a join nor be named as a
-        // source.
-        let mut labeled: Vec<(Dep, Label, String)> = Vec::new();
+        // Sources at bottom are dropped: they can never raise a join nor be
+        // named as a source.
+        let mut sources = Vec::new();
+        let mut push = |deps: DepSet, label: Label, description: String| {
+            if label != bottom {
+                sources.push(LabeledSource {
+                    deps,
+                    label,
+                    description,
+                });
+            }
+        };
         for arg in body.args() {
-            let pname = match &body.local_decl(arg).name {
-                Some(n) => n.clone(),
-                None => continue,
+            let Some(pname) = &body.local_decl(arg).name else {
+                continue;
             };
             let l = self
                 .policy
                 .param_labels
                 .iter()
-                .find(|(f, p, _)| f == &body.name && p == &pname)
+                .find(|(f, p, _)| f == &body.name && p == pname)
                 .and_then(|(_, _, l)| lat.label(l))
                 .unwrap_or(default);
-            if l != bottom {
-                labeled.push((Dep::Arg(arg), l, format!("parameter `{pname}`")));
-            }
+            push(
+                DepSet::from([Dep::Arg(arg)]),
+                l,
+                format!("parameter `{pname}`"),
+            );
         }
         // Calls: the callee's result label, and the set of declassified
         // call locations (from `#[declassify]` or the policy's pairs).
@@ -743,26 +772,33 @@ impl<'a> PolicyChecker<'a> {
                 .find(|(f, _)| f == callee_name)
                 .and_then(|(_, l)| lat.label(l))
                 .unwrap_or(default);
-            if l != bottom {
-                labeled.push((Dep::Instr(loc), l, format!("call to `{callee_name}`")));
-            }
+            push(
+                DepSet::from([Dep::Instr(loc)]),
+                l,
+                format!("call to `{callee_name}`"),
+            );
         }
-        let labeled_locals: Vec<(Local, Label, String)> = self
+        // A labeled local stands for everything its exit value depends on.
+        for (_, vname, lname) in self
             .policy
             .local_labels
             .iter()
             .filter(|(f, _, _)| f == &body.name)
-            .filter_map(|(_, vname, lname)| {
-                let l = lat.label(lname)?;
-                if l == bottom {
-                    return None;
-                }
+        {
+            let (Some(l), Some(i)) = (
+                lat.label(lname),
                 body.local_decls
                     .iter()
-                    .position(|d| d.name.as_deref() == Some(vname.as_str()))
-                    .map(|i| (Local(i as u32), l, format!("variable `{vname}`")))
-            })
-            .collect();
+                    .position(|d| d.name.as_deref() == Some(vname.as_str())),
+            ) else {
+                continue;
+            };
+            push(
+                results.exit_deps_of_local(Local(i as u32)),
+                l,
+                format!("variable `{vname}`"),
+            );
+        }
 
         // Everything a declassified call observed is released: the call's
         // own instruction plus the dependencies of its result. This is
@@ -771,14 +807,24 @@ impl<'a> PolicyChecker<'a> {
         // "declassify(e)" intuition even when those sources also reach the
         // sink by another path.
         let mut released = DepSet::new();
-        for loc in &declassified {
-            released.insert(Dep::Instr(*loc));
+        for loc in declassified {
+            released.insert(Dep::Instr(loc));
             if let TerminatorKind::Call { destination, .. } =
                 &body.block(loc.block).terminator().kind
             {
-                released.extend(results.deps_after(destination, *loc));
+                released.extend(results.deps_after(destination, loc));
             }
         }
+        FunctionLabels { sources, released }
+    }
+
+    /// Checks `func` using precomputed analysis results (e.g. served by the
+    /// incremental engine).
+    pub fn check_with_results(&self, func: FuncId, results: &InfoFlowResults) -> PolicyReport {
+        let body = self.program.body(func);
+        let source = &self.program.source;
+        let lat = &self.lattice;
+        let labels = self.labels(func, results);
 
         let mut diagnostics = Vec::new();
         let mut sink_calls_checked = 0;
@@ -793,14 +839,7 @@ impl<'a> PolicyChecker<'a> {
             else {
                 continue;
             };
-            let callee_name = self.program.signature(*callee).name.clone();
-            let Some(clearance) = self
-                .policy
-                .sink_clearances
-                .iter()
-                .find(|(f, _)| f == &callee_name)
-                .and_then(|(_, c)| lat.label(c))
-            else {
+            let Some(&(_, clearance)) = self.sinks.iter().find(|(sink, _)| sink == callee) else {
                 continue;
             };
             sink_calls_checked += 1;
@@ -813,55 +852,33 @@ impl<'a> PolicyChecker<'a> {
             // destination's row after the call).
             let incoming = results.call_deps(loc, args, destination);
 
-            let mut incoming_label = bottom;
+            let mut incoming_label = lat.bottom();
             let mut sources = Vec::new();
-            for (dep, l, desc) in &labeled {
-                if incoming.contains(dep) && !released.contains(dep) {
-                    incoming_label = lat.join(incoming_label, *l);
-                    if !lat.leq(*l, clearance) {
-                        sources.push(desc.clone());
-                    }
-                }
-            }
-            for (local, l, desc) in &labeled_locals {
-                let local_deps = results.exit_deps_of_local(*local);
-                if incoming
-                    .intersection(&local_deps)
-                    .any(|d| !released.contains(d))
-                {
-                    incoming_label = lat.join(incoming_label, *l);
-                    if !lat.leq(*l, clearance) {
-                        sources.push(desc.clone());
-                    }
+            for s in labels.reaching(&incoming) {
+                incoming_label = lat.join(incoming_label, s.label);
+                if !lat.leq(s.label, clearance) {
+                    sources.push(s.description.clone());
                 }
             }
             sources.sort();
             sources.dedup();
 
             if !lat.leq(incoming_label, clearance) {
-                // The flow witness: every location whose instruction the
-                // sink's inputs depend on (a backward slice in the sense of
-                // §5.1), ending at the sink call itself.
-                let mut witness_locs: std::collections::BTreeSet<Location> =
-                    incoming.iter().filter_map(Dep::location).collect();
-                witness_locs.insert(loc);
-                let witness: Vec<WitnessStep> = witness_locs
-                    .into_iter()
-                    .map(|wl| WitnessStep {
-                        location: wl,
-                        line: line_of(body, &self.program.source, wl),
-                    })
-                    .collect();
-                let span = data.terminator().span;
                 diagnostics.push(IfcDiagnostic {
                     in_function: body.name.clone(),
-                    sink: callee_name,
+                    sink: self.program.signature(*callee).name.clone(),
                     location: loc,
-                    line: span.line_of(&self.program.source),
+                    line: line_of(body, source, loc),
                     incoming_label: lat.name(incoming_label).to_string(),
                     clearance: lat.name(clearance).to_string(),
                     sources,
-                    witness,
+                    // The backward slice of the sink's inputs (§5.1),
+                    // ending at the sink call itself.
+                    witness: witness_steps(
+                        body,
+                        source,
+                        incoming.into_iter().chain([Dep::Instr(loc)]),
+                    ),
                 });
             }
         }
@@ -874,13 +891,68 @@ impl<'a> PolicyChecker<'a> {
     }
 }
 
+/// One source a policy labels above bottom in one function.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LabeledSource {
+    /// The dependency values that carry the label: the parameter's `Arg`,
+    /// the call's instruction, or everything a labeled local's exit value
+    /// depends on.
+    pub deps: DepSet,
+    /// The label.
+    pub label: Label,
+    /// How diagnostics name the source (e.g. ``call to `read_password` ``).
+    pub description: String,
+}
+
+/// One policy's labels over one function's flow results (see
+/// [`PolicyChecker::labels`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FunctionLabels {
+    /// Every source labeled above bottom.
+    pub sources: Vec<LabeledSource>,
+    /// The dependencies the function's declassification points release.
+    pub released: DepSet,
+}
+
+impl FunctionLabels {
+    /// The sources that reach `incoming` through a dependency no
+    /// declassification released.
+    fn reaching<'s>(
+        &'s self,
+        incoming: &'s DepSet,
+    ) -> impl Iterator<Item = &'s LabeledSource> + 's {
+        self.sources.iter().filter(move |s| {
+            s.deps
+                .iter()
+                .any(|d| incoming.contains(d) && !self.released.contains(d))
+        })
+    }
+}
+
 /// The 1-based source line of a MIR location.
-fn line_of(body: &Body, source: &str, loc: Location) -> usize {
+pub fn line_of(body: &Body, source: &str, loc: Location) -> usize {
     let span = match body.stmt_at(loc) {
         Some(stmt) => stmt.span,
         None => body.block(loc.block).terminator().span,
     };
     span.line_of(source)
+}
+
+/// A flow witness: the locations of the instruction dependencies in
+/// `deps`, in program order.
+pub fn witness_steps(
+    body: &Body,
+    source: &str,
+    deps: impl IntoIterator<Item = Dep>,
+) -> Vec<WitnessStep> {
+    let locs: std::collections::BTreeSet<Location> =
+        deps.into_iter().filter_map(|d| d.location()).collect();
+    locs.into_iter()
+        .map(|location| WitnessStep {
+            location,
+            line: line_of(body, source, location),
+        })
+        .collect()
 }
 
 /// Validates every name a policy mentions (see [`PolicyChecker::new`]).

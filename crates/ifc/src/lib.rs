@@ -35,8 +35,8 @@
 pub mod lattice;
 
 pub use lattice::{
-    IfcDiagnostic, Label, LatticeSpec, Policy, PolicyChecker, PolicyError, PolicyReport,
-    SecurityLattice, WitnessStep,
+    line_of, witness_steps, FunctionLabels, IfcDiagnostic, Label, LabeledSource, LatticeSpec,
+    Policy, PolicyChecker, PolicyError, PolicyReport, SecurityLattice, WitnessStep,
 };
 
 /// Whether an identifier names sensitive data under the naming conventions

@@ -24,5 +24,5 @@ pub mod noninterference;
 pub mod value;
 
 pub use machine::{CallEvent, Frame, InterpError, Interpreter, Outcome};
-pub use noninterference::{check_function, NoninterferenceReport, Rng};
+pub use noninterference::{check_function, input_tys, random_value, NoninterferenceReport, Rng};
 pub use value::{Pointer, Value};

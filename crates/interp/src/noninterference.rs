@@ -48,6 +48,17 @@ impl Rng {
         (self.next_u64() % 16) as i64 - 8
     }
 
+    /// A small integer different from `old`: one [`Rng::small_int`] draw,
+    /// moved up by one if it hit `old`.
+    pub fn other_small_int(&mut self, old: i64) -> i64 {
+        let next = self.small_int();
+        if next == old {
+            next + 1
+        } else {
+            next
+        }
+    }
+
     /// A pseudo-random boolean.
     pub fn bool(&mut self) -> bool {
         self.next_u64().is_multiple_of(2)
@@ -74,8 +85,9 @@ impl NoninterferenceReport {
     }
 }
 
-/// Generates a random value of type `ty` (referents for references).
-fn random_value(ty: &Ty, structs: &StructTable, rng: &mut Rng) -> Option<Value> {
+/// Generates a random value of type `ty`; `None` if it contains a
+/// reference. Draw inputs for the types [`input_tys`] returns.
+pub fn random_value(ty: &Ty, structs: &StructTable, rng: &mut Rng) -> Option<Value> {
     Some(match ty {
         Ty::Unit => Value::Unit,
         Ty::Int => Value::Int(rng.small_int()),
@@ -100,18 +112,19 @@ fn random_value(ty: &Ty, structs: &StructTable, rng: &mut Rng) -> Option<Value> 
     })
 }
 
-/// The referent type of a top-level reference parameter, or the type itself.
-fn effective_ty(ty: &Ty) -> Option<&Ty> {
-    match ty {
-        Ty::Ref(_, _, inner) => {
-            if matches!(**inner, Ty::Ref(..)) {
-                None
-            } else {
-                Some(inner)
-            }
-        }
-        other => Some(other),
-    }
+/// The types to draw a function's inputs at: each parameter's own type,
+/// or its referent for a top-level reference (the interpreter allocates
+/// the referent). `None` if any of them contains a reference, which the
+/// drawer does not support.
+pub fn input_tys(inputs: &[Ty]) -> Option<Vec<&Ty>> {
+    inputs
+        .iter()
+        .map(|ty| match ty {
+            Ty::Ref(_, _, inner) => inner,
+            other => other,
+        })
+        .map(|ty| (!ty.contains_ref()).then_some(ty))
+        .collect()
 }
 
 /// Checks noninterference for one function under the given analysis
@@ -129,17 +142,7 @@ pub fn check_function(
 ) -> Option<NoninterferenceReport> {
     let sig = program.signature(func);
     let structs = &program.structs;
-    // Reject unsupported signatures.
-    let effective_tys: Vec<&Ty> = sig
-        .inputs
-        .iter()
-        .map(effective_ty)
-        .collect::<Option<Vec<_>>>()?;
-    for ty in &effective_tys {
-        if ty.contains_ref() {
-            return None;
-        }
-    }
+    let effective_tys = input_tys(&sig.inputs)?;
 
     let results = analyze(program, func, params);
     let interp = Interpreter::new(program);

@@ -44,11 +44,11 @@
 #![warn(missing_docs)]
 
 use flowistry_core::{Dep, DepSet, FunctionSummary, InfoFlowResults};
-use flowistry_ifc::{Policy, WitnessStep};
+use flowistry_ifc::{line_of, witness_steps, IfcDiagnostic, Policy, PolicyChecker, WitnessStep};
 use flowistry_lang::mir::{Body, Local, Location, Place, StatementKind, TerminatorKind};
 use flowistry_lang::types::{FuncId, Ty};
 use flowistry_lang::{CallGraph, CompiledProgram};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The inferred effect signature of one function: an over-approximation of
 /// everything the function can do to (or learn from) its caller.
@@ -137,22 +137,17 @@ pub struct LintFinding {
 
 /// The lint engine for one compiled program.
 ///
-/// Construction derives the sink/secret sets once — from annotations when
-/// present ([`Policy::from_annotations`], including `#![module_policy]`
-/// composition) with the naming conventions
-/// ([`Policy::from_conventions`]) layered in — and precomputes transitive
-/// sink reachability over the call graph. Per-function entry points then
-/// only need that function's summary and flow results.
+/// Construction builds one [`PolicyChecker`] per composed policy — the
+/// annotation policy ([`Policy::from_annotations`], including
+/// `#![module_policy]` composition) when it validates, and the naming
+/// conventions ([`Policy::from_conventions`]) — and precomputes transitive
+/// sink reachability over the call graph. The secret and declassify passes
+/// ask those checkers; they never read a policy themselves. Per-function
+/// entry points then only need that function's summary and flow results.
 pub struct Linter<'a> {
     program: &'a CompiledProgram,
-    /// Functions whose results are labeled above bottom.
-    secret_fns: BTreeSet<FuncId>,
-    /// Parameters labeled above bottom.
-    secret_params: BTreeSet<(FuncId, Local)>,
-    /// `(function name, local name)` pairs labeled above bottom.
-    secret_locals: BTreeSet<(String, String)>,
-    /// Sinks whose clearance is lattice bottom — the "debug sink" set.
-    debug_sinks: BTreeSet<FuncId>,
+    /// The checkers of the composed policies, each over its own lattice.
+    checkers: Vec<PolicyChecker<'a>>,
     /// Per function: the nearest sink reachable through the call graph
     /// (itself for sinks), or `None` when no sink is reachable.
     sink_reach: Vec<Option<FuncId>>,
@@ -167,61 +162,21 @@ impl<'a> Linter<'a> {
     /// Builds a linter reusing an already-extracted call graph (the engine
     /// keeps one per snapshot).
     pub fn with_call_graph(program: &'a CompiledProgram, graph: &CallGraph) -> Linter<'a> {
-        let mut secret_fns = BTreeSet::new();
-        let mut secret_params = BTreeSet::new();
-        let mut secret_locals = BTreeSet::new();
-        let mut sinks = BTreeSet::new();
-        let mut debug_sinks = BTreeSet::new();
-
-        // The annotation policy, when the module's lattice resolves, and
-        // the naming-convention policy compose, each over its own lattice.
-        // Labels that do not exist in a lattice are simply not secret here;
-        // the policy checker reports them properly.
-        let policies = Policy::from_annotations(program)
+        // An annotation policy the checker rejects (unknown lattice or
+        // label) drops out whole; the wire `policy` verb reports why.
+        let annotated = Policy::from_annotations(program)
             .ok()
-            .into_iter()
-            .chain([Policy::from_conventions(program)]);
-        for policy in policies {
-            let lattice = policy.lattice.build();
-            let bottom = lattice.bottom();
-            let above_bottom =
-                |name: &str| lattice.label(name).map(|l| l != bottom).unwrap_or(false);
-            for (f, l) in &policy.fn_labels {
-                if above_bottom(l) {
-                    if let Some(id) = program.func_id(f) {
-                        secret_fns.insert(id);
-                    }
-                }
-            }
-            for (f, p, l) in &policy.param_labels {
-                if above_bottom(l) {
-                    if let (Some(id), Some(body)) = (program.func_id(f), program.body_by_name(f)) {
-                        if let Some(local) = body
-                            .args()
-                            .find(|a| body.local_decl(*a).name.as_deref() == Some(p.as_str()))
-                        {
-                            secret_params.insert((id, local));
-                        }
-                    }
-                }
-            }
-            for (f, v, l) in &policy.local_labels {
-                if above_bottom(l) {
-                    secret_locals.insert((f.clone(), v.clone()));
-                }
-            }
-            for (f, c) in &policy.sink_clearances {
-                if let Some(id) = program.func_id(f) {
-                    sinks.insert(id);
-                    if lattice.label(c) == Some(bottom) {
-                        debug_sinks.insert(id);
-                    }
-                }
-            }
-        }
+            .and_then(|policy| PolicyChecker::new(program, policy).ok());
+        let conventions = PolicyChecker::new(program, Policy::from_conventions(program))
+            .expect("the convention policy names only what the program declares");
+        let checkers: Vec<PolicyChecker<'a>> = annotated.into_iter().chain([conventions]).collect();
 
         // Transitive sink reachability: reverse BFS from the sinks,
         // carrying the sink each function reaches as the witness.
+        let sinks: BTreeSet<FuncId> = checkers
+            .iter()
+            .flat_map(|c| c.sinks().iter().map(|&(sink, _)| sink))
+            .collect();
         let mut sink_reach: Vec<Option<FuncId>> = vec![None; program.signatures.len()];
         let mut work: Vec<FuncId> = Vec::new();
         for &s in &sinks {
@@ -240,10 +195,7 @@ impl<'a> Linter<'a> {
 
         Linter {
             program,
-            secret_fns,
-            secret_params,
-            secret_locals,
-            debug_sinks,
+            checkers,
             sink_reach,
         }
     }
@@ -386,70 +338,84 @@ impl<'a> Linter<'a> {
         findings
     }
 
-    /// Secret-reaches-debug-sink pass: like the policy checker, but fixed
-    /// to the derived secret/debug-sink sets, with `#[declassify]` releases
-    /// honored.
+    /// Secret-reaches-debug-sink pass: the composed policies' checker
+    /// diagnostics at bottom-clearance ("debug") sinks, one finding per
+    /// sink call, with `#[declassify]` releases honored.
     pub fn secret_to_debug_sinks(
         &self,
         func: FuncId,
         results: &InfoFlowResults,
     ) -> Vec<LintFinding> {
-        let body = self.program.body(func);
-        let source = &self.program.source;
-        let released = self.released_deps(body, results);
-        let mut findings = Vec::new();
-        for (loc, args, destination) in call_sites(body) {
-            let callee = callee_at(body, loc).expect("call site has a callee");
-            if !self.debug_sinks.contains(&callee) {
-                continue;
+        let mut hits: BTreeMap<Location, IfcDiagnostic> = BTreeMap::new();
+        for checker in &self.checkers {
+            let bottom = checker.lattice().bottom();
+            for d in checker.check_with_results(func, results).diagnostics {
+                if checker.lattice().label(&d.clearance) != Some(bottom) {
+                    continue;
+                }
+                match hits.get_mut(&d.location) {
+                    Some(hit) => hit.sources.extend(d.sources),
+                    None => {
+                        hits.insert(d.location, d);
+                    }
+                }
             }
-            let incoming = results.call_deps(loc, args, destination);
-            let secret: Vec<Dep> = incoming
-                .iter()
-                .filter(|d| !released.contains(d) && self.dep_is_secret(func, body, **d))
-                .copied()
-                .collect();
-            if secret.is_empty() {
-                continue;
-            }
-            let sources: Vec<String> = secret.iter().map(|d| self.describe_dep(body, *d)).collect();
-            findings.push(LintFinding {
-                pass: LintPass::SecretToDebugSink,
-                function: body.name.clone(),
-                message: format!(
-                    "secret data reaches debug sink `{}` (via {})",
-                    self.program.signature(callee).name,
-                    sources.join(", "),
-                ),
-                line: line_of(body, source, loc),
-                witness: witness_steps(body, source, secret.iter().copied(), Some(loc)),
-            });
         }
-        findings
+        hits.into_values()
+            .map(|mut d| {
+                d.sources.sort();
+                d.sources.dedup();
+                LintFinding {
+                    pass: LintPass::SecretToDebugSink,
+                    function: d.in_function,
+                    message: format!(
+                        "secret data reaches debug sink `{}` (via {})",
+                        d.sink,
+                        d.sources.join(", "),
+                    ),
+                    line: d.line,
+                    witness: d.witness,
+                }
+            })
+            .collect()
     }
 
     /// Redundant-`#[declassify]` pass: a declassified call whose incoming
-    /// dependencies (and callee) carry no label above bottom released
-    /// nothing — the attribute is dead policy surface.
+    /// dependencies (and callee) no composed policy labels above bottom
+    /// released nothing — the attribute is dead policy surface.
     pub fn redundant_declassifies(
         &self,
         func: FuncId,
         results: &InfoFlowResults,
     ) -> Vec<LintFinding> {
         let body = self.program.body(func);
+        if body.declassified_calls.is_empty() {
+            return Vec::new();
+        }
         let source = &self.program.source;
+        let labels: Vec<_> = self
+            .checkers
+            .iter()
+            .map(|c| c.labels(func, results))
+            .collect();
         let mut findings = Vec::new();
         for &dloc in &body.declassified_calls {
-            let Some(callee) = callee_at(body, dloc) else {
+            let TerminatorKind::Call {
+                func: callee,
+                destination,
+                ..
+            } = &body.block(dloc.block).terminator().kind
+            else {
                 continue;
             };
-            let Some(destination) = destination_at(body, dloc) else {
-                continue;
-            };
-            let deps = results.deps_after(destination, dloc);
-            let any_secret = self.secret_fns.contains(&callee)
-                || deps.iter().any(|d| self.dep_is_secret(func, body, *d));
-            if any_secret {
+            // The call's own instruction carries the callee's label.
+            let mut deps = results.deps_after(destination, dloc);
+            deps.insert(Dep::Instr(dloc));
+            let labeled = labels
+                .iter()
+                .flat_map(|l| &l.sources)
+                .any(|s| !s.deps.is_disjoint(&deps));
+            if labeled {
                 continue;
             }
             findings.push(LintFinding {
@@ -458,10 +424,10 @@ impl<'a> Linter<'a> {
                 message: format!(
                     "`#[declassify]` on call to `{}` is redundant: the \
                      incoming label is already bottom",
-                    self.program.signature(callee).name,
+                    self.program.signature(*callee).name,
                 ),
                 line: line_of(body, source, dloc),
-                witness: witness_steps(body, source, deps.iter().copied(), Some(dloc)),
+                witness: witness_steps(body, source, deps),
             });
         }
         findings
@@ -574,7 +540,7 @@ impl<'a> Linter<'a> {
                 deps.extend(row);
             }
         }
-        witness_steps(body, source, deps, None)
+        witness_steps(body, source, deps)
     }
 
     /// Witness for an inferred write through `param`: the instructions in
@@ -592,78 +558,9 @@ impl<'a> Linter<'a> {
                 deps.extend(row);
             }
         }
-        witness_steps(body, source, deps, None)
-    }
-
-    /// The dependencies sanctioned by `#[declassify]` attributes in `body`,
-    /// mirroring the policy checker's release computation.
-    fn released_deps(&self, body: &Body, results: &InfoFlowResults) -> DepSet {
-        let mut released = DepSet::new();
-        for &dloc in &body.declassified_calls {
-            released.insert(Dep::Instr(dloc));
-            if let Some(destination) = destination_at(body, dloc) {
-                released.extend(results.deps_after(destination, dloc));
-            }
-        }
-        released
-    }
-
-    /// Whether a dependency carries a label above bottom.
-    fn dep_is_secret(&self, func: FuncId, body: &Body, dep: Dep) -> bool {
-        match dep {
-            Dep::Arg(l) => self.secret_params.contains(&(func, l)),
-            Dep::Instr(loc) => {
-                if let Some(callee) = callee_at(body, loc) {
-                    return self.secret_fns.contains(&callee);
-                }
-                if let Some(Statement {
-                    kind: StatementKind::Assign(place, _),
-                    ..
-                }) = body.stmt_at(loc)
-                {
-                    if let Some(name) = &body.local_decl(place.local).name {
-                        return self
-                            .secret_locals
-                            .contains(&(body.name.clone(), name.clone()));
-                    }
-                }
-                false
-            }
-        }
-    }
-
-    /// Human description of a dependency, matching the policy checker's
-    /// source strings.
-    fn describe_dep(&self, body: &Body, dep: Dep) -> String {
-        match dep {
-            Dep::Arg(l) => format!(
-                "parameter `{}`",
-                body.local_decl(l)
-                    .name
-                    .clone()
-                    .unwrap_or_else(|| format!("_{}", l.0))
-            ),
-            Dep::Instr(loc) => match callee_at(body, loc) {
-                Some(callee) => format!("call to `{}`", self.program.signature(callee).name),
-                None => match body.stmt_at(loc) {
-                    Some(Statement {
-                        kind: StatementKind::Assign(place, _),
-                        ..
-                    }) => format!(
-                        "local `{}`",
-                        body.local_decl(place.local)
-                            .name
-                            .clone()
-                            .unwrap_or_else(|| format!("_{}", place.local.0))
-                    ),
-                    _ => format!("instruction at {loc:?}"),
-                },
-            },
-        }
+        witness_steps(body, source, deps)
     }
 }
-
-use flowistry_lang::mir::Statement;
 
 /// All call sites of `body` as `(location, arguments, destination)`.
 fn call_sites(body: &Body) -> Vec<(Location, &[flowistry_lang::mir::Operand], &Place)> {
@@ -687,28 +584,6 @@ fn call_sites(body: &Body) -> Vec<(Location, &[flowistry_lang::mir::Operand], &P
     out
 }
 
-/// The callee of the call terminator at `loc`, if `loc` is one.
-fn callee_at(body: &Body, loc: Location) -> Option<FuncId> {
-    if !body.is_terminator_loc(loc) {
-        return None;
-    }
-    match &body.block(loc.block).terminator().kind {
-        TerminatorKind::Call { func, .. } => Some(*func),
-        _ => None,
-    }
-}
-
-/// The destination place of the call terminator at `loc`, if `loc` is one.
-fn destination_at(body: &Body, loc: Location) -> Option<&Place> {
-    if !body.is_terminator_loc(loc) {
-        return None;
-    }
-    match &body.block(loc.block).terminator().kind {
-        TerminatorKind::Call { destination, .. } => Some(destination),
-        _ => None,
-    }
-}
-
 /// Whether `ty` contains a unique (mutable) reference, transitively.
 fn contains_unique_ref(ty: &Ty) -> bool {
     match ty {
@@ -716,35 +591,6 @@ fn contains_unique_ref(ty: &Ty) -> bool {
         Ty::Tuple(tys) => tys.iter().any(contains_unique_ref),
         _ => false,
     }
-}
-
-/// 1-based source line of the instruction at `loc`.
-fn line_of(body: &Body, source: &str, loc: Location) -> usize {
-    let span = match body.stmt_at(loc) {
-        Some(stmt) => stmt.span,
-        None => body.block(loc.block).terminator().span,
-    };
-    span.line_of(source)
-}
-
-/// Builds ordered witness steps from the instruction dependencies in
-/// `deps`, optionally appending `extra` (e.g. the sink call itself).
-fn witness_steps(
-    body: &Body,
-    source: &str,
-    deps: impl IntoIterator<Item = Dep>,
-    extra: Option<Location>,
-) -> Vec<WitnessStep> {
-    let mut locs: BTreeSet<Location> = deps.into_iter().filter_map(|d| d.location()).collect();
-    if let Some(l) = extra {
-        locs.insert(l);
-    }
-    locs.into_iter()
-        .map(|location| WitnessStep {
-            location,
-            line: line_of(body, source, location),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -932,6 +778,81 @@ mod tests {
             .collect();
         assert_eq!(hits.len(), 1, "{findings:?}");
         assert!(hits[0].message.contains("`emit`"));
+    }
+
+    fn sink_hits(findings: Vec<LintFinding>) -> Vec<LintFinding> {
+        findings
+            .into_iter()
+            .filter(|f| f.pass == LintPass::SecretToDebugSink)
+            .collect()
+    }
+
+    #[test]
+    fn default_label_feeds_the_lint_as_it_feeds_the_checker() {
+        let program = flowistry_lang::compile(
+            "#![default_label(Secret)]
+             fn source() -> i32 { return 1; }
+             #[sink(Public)]
+             fn emit(x: i32) { }
+             fn main_like() { let v = source(); emit(v); }",
+        )
+        .unwrap();
+        let policy = Policy::from_annotations(&program).unwrap();
+        let report = PolicyChecker::new(&program, policy)
+            .unwrap()
+            .check_function("main_like")
+            .unwrap();
+        assert_eq!(report.diagnostics.len(), 1, "{report:?}");
+        let d = &report.diagnostics[0];
+        let hits = sink_hits(lint(&program, "main_like"));
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!((hits[0].line, &hits[0].witness), (d.line, &d.witness));
+        assert!(hits[0].message.contains("call to `source`"), "{hits:?}");
+    }
+
+    #[test]
+    fn policies_do_not_mix_labels_and_sinks() {
+        // `read_password` is secret only under the naming conventions, and
+        // `emit` a sink only under the annotations: no one policy sees a
+        // flow from one to the other.
+        let program = flowistry_lang::compile(
+            "#![lattice(multi_level)]
+             fn read_password() -> i32 { return 1; }
+             #[sink(Low)]
+             fn emit(x: i32) { }
+             fn main_like() { let p = read_password(); emit(p); }",
+        )
+        .unwrap();
+        let hits = sink_hits(lint(&program, "main_like"));
+        assert!(hits.is_empty(), "{hits:?}");
+    }
+
+    #[test]
+    fn rejected_annotation_policy_leaves_the_conventions() {
+        let program = flowistry_lang::compile(
+            "#[label(Purple)]
+             fn fetch_key() -> i32 { return 7; }
+             #[label(Secret)]
+             fn fetch_token() -> i32 { return 8; }
+             #[sink(Public)]
+             fn emit(x: i32) { }
+             fn read_password() -> i32 { return 1; }
+             fn insecure_print(x: i32) { }
+             fn relay(x: i32) { emit(x); }
+             fn main_like() {
+                 let t = fetch_token();
+                 emit(t);
+                 let p = read_password();
+                 insecure_print(p);
+             }",
+        )
+        .unwrap();
+        assert!(PolicyChecker::new(&program, Policy::from_annotations(&program).unwrap()).is_err());
+        let hits = sink_hits(lint(&program, "main_like"));
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].message.contains("`insecure_print`"), "{hits:?}");
+        // `emit` is a sink only under the rejected policy.
+        assert!(!effect(&program, "relay").reaches_sink);
     }
 
     #[test]

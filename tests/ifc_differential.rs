@@ -19,9 +19,11 @@
 //!
 //! The verdicts of [`Policy::from_conventions`] are pinned to a hash of
 //! every reported violation, so any change to the convention policy or the
-//! two-point checker shows up as a hash mismatch. And every finding,
+//! two-point checker shows up as a hash mismatch. Every finding,
 //! diagnostic and witness is the same whether the checker and the linter
-//! read tree-domain or indexed results.
+//! read tree-domain or indexed results. And the linter's
+//! secret-to-debug-sink findings are exactly the checker's diagnostics at
+//! bottom-clearance sinks.
 
 use flowistry::core::{analyze, AnalysisParams, Condition, DomainKind, FunctionSummary};
 use flowistry::corpus::labeled::DIFFERENTIAL_PROGRAMS;
@@ -31,6 +33,7 @@ use flowistry::ifc::{Policy, PolicyChecker};
 use flowistry::lang::types::FuncId;
 use flowistry::lang::StableHasher;
 use flowistry::lint::Linter;
+use std::collections::BTreeSet;
 
 fn whole_program() -> AnalysisParams {
     AnalysisParams::for_condition(Condition::WHOLE_PROGRAM)
@@ -102,6 +105,46 @@ fn findings_are_identical_on_both_domains() {
         reports > 0 && findings > 0,
         "vacuous: {reports} diagnostics, {findings} findings"
     );
+}
+
+/// The lint's secret-to-debug-sink findings are the policy checker's
+/// diagnostics at bottom-clearance sinks, under each composed policy (the
+/// annotations and the naming conventions), compared as
+/// `(function, sink line)` sets.
+#[test]
+fn secret_sink_findings_are_the_checkers_bottom_clearance_diagnostics() {
+    let params = whole_program();
+    let mut compared = 0usize;
+    for p in differential_corpus() {
+        let program = &p.program;
+        let linter = Linter::new(program);
+        let checkers = [
+            Policy::from_annotations(program).unwrap(),
+            Policy::from_conventions(program),
+        ]
+        .map(|policy| PolicyChecker::new(program, policy).unwrap());
+        for i in 0..program.bodies.len() {
+            let func = FuncId(i as u32);
+            let results = analyze(program, func, &params);
+            let lint: BTreeSet<(String, usize)> = linter
+                .secret_to_debug_sinks(func, &results)
+                .into_iter()
+                .map(|f| (f.function, f.line))
+                .collect();
+            let mut checked = BTreeSet::new();
+            for checker in &checkers {
+                let bottom = checker.lattice().name(checker.lattice().bottom());
+                for d in checker.check_with_results(func, &results).diagnostics {
+                    if d.clearance == bottom {
+                        checked.insert((d.in_function, d.line));
+                    }
+                }
+            }
+            assert_eq!(lint, checked, "{}::{}", p.name, program.body(func).name);
+            compared += lint.len();
+        }
+    }
+    assert!(compared > 0, "vacuous: no secret-to-debug-sink findings");
 }
 
 #[test]
