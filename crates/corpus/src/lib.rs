@@ -17,6 +17,7 @@
 
 pub mod generator;
 pub mod labeled;
+pub mod layered;
 pub mod profiles;
 pub mod random;
 
@@ -25,5 +26,6 @@ pub use labeled::{
     differential_corpus, generate_labeled_corpus, generate_labeled_program, labeled_profiles,
     LabeledDriver, LabeledProfile, LabeledProgram,
 };
+pub use layered::layered_program;
 pub use profiles::{paper_profiles, CrateProfile, DEFAULT_SEED};
 pub use random::random_program;

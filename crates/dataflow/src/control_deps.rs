@@ -1,10 +1,10 @@
 //! Control dependence.
 //!
-//! Following Ferrante et al. (cited as [15] in the paper): a node `X` is
+//! Following Ferrante et al. (cited as \[15\] in the paper): a node `X` is
 //! control-dependent on `Y` if `Y` has a successor from which every path to
 //! the exit passes through `X` (i.e. `X` post-dominates that successor), but
 //! `X` does not post-dominate `Y` itself. Equivalently, `Y` is in the
-//! post-dominance frontier of `X` (Cytron et al., cited as [11]).
+//! post-dominance frontier of `X` (Cytron et al., cited as \[11\]).
 //!
 //! The paper uses control dependence to add *indirect* flows: the condition
 //! of a branch flows into every place mutated inside that branch (Figure 1's

@@ -5,7 +5,7 @@
 //! by a [`FunctionSummary`] that depends only on the function's own body and
 //! its callees' summaries. This crate exploits that result operationally:
 //!
-//! * a [`CallGraph`](flowistry_lang::CallGraph) is extracted from the
+//! * a [`CallGraph`] is extracted from the
 //!   program and condensed into strongly connected components;
 //! * summary computation is scheduled **bottom-up** over the condensation
 //!   by a dependency-counting work-stealing scheduler: each component
@@ -40,6 +40,13 @@
 //!   and swaps in freshly analyzed snapshots behind running queries when
 //!   [`FlowService::update`] delivers an edited program — in-flight
 //!   queries finish on the epoch they started on.
+//!
+//! Beside the three layers stands [`Reference`], the **oracle**: it
+//! answers any [`QueryRequest`] for one program version from scratch
+//! ([`analyze`](flowistry_core::analyze) per function, no engine, cache or
+//! snapshot), and [`Reference::answer`] is what every server — the
+//! service, the TCP front, a routed fleet — must answer for that version.
+//! The stress tests of all three check every answer against it.
 //!
 //! One caveat to "identical": direct `analyze` bounds its naive recursion
 //! with `AnalysisParams::max_recursion_depth` and falls back to the
@@ -77,11 +84,16 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod reference;
 pub mod scheduler;
 pub mod service;
 pub mod snapshot;
 
 pub use cache::{LoadStats, SummaryCache, SummaryKey, SHARD_COUNT};
+/// The payload of [`QueryRequest::CheckPolicy`], re-exported so that
+/// clients can build policy requests without naming `flowistry-ifc`.
+pub use flowistry_ifc::Policy;
+pub use reference::Reference;
 pub use scheduler::ConcurrentSummaryStore;
 pub use service::{
     FlowService, QueryEnvelope, QueryRequest, QueryResponse, ServiceConfig, ServiceStats, Ticket,

@@ -90,7 +90,7 @@ const STORE_SHARDS: usize = 16;
 /// finished summaries into while other workers are mid-analysis.
 ///
 /// Implements [`SummaryStore`], so it seeds
-/// [`compute_summary`] directly: a worker analyzing a caller reads its
+/// [`compute_summary`](flowistry_core::compute_summary) directly: a worker analyzing a caller reads its
 /// callees' summaries out of the store without any hand-off or barrier.
 /// Sharded `RwLock`s keep lookups (the hot path — every call terminator of
 /// every analyzed body) wait-free with respect to each other.

@@ -10,8 +10,8 @@
 //!   `Arc` bumps), so a request is answered entirely from one immutable
 //!   epoch — no query ever observes a half-swapped snapshot. The pool is
 //!   sized by the same knob as the summary scheduler
-//!   ([`resolve_worker_threads`](crate::scheduler::resolve_worker_threads):
-//!   `0` = `FLOWISTRY_ENGINE_THREADS` or available parallelism).
+//!   ([`resolve_worker_threads`]: `0` = `FLOWISTRY_ENGINE_THREADS` or
+//!   available parallelism).
 //! * an **updater thread** applies [`FlowService::update`] requests: it
 //!   feeds the edited program to the engine, re-runs
 //!   [`analyze_all`](AnalysisEngine::analyze_all) — warm from the shared
@@ -53,7 +53,7 @@ use crate::{AnalysisEngine, AnalysisSnapshot, RunStats};
 use flowistry_core::{FunctionSummary, InfoFlowResults};
 use flowistry_fault::{sites as fault_sites, Fault};
 use flowistry_ifc::{IfcDiagnostic, Policy};
-use flowistry_lang::mir::{Location, Place};
+use flowistry_lang::mir::{Body, Location, Place};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::CompiledProgram;
 use flowistry_lint::LintFinding;
@@ -210,7 +210,7 @@ pub struct QueryEnvelope {
     /// The answer itself.
     pub response: QueryResponse,
     /// The caller-supplied trace id of the request this answers, echoed
-    /// back verbatim (see [`FlowService::submit_traced`]). `None` for
+    /// back verbatim (see [`FlowService::submit_with_deadline`]). `None` for
     /// untraced requests — the wire format then omits it, which is also
     /// what pre-trace-id peers produce and expect.
     pub trace_id: Option<String>,
@@ -493,21 +493,15 @@ impl FlowService {
     /// Enqueues a request and returns a [`Ticket`] to poll or wait on.
     /// Blocks while the queue is at capacity (backpressure).
     pub fn submit(&self, request: QueryRequest) -> Ticket {
-        self.submit_traced(request, None)
+        self.submit_with_deadline(request, None, None)
     }
 
-    /// Like [`FlowService::submit`], but tags the request with a caller
-    /// trace id: it is echoed in the answer's
-    /// [`QueryEnvelope::trace_id`] and installed on the serving worker
-    /// thread while the request runs, so every span and log event the
-    /// request touches carries it.
-    pub fn submit_traced(&self, request: QueryRequest, trace_id: Option<String>) -> Ticket {
-        self.submit_with_deadline(request, trace_id, None)
-    }
-
-    /// Like [`FlowService::submit_traced`], with a latency budget: if the
-    /// job is still queued when `deadline` (measured from now) passes, the
-    /// dequeuing worker sheds it with a structured
+    /// Like [`FlowService::submit`], with two request attributes. A caller
+    /// `trace_id` is echoed in the answer's [`QueryEnvelope::trace_id`] and
+    /// installed on the serving worker thread while the request runs, so
+    /// every span and log event the request touches carries it. A latency
+    /// budget `deadline`: if the job is still queued when it (measured
+    /// from now) passes, the dequeuing worker sheds it with a structured
     /// [`QueryResponse::Error`] (`deadline exceeded`) instead of
     /// computing an answer nobody is waiting for.
     pub fn submit_with_deadline(
@@ -718,43 +712,17 @@ fn serve(
     snapshot: &AnalysisSnapshot,
     request: QueryRequest,
 ) -> QueryResponse {
-    let num_funcs = snapshot.program().bodies.len();
-    let check = |func: FuncId| -> Result<FuncId, QueryResponse> {
-        if (func.0 as usize) < num_funcs {
-            Ok(func)
-        } else {
-            Err(QueryResponse::Error(format!(
-                "unknown function id {} (program has {num_funcs} functions)",
-                func.0
-            )))
-        }
-    };
+    if let Some(error) = request_error(snapshot.program(), &request) {
+        return error;
+    }
     match request {
-        QueryRequest::Summary(func) => match check(func) {
-            Ok(func) => QueryResponse::Summary(snapshot.summary(func).cloned()),
-            Err(e) => e,
-        },
-        QueryRequest::Results(func) => match check(func) {
-            Ok(func) => QueryResponse::Results(snapshot.results(func)),
-            Err(e) => e,
-        },
-        QueryRequest::BackwardSlice { func, var } => match check(func) {
-            Ok(func) => QueryResponse::BackwardSlice(snapshot.backward_slice(func, &var)),
-            Err(e) => e,
-        },
+        QueryRequest::Summary(func) => QueryResponse::Summary(snapshot.summary(func).cloned()),
+        QueryRequest::Results(func) => QueryResponse::Results(snapshot.results(func)),
+        QueryRequest::BackwardSlice { func, var } => {
+            QueryResponse::BackwardSlice(snapshot.backward_slice(func, &var))
+        }
         QueryRequest::BackwardSliceAt { func, place, loc } => {
-            // Remote callers can send arbitrary places and locations; an
-            // out-of-range index must come back as a descriptive error, not
-            // a panic swallowed by `catch_unwind`.
-            let checked = check(func)
-                .and_then(|func| check_place(snapshot, func, &place).map(|()| func))
-                .and_then(|func| check_location(snapshot, func, loc).map(|()| func));
-            match checked {
-                Ok(func) => {
-                    QueryResponse::BackwardSliceAt(snapshot.backward_slice_at(func, &place, loc))
-                }
-                Err(e) => e,
-            }
+            QueryResponse::BackwardSliceAt(snapshot.backward_slice_at(func, &place, loc))
         }
         QueryRequest::CheckPolicy(policy) => {
             shared.metrics.ifc_policy_checks.inc();
@@ -769,27 +737,51 @@ fn serve(
                 Err(e) => QueryResponse::Error(format!("invalid policy: {e}")),
             }
         }
-        QueryRequest::Lint(func) => match check(func) {
-            Ok(func) => {
-                shared.metrics.lint_checks.inc();
-                let findings = snapshot.lint(func);
-                shared.metrics.lint_findings.add(findings.len() as u64);
-                QueryResponse::Lint(findings)
-            }
-            Err(e) => e,
-        },
+        QueryRequest::Lint(func) => {
+            shared.metrics.lint_checks.inc();
+            let findings = snapshot.lint(func);
+            shared.metrics.lint_findings.add(findings.len() as u64);
+            QueryResponse::Lint(findings)
+        }
         QueryRequest::Stats => QueryResponse::Stats(stats_from(shared, snapshot)),
         QueryRequest::Metrics => QueryResponse::Metrics(shared.registry.render_prometheus()),
     }
 }
 
-/// Validates that `place`'s root local exists in `func`'s body.
-fn check_place(
-    snapshot: &AnalysisSnapshot,
-    func: FuncId,
-    place: &Place,
-) -> Result<(), QueryResponse> {
-    let body = snapshot.program().body(func);
+/// The error `request` gets instead of an answer from `program`, if it
+/// names an unknown function id or an out-of-range place or location.
+/// Remote callers can send arbitrary ids: each must come back as a
+/// descriptive error, not a panic swallowed by `catch_unwind`.
+pub(crate) fn request_error(
+    program: &CompiledProgram,
+    request: &QueryRequest,
+) -> Option<QueryResponse> {
+    let func = match request {
+        QueryRequest::Summary(func)
+        | QueryRequest::Results(func)
+        | QueryRequest::Lint(func)
+        | QueryRequest::BackwardSlice { func, .. }
+        | QueryRequest::BackwardSliceAt { func, .. } => *func,
+        QueryRequest::CheckPolicy(_) | QueryRequest::Stats | QueryRequest::Metrics => return None,
+    };
+    let num_funcs = program.bodies.len();
+    if func.0 as usize >= num_funcs {
+        return Some(QueryResponse::Error(format!(
+            "unknown function id {} (program has {num_funcs} functions)",
+            func.0
+        )));
+    }
+    let QueryRequest::BackwardSliceAt { place, loc, .. } = request else {
+        return None;
+    };
+    let body = program.body(func);
+    check_place(body, place)
+        .and_then(|()| check_location(body, *loc))
+        .err()
+}
+
+/// Validates that `place`'s root local exists in `body`.
+fn check_place(body: &Body, place: &Place) -> Result<(), QueryResponse> {
     let num_locals = body.local_decls.len();
     if place.local.index() < num_locals {
         Ok(())
@@ -801,13 +793,8 @@ fn check_place(
     }
 }
 
-/// Validates that `loc` denotes a statement or terminator of `func`'s body.
-fn check_location(
-    snapshot: &AnalysisSnapshot,
-    func: FuncId,
-    loc: Location,
-) -> Result<(), QueryResponse> {
-    let body = snapshot.program().body(func);
+/// Validates that `loc` denotes a statement or terminator of `body`.
+fn check_location(body: &Body, loc: Location) -> Result<(), QueryResponse> {
     let num_blocks = body.basic_blocks.len();
     if loc.block.index() >= num_blocks {
         return Err(QueryResponse::Error(format!(

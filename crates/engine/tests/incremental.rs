@@ -11,48 +11,12 @@
 //!   without changing any answer.
 
 use flowistry_core::{analyze, AnalysisParams, Condition};
-use flowistry_corpus::{generate_crate, paper_profiles, DEFAULT_SEED};
+use flowistry_corpus::{generate_crate, layered_program, paper_profiles, DEFAULT_SEED};
 use flowistry_engine::{AnalysisEngine, EngineConfig};
 use flowistry_ifc::{IfcDiagnostic, Policy, PolicyChecker};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::CompiledProgram;
-use std::fmt::Write as _;
 use std::sync::Arc;
-
-/// A synthetic workload with `modules` independent call chains of `depth`
-/// functions each: `m{i}_l{j}` calls `m{i}_l{j-1}`, and `m{i}_l0` is the
-/// leaf. Used for invalidation tests where the dirty cone must be exact.
-fn layered_source(modules: usize, depth: usize) -> String {
-    let mut src = String::new();
-    for m in 0..modules {
-        for l in 0..depth {
-            if l == 0 {
-                let _ = writeln!(
-                    src,
-                    "fn m{m}_l0(p: &mut i32, v: i32) -> i32 {{
-                         if v > 0 {{ *p = *p + v; }} else {{ *p = v; }}
-                         let a = v * 2;
-                         let b = a + *p;
-                         return b;
-                     }}"
-                );
-            } else {
-                let prev = l - 1;
-                let _ = writeln!(
-                    src,
-                    "fn m{m}_l{l}(p: &mut i32, v: i32) -> i32 {{
-                         let r1 = m{m}_l{prev}(p, v + 1);
-                         let r2 = m{m}_l{prev}(p, r1);
-                         let mut acc = r1 + r2;
-                         if acc > 10 {{ acc = acc - v; }}
-                         return acc;
-                     }}"
-                );
-            }
-        }
-    }
-    src
-}
 
 fn whole_program() -> AnalysisParams {
     AnalysisParams::for_condition(Condition::WHOLE_PROGRAM)
@@ -96,7 +60,7 @@ fn engine_matches_direct_analysis_on_the_corpus() {
 
 #[test]
 fn engine_summaries_match_naive_summaries_everywhere() {
-    let src = layered_source(4, 4);
+    let src = layered_program(4, 4, 0);
     let program = compile(&src);
     let params = whole_program();
     let mut engine = AnalysisEngine::new(
@@ -114,7 +78,7 @@ fn engine_summaries_match_naive_summaries_everywhere() {
 
 #[test]
 fn editing_one_function_recomputes_only_its_caller_cone() {
-    let v1 = layered_source(3, 4);
+    let v1 = layered_program(3, 4, 0);
     // Edit the leaf of module 0 only.
     let v2 = v1.replace(
         "fn m0_l0(p: &mut i32, v: i32) -> i32 {",
@@ -144,7 +108,7 @@ fn editing_one_function_recomputes_only_its_caller_cone() {
 
 #[test]
 fn editing_a_root_function_recomputes_only_itself() {
-    let v1 = layered_source(2, 3);
+    let v1 = layered_program(2, 3, 0);
     let v2 = v1.replace(
         "fn m1_l2(p: &mut i32, v: i32) -> i32 {",
         "fn m1_l2(p: &mut i32, v: i32) -> i32 { let zedit = 1;",
@@ -165,7 +129,7 @@ fn disk_cache_survives_engine_restarts() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("summaries.cache");
 
-    let src = layered_source(2, 3);
+    let src = layered_program(2, 3, 0);
     let program = compile(&src);
     let config = EngineConfig::default()
         .with_params(whole_program())
@@ -243,7 +207,7 @@ fn work_stealing_agrees_with_sequential_and_direct_analysis_on_the_corpus() {
 
 #[test]
 fn single_worker_work_stealing_is_strictly_sequential() {
-    let src = layered_source(4, 3);
+    let src = layered_program(4, 3, 0);
     let program = compile(&src);
     let mut engine = AnalysisEngine::new(
         program,
@@ -259,7 +223,7 @@ fn single_worker_work_stealing_is_strictly_sequential() {
 
 #[test]
 fn parallel_and_sequential_schedules_agree() {
-    let src = layered_source(6, 3);
+    let src = layered_program(6, 3, 0);
     let program = compile(&src);
     let mut sequential = AnalysisEngine::new(
         program.clone(),
@@ -332,7 +296,7 @@ fn batch_queries_share_one_engine() {
 fn snapshots_are_sendable_and_serve_from_any_thread() {
     // The owned API's raison d'être: one snapshot, queried concurrently
     // from many threads, each answer identical to direct analysis.
-    let src = layered_source(3, 3);
+    let src = layered_program(3, 3, 0);
     let program = compile(&src);
     let params = whole_program();
     let mut engine = AnalysisEngine::new(
@@ -366,7 +330,7 @@ fn memoized_results_carry_across_runs_and_epochs_when_keys_match() {
     // deep drop), and after an edit only the dirty cone's entries are
     // replaced: unchanged functions keep the *same* allocation across
     // epochs while edited ones get fresh results.
-    let v1 = layered_source(2, 2);
+    let v1 = layered_program(2, 2, 0);
     let v2 = v1.replace(
         "fn m0_l0(p: &mut i32, v: i32) -> i32 {",
         "fn m0_l0(p: &mut i32, v: i32) -> i32 { let zedit = 3; *p = *p + zedit;",
@@ -421,7 +385,7 @@ fn results_memo_eviction_keeps_answers_bit_identical() {
     // query still answers exactly what direct analysis would — eviction
     // costs recomputation, never precision — and the memo never exceeds
     // its cap.
-    let src = layered_source(4, 3); // 12 functions
+    let src = layered_program(4, 3, 0); // 12 functions
     let program = compile(&src);
     let params = whole_program();
     let mut engine = AnalysisEngine::new(
@@ -496,7 +460,7 @@ fn availability_is_remapped_by_name_across_updates() {
 
 #[test]
 fn stale_cache_entries_are_evicted_after_retention_runs() {
-    let v1 = layered_source(1, 2);
+    let v1 = layered_program(1, 2, 0);
     let v2 = v1.replace(
         "fn m0_l0(p: &mut i32, v: i32) -> i32 {",
         "fn m0_l0(p: &mut i32, v: i32) -> i32 { let zedit = 5;",
@@ -686,7 +650,7 @@ fn check_policy_under_full_availability_matches_too() {
 fn engine_slicers_share_the_memoized_results() {
     // `slicer()` must hand the memo table's `Arc` to the slicer instead of
     // deep-cloning the per-location results on every query.
-    let src = layered_source(1, 2);
+    let src = layered_program(1, 2, 0);
     let program = compile(&src);
     let mut engine = AnalysisEngine::new(program.clone(), EngineConfig::default());
     engine.analyze_all();
@@ -715,7 +679,7 @@ fn deep_chains_are_at_least_as_precise_as_depth_limited_recursion() {
     // limit the engine's dependency sets are a (possibly strict) subset of
     // direct analysis — more precise, still sound. This documents the one
     // intentional deviation from exact equality.
-    let src = layered_source(1, 6);
+    let src = layered_program(1, 6, 0);
     let program = compile(&src);
     let params = AnalysisParams {
         condition: Condition::WHOLE_PROGRAM,

@@ -8,118 +8,43 @@
 //! everything (answers must still be epoch-tagged correctly), 8 workers on
 //! a small machine force preemption mid-query.
 
-use flowistry_core::{analyze, AnalysisParams, Condition, FunctionSummary};
+use flowistry_core::{analyze, AnalysisParams, Condition};
+use flowistry_corpus::layered_program;
 use flowistry_engine::{
-    AnalysisEngine, EngineConfig, FlowService, QueryRequest, QueryResponse, ServiceConfig,
+    AnalysisEngine, EngineConfig, FlowService, Policy, QueryRequest, QueryResponse, Reference,
+    ServiceConfig,
 };
-use flowistry_ifc::{IfcDiagnostic, Policy, PolicyChecker};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::CompiledProgram;
-use flowistry_slicer::{Slice, Slicer};
-use std::fmt::Write as _;
 use std::sync::Arc;
-
-/// Same layered workload as the incremental tests: `modules` chains of
-/// `depth` functions. Edits below touch bodies only, so `FuncId`s are
-/// stable across every version.
-fn layered_source(modules: usize, depth: usize) -> String {
-    let mut src = String::new();
-    for m in 0..modules {
-        for l in 0..depth {
-            if l == 0 {
-                let _ = writeln!(
-                    src,
-                    "fn m{m}_l0(p: &mut i32, v: i32) -> i32 {{
-                         if v > 0 {{ *p = *p + v; }} else {{ *p = v; }}
-                         let a = v * 2;
-                         let b = a + *p;
-                         return b;
-                     }}"
-                );
-            } else {
-                let prev = l - 1;
-                let _ = writeln!(
-                    src,
-                    "fn m{m}_l{l}(p: &mut i32, v: i32) -> i32 {{
-                         let r1 = m{m}_l{prev}(p, v + 1);
-                         let r2 = m{m}_l{prev}(p, r1);
-                         let mut acc = r1 + r2;
-                         if acc > 10 {{ acc = acc - v; }}
-                         return acc;
-                     }}"
-                );
-            }
-        }
-    }
-    src
-}
-
-/// Everything a response can be checked against, computed directly (no
-/// engine) for one program version.
-struct Expected {
-    program: Arc<CompiledProgram>,
-    results: Vec<flowistry_core::InfoFlowResults>,
-    summaries: Vec<FunctionSummary>,
-    slices: Vec<Option<Slice>>,
-    policy: Vec<IfcDiagnostic>,
-}
-
-fn expected_for(program: Arc<CompiledProgram>, params: &AnalysisParams) -> Expected {
-    let n = program.bodies.len();
-    let results: Vec<_> = (0..n)
-        .map(|i| analyze(&program, FuncId(i as u32), params))
-        .collect();
-    let summaries: Vec<_> = (0..n)
-        .map(|i| FunctionSummary::from_results(program.body(FuncId(i as u32)), &results[i]))
-        .collect();
-    let slices: Vec<_> = (0..n)
-        .map(|i| Slicer::new(&program, FuncId(i as u32), params.clone()).backward_slice_of_var("v"))
-        .collect();
-    // What `check_policy` serves: every function's diagnostics, flattened.
-    let policy = PolicyChecker::new(&program, Policy::from_conventions(&program))
-        .expect("convention policy resolves")
-        .with_params(params.clone())
-        .check_program()
-        .into_iter()
-        .flat_map(|r| r.diagnostics)
-        .collect();
-    Expected {
-        program,
-        results,
-        summaries,
-        slices,
-        policy,
-    }
-}
 
 /// The scenario at one worker count: queries race background updates; every
 /// envelope is checked against the direct analysis of its own epoch.
 fn hammer_with_updates(workers: usize) {
-    let base = layered_source(3, 3);
     let params = AnalysisParams::for_condition(Condition::WHOLE_PROGRAM);
     const VERSIONS: usize = 4;
 
-    // Version k prepends k padding statements to module 0's leaf body: the
-    // function set is unchanged (FuncIds stable across every version), but
-    // the shifted statement locations make each version's per-location
+    // Version k pads module 0's leaf body with k statements: the function
+    // set is unchanged (FuncIds stable across every version), but the
+    // shifted statement locations make each version's per-location
     // results pairwise distinct — an epoch mix-up cannot go unnoticed.
     let programs: Vec<Arc<CompiledProgram>> = (0..VERSIONS)
         .map(|k| {
-            let pad: String = (0..k).map(|j| format!("let zpad{j} = v + 1; ")).collect();
-            let src = base.replacen("let a = v * 2;", &format!("{pad}let a = v * 2;"), 1);
+            let src = layered_program(3, 3, k);
             Arc::new(flowistry_lang::compile(&src).expect("edited version compiles"))
         })
         .collect();
-    let expected: Vec<Expected> = programs
+    let references: Vec<Reference> = programs
         .iter()
-        .map(|p| expected_for(p.clone(), &params))
+        .map(|p| Reference::new(p.clone(), params.clone()))
         .collect();
     let num_funcs = programs[0].bodies.len();
     // The edits must actually change answers, or epoch mix-ups would pass.
+    let leaf = QueryRequest::Results(FuncId(0));
     for k in 1..VERSIONS {
         assert_ne!(
-            expected[k - 1].results[0],
-            expected[k].results[0],
+            references[k - 1].answer(&leaf),
+            references[k].answer(&leaf),
             "versions {} and {k} must be distinguishable",
             k - 1
         );
@@ -136,48 +61,20 @@ fn hammer_with_updates(workers: usize) {
             .with_queue_capacity(16),
     );
 
-    let check = |epoch: u64, request: &QueryRequest, response: &QueryResponse| {
-        let exp = &expected[epoch as usize];
-        match (request, response) {
-            (QueryRequest::Results(f), QueryResponse::Results(got)) => {
-                assert_eq!(
-                    **got, exp.results[f.0 as usize],
-                    "Results({}) diverged from direct analyze at epoch {epoch}",
-                    f.0
-                );
-            }
-            (QueryRequest::Summary(f), QueryResponse::Summary(got)) => {
-                assert_eq!(
-                    got.as_ref(),
-                    Some(&exp.summaries[f.0 as usize]),
-                    "Summary({}) diverged at epoch {epoch}",
-                    f.0
-                );
-            }
-            (QueryRequest::BackwardSlice { func, .. }, QueryResponse::BackwardSlice(got)) => {
-                assert_eq!(
-                    got, &exp.slices[func.0 as usize],
-                    "BackwardSlice({}) diverged at epoch {epoch}",
-                    func.0
-                );
-            }
-            (QueryRequest::CheckPolicy(_), QueryResponse::CheckPolicy(got)) => {
-                // The whole-program answer must equal exactly this epoch's
-                // diagnostics — a half-swapped snapshot would mix versions
-                // and match neither.
-                assert_eq!(got, &exp.policy, "CheckPolicy diverged at epoch {epoch}");
-            }
+    // Every answer must equal the direct answer for its own epoch: a
+    // half-swapped snapshot would mix versions and match neither.
+    let check =
+        |epoch: u64, request: &QueryRequest, response: &QueryResponse| match (request, response) {
             (QueryRequest::Stats, QueryResponse::Stats(stats)) => {
                 assert_eq!(stats.epoch, epoch);
                 assert_eq!(stats.workers, workers);
             }
-            (req, QueryResponse::Error(msg)) => {
-                panic!("unexpected error for {req:?} at epoch {epoch}: {msg}")
-            }
-            (req, resp) => panic!("response variant mismatch: {req:?} -> {resp:?}"),
-        }
-        let _ = &exp.program;
-    };
+            _ => assert_eq!(
+                Some(response),
+                references[epoch as usize].answer(request).as_ref(),
+                "{request:?} diverged from direct analysis at epoch {epoch}"
+            ),
+        };
 
     std::thread::scope(|s| {
         // 8 query threads, mixing the blocking and the submit/poll APIs.
@@ -291,14 +188,9 @@ fn unknown_function_ids_answer_error_not_panic() {
 
 #[test]
 fn updates_apply_in_submission_order() {
-    let base = layered_source(1, 2);
     let params = AnalysisParams::for_condition(Condition::WHOLE_PROGRAM);
     let programs: Vec<Arc<CompiledProgram>> = (0..3)
-        .map(|k| {
-            let pad: String = (0..k).map(|j| format!("let zpad{j} = v + 1; ")).collect();
-            let src = base.replacen("let a = v * 2;", &format!("{pad}let a = v * 2;"), 1);
-            Arc::new(flowistry_lang::compile(&src).unwrap())
-        })
+        .map(|k| Arc::new(flowistry_lang::compile(&layered_program(1, 2, k)).unwrap()))
         .collect();
     let engine = AnalysisEngine::new(
         programs[0].clone(),

@@ -779,25 +779,29 @@ impl<'a> PolicyChecker<'a> {
             );
         }
         // A labeled local stands for everything its exit value depends on.
+        // A policy names locals, not bindings, so every binding of a
+        // shadowed name carries the label.
         for (_, vname, lname) in self
             .policy
             .local_labels
             .iter()
             .filter(|(f, _, _)| f == &body.name)
         {
-            let (Some(l), Some(i)) = (
-                lat.label(lname),
-                body.local_decls
-                    .iter()
-                    .position(|d| d.name.as_deref() == Some(vname.as_str())),
-            ) else {
+            let Some(l) = lat.label(lname) else {
                 continue;
             };
-            push(
-                results.exit_deps_of_local(Local(i as u32)),
-                l,
-                format!("variable `{vname}`"),
-            );
+            for (i, _) in body
+                .local_decls
+                .iter()
+                .enumerate()
+                .filter(|(_, d)| d.name.as_deref() == Some(vname.as_str()))
+            {
+                push(
+                    results.exit_deps_of_local(Local(i as u32)),
+                    l,
+                    format!("variable `{vname}`"),
+                );
+            }
         }
 
         // Everything a declassified call observed is released: the call's
@@ -1429,6 +1433,28 @@ mod tests {
             1
         );
         assert!(checker.check_function("ghost").is_none());
+    }
+
+    /// A policy labels a name, so a shadowing binding is as secret as the
+    /// one it shadows: here only the second `secret` reaches the sink.
+    #[test]
+    fn every_binding_of_a_labeled_name_is_labeled() {
+        let src = "
+            fn get(x: i32) -> i32 { return x; }
+            fn insecure_print(x: i32) { }
+            fn f(a: i32, b: i32) {
+                let secret = get(a);
+                let secret = get(b);
+                insecure_print(secret);
+            }
+        ";
+        let prog = flowistry_lang::compile(src).unwrap();
+        let report = PolicyChecker::new(&prog, Policy::from_conventions(&prog))
+            .unwrap()
+            .check_function("f")
+            .unwrap();
+        assert_eq!(report.diagnostics.len(), 1, "{report:?}");
+        assert_eq!(report.diagnostics[0].sources, ["variable `secret`"]);
     }
 
     #[test]

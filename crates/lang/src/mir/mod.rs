@@ -580,11 +580,6 @@ impl Body {
         self.block(loc.block).statements.get(loc.statement_index)
     }
 
-    /// Whether `loc` points at a terminator.
-    pub fn is_terminator_loc(&self, loc: Location) -> bool {
-        loc.statement_index == self.block(loc.block).statements.len()
-    }
-
     /// Locations of all `Return` terminators.
     pub fn return_locations(&self) -> Vec<Location> {
         self.block_ids()

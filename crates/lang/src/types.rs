@@ -270,9 +270,9 @@ pub struct FuncId(pub u32);
 pub struct FnSig {
     /// Function name.
     pub name: String,
-    /// Parameter types. Region variables index into [`FnSig::regions`].
+    /// Parameter types. Region variables index into [`FnSig::region_count`].
     pub inputs: Vec<Ty>,
-    /// Return type. Region variables index into [`FnSig::regions`].
+    /// Return type. Region variables index into [`FnSig::region_count`].
     pub output: Ty,
     /// Number of abstract (universal) regions in the signature; region `i`
     /// of the signature is `RegionVid(i)` for `i < region_count`.

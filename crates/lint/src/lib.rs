@@ -811,6 +811,23 @@ mod tests {
     }
 
     #[test]
+    fn a_shadowed_secret_still_reaches_the_sink() {
+        let program = flowistry_lang::compile(
+            "fn get(x: i32) -> i32 { return x; }
+             fn insecure_print(x: i32) { }
+             fn f(a: i32, b: i32) {
+                 let secret = get(a);
+                 let secret = get(b);
+                 insecure_print(secret);
+             }",
+        )
+        .unwrap();
+        let hits = sink_hits(lint(&program, "f"));
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].message.contains("variable `secret`"), "{hits:?}");
+    }
+
+    #[test]
     fn policies_do_not_mix_labels_and_sinks() {
         // `read_password` is secret only under the naming conventions, and
         // `emit` a sink only under the annotations: no one policy sees a

@@ -163,7 +163,7 @@ impl BackendLauncher for ProcessLauncher {
     }
 }
 
-/// Launches in-process [`FlowServer`]s — no child processes, so tests and
+/// Launches in-process [`FlowServer`](flowistry_server::FlowServer)s — no child processes, so tests and
 /// the eval harness can stand up a whole fleet inside one test binary.
 pub struct InProcessLauncher {
     /// Seed program source each instance compiles at startup.

@@ -18,17 +18,13 @@
 //! disturbing anyone, and the router's own metrics must record the chaos
 //! (respawns, quorum acks) when scraped over the wire.
 
-use flowistry_core::{analyze, AnalysisParams, Condition, FunctionSummary};
-use flowistry_engine::{QueryRequest, QueryResponse};
-use flowistry_ifc::{IfcDiagnostic, Policy, PolicyChecker};
+use flowistry_core::{AnalysisParams, Condition};
+use flowistry_corpus::layered_program;
+use flowistry_engine::{Policy, QueryRequest, QueryResponse, Reference};
 use flowistry_lang::types::FuncId;
-use flowistry_lang::{CallGraph, CompiledProgram};
-use flowistry_lint::{LintFinding, Linter};
 use flowistry_obs::Registry;
 use flowistry_router::{BackendLauncher, FlowRouter, InProcessLauncher, RouterConfig};
 use flowistry_server::{ClientConfig, FlowClient};
-use flowistry_slicer::{Slice, Slicer};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,84 +42,6 @@ fn sample(text: &str, series: &str) -> f64 {
         })
         .unwrap_or_else(|| panic!("series {series} missing from scrape"));
     value.parse().unwrap_or_else(|e| panic!("{series}: {e}"))
-}
-
-/// Same layered workload as the server stress tests: `modules` chains of
-/// `depth` functions; edits below touch bodies only, so `FuncId`s are
-/// stable across every version.
-fn layered_source(modules: usize, depth: usize) -> String {
-    let mut src = String::new();
-    for m in 0..modules {
-        for l in 0..depth {
-            if l == 0 {
-                let _ = writeln!(
-                    src,
-                    "fn m{m}_l0(p: &mut i32, v: i32) -> i32 {{
-                         if v > 0 {{ *p = *p + v; }} else {{ *p = v; }}
-                         let a = v * 2;
-                         let b = a + *p;
-                         return b;
-                     }}"
-                );
-            } else {
-                let prev = l - 1;
-                let _ = writeln!(
-                    src,
-                    "fn m{m}_l{l}(p: &mut i32, v: i32) -> i32 {{
-                         let r1 = m{m}_l{prev}(p, v + 1);
-                         let r2 = m{m}_l{prev}(p, r1);
-                         let mut acc = r1 + r2;
-                         if acc > 10 {{ acc = acc - v; }}
-                         return acc;
-                     }}"
-                );
-            }
-        }
-    }
-    src
-}
-
-/// Everything a response can be checked against, computed directly (no
-/// engine, no fleet) for one program version.
-struct Expected {
-    results: Vec<flowistry_core::InfoFlowResults>,
-    summaries: Vec<FunctionSummary>,
-    slices: Vec<Option<Slice>>,
-    policy: Vec<IfcDiagnostic>,
-    lints: Vec<Vec<LintFinding>>,
-}
-
-fn expected_for(program: &Arc<CompiledProgram>, params: &AnalysisParams) -> Expected {
-    let n = program.bodies.len();
-    let results: Vec<_> = (0..n)
-        .map(|i| analyze(program, FuncId(i as u32), params))
-        .collect();
-    let summaries: Vec<_> = (0..n)
-        .map(|i| FunctionSummary::from_results(program.body(FuncId(i as u32)), &results[i]))
-        .collect();
-    let slices: Vec<_> = (0..n)
-        .map(|i| Slicer::new(program, FuncId(i as u32), params.clone()).backward_slice_of_var("v"))
-        .collect();
-    // What `check_policy` serves: every function's diagnostics, flattened.
-    let policy = PolicyChecker::new(program, Policy::from_conventions(program))
-        .expect("convention policy resolves")
-        .with_params(params.clone())
-        .check_program()
-        .into_iter()
-        .flat_map(|r| r.diagnostics)
-        .collect();
-    let call_graph = CallGraph::extract(program);
-    let linter = Linter::with_call_graph(program, &call_graph);
-    let lints: Vec<_> = (0..n)
-        .map(|i| linter.lint_function(FuncId(i as u32), &summaries[i], &results[i]))
-        .collect();
-    Expected {
-        results,
-        summaries,
-        slices,
-        policy,
-        lints,
-    }
 }
 
 /// Whether a response is the router's synthesized loss error — the one
@@ -146,35 +64,32 @@ fn connect_authed(addr: std::net::SocketAddr) -> FlowClient {
 /// respawned; every envelope is checked against the direct analysis of
 /// its own epoch.
 fn hammer_through_router(workers: usize) {
-    let base = layered_source(3, 3);
     let params = AnalysisParams::for_condition(Condition::WHOLE_PROGRAM);
     const VERSIONS: usize = 4;
 
-    // Version k prepends k padding statements to module 0's leaf body: the
-    // function set is unchanged (FuncIds stable), but shifted statement
-    // locations make each version's results pairwise distinct — an epoch
-    // mix-up between replicas cannot go unnoticed.
-    let sources: Vec<String> = (0..VERSIONS)
-        .map(|k| {
-            let pad: String = (0..k).map(|j| format!("let zpad{j} = v + 1; ")).collect();
-            base.replacen("let a = v * 2;", &format!("{pad}let a = v * 2;"), 1)
+    // Version k pads module 0's leaf body with k statements: the function
+    // set is unchanged (FuncIds stable), but shifted statement locations
+    // make each version's results pairwise distinct — an epoch mix-up
+    // between replicas cannot go unnoticed.
+    let sources: Vec<String> = (0..VERSIONS).map(|k| layered_program(3, 3, k)).collect();
+    let references: Vec<Reference> = sources
+        .iter()
+        .map(|src| {
+            let program = flowistry_lang::compile(src).expect("edited version compiles");
+            Reference::new(Arc::new(program), params.clone())
         })
         .collect();
-    let programs: Vec<Arc<CompiledProgram>> = sources
-        .iter()
-        .map(|src| Arc::new(flowistry_lang::compile(src).expect("edited version compiles")))
-        .collect();
-    let expected: Vec<Expected> = programs.iter().map(|p| expected_for(p, &params)).collect();
-    let num_funcs = programs[0].bodies.len();
+    let num_funcs = references[0].program().bodies.len();
+    let leaf = QueryRequest::Results(FuncId(0));
     for k in 1..VERSIONS {
         assert_ne!(
-            expected[k - 1].results[0],
-            expected[k].results[0],
+            references[k - 1].answer(&leaf),
+            references[k].answer(&leaf),
             "versions {} and {k} must be distinguishable",
             k - 1
         );
     }
-    let policy = Policy::from_conventions(&programs[0]);
+    let policy = Policy::from_conventions(references[0].program());
 
     // One shared summary-cache dir across the fleet: the respawned replica
     // warm-starts from its siblings' work.
@@ -207,56 +122,23 @@ fn hammer_through_router(workers: usize) {
     let router = FlowRouter::start(launchers, "127.0.0.1:0", config).expect("start loopback fleet");
     let addr = router.local_addr();
 
+    // Every envelope must equal the direct answer for its own epoch,
+    // whichever replica served it.
     let check = |epoch: u64, request: &QueryRequest, response: &QueryResponse| {
         assert!(
             (epoch as usize) < VERSIONS,
             "impossible epoch {epoch} in an envelope"
         );
-        let exp = &expected[epoch as usize];
         match (request, response) {
-            (QueryRequest::Results(f), QueryResponse::Results(got)) => {
-                assert_eq!(
-                    **got, exp.results[f.0 as usize],
-                    "Results({}) through the router diverged from direct analyze at epoch {epoch}",
-                    f.0
-                );
-            }
-            (QueryRequest::Summary(f), QueryResponse::Summary(got)) => {
-                assert_eq!(
-                    got.as_ref(),
-                    Some(&exp.summaries[f.0 as usize]),
-                    "Summary({}) through the router diverged at epoch {epoch}",
-                    f.0
-                );
-            }
-            (QueryRequest::BackwardSlice { func, .. }, QueryResponse::BackwardSlice(got)) => {
-                assert_eq!(
-                    got, &exp.slices[func.0 as usize],
-                    "BackwardSlice({}) through the router diverged at epoch {epoch}",
-                    func.0
-                );
-            }
-            (QueryRequest::CheckPolicy(_), QueryResponse::CheckPolicy(got)) => {
-                assert_eq!(
-                    got, &exp.policy,
-                    "CheckPolicy through the router diverged at epoch {epoch}"
-                );
-            }
-            (QueryRequest::Lint(f), QueryResponse::Lint(got)) => {
-                assert_eq!(
-                    got, &exp.lints[f.0 as usize],
-                    "Lint({}) through the router diverged at epoch {epoch}",
-                    f.0
-                );
-            }
             (QueryRequest::Stats, QueryResponse::Stats(stats)) => {
                 assert_eq!(stats.epoch, epoch);
                 assert_eq!(stats.workers, workers);
             }
-            (req, QueryResponse::Error(msg)) => {
-                panic!("unexpected error for {req:?} at epoch {epoch}: {msg}")
-            }
-            (req, resp) => panic!("response variant mismatch: {req:?} -> {resp:?}"),
+            _ => assert_eq!(
+                Some(response),
+                references[epoch as usize].answer(request).as_ref(),
+                "{request:?} through the router diverged from direct analysis at epoch {epoch}"
+            ),
         }
     };
 
@@ -305,7 +187,7 @@ fn hammer_through_router(workers: usize) {
                     for i in 0..30usize {
                         let request = make_request(i);
                         client
-                            .submit_traced(&request, Some(&tid))
+                            .submit_with(&request, Some(&tid), None)
                             .expect("traced submit");
                         let envelope = client.recv().expect("query round-trip");
                         if is_router_loss(&envelope.response) {
@@ -325,7 +207,7 @@ fn hammer_through_router(workers: usize) {
                             (0..5).map(|j| make_request(burst * 5 + j)).collect();
                         for request in &requests {
                             client
-                                .submit_traced(request, Some(&tid))
+                                .submit_with(request, Some(&tid), None)
                                 .expect("pipelined traced submit");
                         }
                         assert_eq!(client.pending(), 5);

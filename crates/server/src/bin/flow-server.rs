@@ -1,5 +1,5 @@
 //! The standalone analysis server: compiles a source file, builds a
-//! [`FlowService`](flowistry_engine::FlowService), and serves the wire
+//! [`FlowService`], and serves the wire
 //! protocol over TCP until a `shutdown` command arrives.
 //!
 //! ```text

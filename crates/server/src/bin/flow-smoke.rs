@@ -1,9 +1,9 @@
 //! The CI client smoke: connects to a running `flow-server`, pushes a
 //! known program via `update`, and checks a summary + slice + results +
 //! IFC + stats round-trip **bit-for-bit against a local direct analysis**
-//! of the same source. Also pokes the server with garbage and bad ids to
-//! confirm malformed input yields structured errors without killing the
-//! connection.
+//! of the same source (a [`Reference`]). Also pokes the server with
+//! garbage and bad ids to confirm malformed input yields structured errors
+//! without killing the connection.
 //!
 //! ```text
 //! flow-smoke <HOST:PORT> [--metrics] [--lint] [--shutdown] [--auth TOKEN]
@@ -24,16 +24,16 @@
 //! Connects are retried with capped backoff: CI starts the server in the
 //! background and races this client against its bind.
 
-use flowistry_core::{analyze, AnalysisParams, Condition, FunctionSummary};
-use flowistry_engine::{QueryRequest, QueryResponse};
-use flowistry_ifc::{Policy, PolicyChecker};
+use flowistry_core::{AnalysisParams, Condition};
+use flowistry_engine::{Policy, QueryRequest, QueryResponse, Reference};
 use flowistry_lang::mir::{BasicBlock, Location, Place};
-use flowistry_lint::{LintPass, Linter};
+use flowistry_lang::types::FuncId;
+use flowistry_lint::LintPass;
 use flowistry_server::{codec, ClientConfig, FlowClient};
-use flowistry_slicer::Slicer;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Transient-failure connect budget: ~12 attempts backing off 1ms → 100ms
@@ -145,25 +145,26 @@ fn connect_raw_retry(addr: &str) -> std::io::Result<TcpStream> {
     Err(last_err.expect("at least one attempt"))
 }
 
-/// Round-trips a `lint` query (checked bit-exact against the local
-/// linter) and asserts the lint observability counters advance across two
-/// metrics scrapes.
+/// Round-trips a `lint` query (checked bit-exact against the reference's
+/// linter run) and asserts the lint observability counters advance across
+/// two metrics scrapes.
 fn check_lint(
     client: &mut FlowClient,
-    program: &flowistry_lang::CompiledProgram,
-    main: flowistry_lang::types::FuncId,
+    reference: &Reference,
+    main: FuncId,
     epoch: u64,
-    direct_main: &flowistry_core::InfoFlowResults,
     fail: impl Fn(std::io::Error) -> String,
 ) -> Result<(), String> {
-    let linter = Linter::new(program);
-    let summary = FunctionSummary::from_results(program.body(main), direct_main);
-    let expected = linter.lint_function(main, &summary, direct_main);
-
     let first = client.metrics().map_err(&fail)?;
     let (lint_epoch, findings) = client.lint(main).map_err(&fail)?;
     check(lint_epoch == epoch, "lint served from the pushed epoch")?;
-    check(findings == expected, "lint(main) == direct linter")?;
+    check(
+        matches!(
+            reference.answer(&QueryRequest::Lint(main)),
+            Some(QueryResponse::Lint(expected)) if expected == findings
+        ),
+        "lint(main) == direct linter",
+    )?;
     check(
         findings
             .iter()
@@ -230,9 +231,20 @@ fn run(
     // local direct analysis of the same source.
     let program =
         flowistry_lang::compile(SOURCE).map_err(|d| format!("bad fixture: {}", d.message))?;
-    let params = AnalysisParams::for_condition(Condition::WHOLE_PROGRAM);
     let main = program.func_id("main").expect("fixture has main");
     let store = program.func_id("store").expect("fixture has store");
+    let policy = Policy::from_conventions(&program);
+    let reference = Reference::new(
+        Arc::new(program),
+        AnalysisParams::for_condition(Condition::WHOLE_PROGRAM),
+    );
+    check(
+        matches!(
+            reference.answer(&QueryRequest::CheckPolicy(policy.clone())),
+            Some(QueryResponse::CheckPolicy(diagnostics)) if !diagnostics.is_empty()
+        ),
+        "fixture produces an IFC violation",
+    )?;
 
     let mut client = FlowClient::connect_retry(addr, &ClientConfig::default(), CONNECT_ATTEMPTS)
         .map_err(fail)?;
@@ -241,89 +253,45 @@ fn run(
     }
     let epoch = client.update(SOURCE).map_err(fail)?;
 
-    // Summary: bit-identical to the summary extracted from direct analysis.
-    let direct = analyze(&program, store, &params);
-    let expected_summary = FunctionSummary::from_results(program.body(store), &direct);
-    let envelope = client.query(&QueryRequest::Summary(store)).map_err(fail)?;
-    check(
-        envelope.epoch == epoch,
-        "summary answered from the pushed epoch",
-    )?;
-    check(
-        envelope.response == QueryResponse::Summary(Some(expected_summary)),
-        "summary(store) == direct analysis",
-    )?;
-
-    // Results: full per-location states across the wire, still identical.
-    let envelope = client.query(&QueryRequest::Results(main)).map_err(fail)?;
-    let direct_main = analyze(&program, main, &params);
-    match envelope.response {
-        QueryResponse::Results(got) => check(*got == direct_main, "results(main) == direct")?,
-        other => return Err(format!("results(main) answered {other:?}")),
+    // Summary, full per-location results, the backward slice of the
+    // password variable, the raw location-level slice of the return value,
+    // the fixture's password → insecure_print flow, and a bad function id
+    // (a structured error, then normal service): each bit-identical to the
+    // direct answer.
+    for (request, what) in [
+        (QueryRequest::Summary(store), "summary(store)"),
+        (QueryRequest::Results(main), "results(main)"),
+        (
+            QueryRequest::BackwardSlice {
+                func: main,
+                var: "password".to_string(),
+            },
+            "slice(main, password)",
+        ),
+        (
+            QueryRequest::BackwardSliceAt {
+                func: main,
+                place: Place::return_place(),
+                loc: Location {
+                    block: BasicBlock(0),
+                    statement_index: 0,
+                },
+            },
+            "slice-at(main)",
+        ),
+        (QueryRequest::CheckPolicy(policy), "check-policy"),
+        (QueryRequest::Summary(FuncId(999)), "unknown function id"),
+    ] {
+        let envelope = client.query(&request).map_err(fail)?;
+        check(
+            envelope.epoch == epoch,
+            &format!("{what} answered from the pushed epoch"),
+        )?;
+        check(
+            Some(envelope.response) == reference.answer(&request),
+            &format!("{what} == direct analysis"),
+        )?;
     }
-
-    // Backward slice of the password variable.
-    let expected_slice =
-        Slicer::new(&program, main, params.clone()).backward_slice_of_var("password");
-    let envelope = client
-        .query(&QueryRequest::BackwardSlice {
-            func: main,
-            var: "password".to_string(),
-        })
-        .map_err(fail)?;
-    check(
-        envelope.response == QueryResponse::BackwardSlice(expected_slice),
-        "slice(main, password) == direct",
-    )?;
-
-    // Raw location-level slice.
-    let place = Place::return_place();
-    let loc = Location {
-        block: BasicBlock(0),
-        statement_index: 0,
-    };
-    let envelope = client
-        .query(&QueryRequest::BackwardSliceAt {
-            func: main,
-            place: place.clone(),
-            loc,
-        })
-        .map_err(fail)?;
-    check(
-        envelope.response
-            == QueryResponse::BackwardSliceAt(direct_main.backward_slice(&place, loc)),
-        "slice-at(main) == direct",
-    )?;
-
-    // IFC: the fixture's password → insecure_print flow must be reported.
-    let policy = Policy::from_conventions(&program);
-    let expected_diagnostics: Vec<_> = PolicyChecker::new(&program, policy.clone())
-        .map_err(|e| format!("convention policy rejected: {e}"))?
-        .with_params(params.clone())
-        .check_program()
-        .into_iter()
-        .flat_map(|r| r.diagnostics)
-        .collect();
-    check(
-        !expected_diagnostics.is_empty(),
-        "fixture produces an IFC violation",
-    )?;
-    let envelope = client
-        .query(&QueryRequest::CheckPolicy(policy))
-        .map_err(fail)?;
-    check(
-        envelope.response == QueryResponse::CheckPolicy(expected_diagnostics),
-        "check-policy == direct",
-    )?;
-
-    // Bad function id: a structured error, then normal service.
-    let envelope = client
-        .query(&QueryRequest::Summary(flowistry_lang::types::FuncId(999)))
-        .map_err(fail)?;
-    check(
-        matches!(envelope.response, QueryResponse::Error(_)),
-        "unknown function id answers an error",
-    )?;
 
     // Stats round-trip.
     let (stats_epoch, stats) = client.stats().map_err(fail)?;
@@ -337,7 +305,7 @@ fn run(
     }
 
     if lint {
-        check_lint(&mut client, &program, main, epoch, &direct_main, fail)?;
+        check_lint(&mut client, &reference, main, epoch, fail)?;
     }
 
     if shutdown {

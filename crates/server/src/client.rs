@@ -196,25 +196,16 @@ impl FlowClient {
     /// each `submit` with one [`FlowClient::recv`]; responses come back in
     /// submission order.
     pub fn submit(&mut self, request: &QueryRequest) -> io::Result<()> {
-        self.submit_traced(request, None)
+        self.submit_with(request, None, None)
     }
 
-    /// Like [`FlowClient::submit`], tagging the request with a client trace
-    /// id. The server echoes the id verbatim on the matching response
-    /// envelope and stamps it on its internal spans, so one request can be
-    /// followed through logs on both sides of the wire.
-    pub fn submit_traced(
-        &mut self,
-        request: &QueryRequest,
-        trace_id: Option<&str>,
-    ) -> io::Result<()> {
-        self.submit_with(request, trace_id, None)
-    }
-
-    /// Like [`FlowClient::submit_traced`], also stamping a `deadline=<ms>`
-    /// budget on the request. A server (or router) that cannot answer
-    /// within the budget replies `error deadline exceeded` instead of
-    /// making the client wait for an answer it no longer wants.
+    /// Like [`FlowClient::submit`], with two request attributes. A client
+    /// `trace_id` is echoed verbatim on the matching response envelope and
+    /// stamped on the server's internal spans, so one request can be
+    /// followed through logs on both sides of the wire. A `deadline=<ms>`
+    /// budget: a server (or router) that cannot answer within it replies
+    /// `error deadline exceeded` instead of making the client wait for an
+    /// answer it no longer wants.
     pub fn submit_with(
         &mut self,
         request: &QueryRequest,

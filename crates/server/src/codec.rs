@@ -1006,13 +1006,8 @@ pub fn encode_request(request: &QueryRequest) -> String {
 }
 
 /// Like [`encode_request`], with a `tid=` attribute carrying `trace_id`
-/// for the server to echo on the response envelope.
-pub fn encode_request_traced(request: &QueryRequest, trace_id: Option<&str>) -> String {
-    append_trace_id(encode_request(request), trace_id)
-}
-
-/// Like [`encode_request_traced`], with a `deadline=<ms>` attribute
-/// carrying the client's total latency budget for this request.
+/// for the server to echo on the response envelope and a `deadline=<ms>`
+/// attribute carrying the client's total latency budget for this request.
 pub fn encode_request_with(
     request: &QueryRequest,
     trace_id: Option<&str>,
@@ -1943,7 +1938,7 @@ mod tests {
             "summary 7"
         );
         assert_eq!(
-            encode_request_traced(&QueryRequest::Summary(FuncId(7)), None),
+            encode_request_with(&QueryRequest::Summary(FuncId(7)), None, None),
             "summary 7",
         );
         let envelope = decode_envelope("slice 3 -").unwrap();
@@ -2017,10 +2012,10 @@ mod tests {
                 deadline_ms: Some(250),
             })
         );
-        // Without a deadline the line is byte-identical to the traced form.
+        // Without a deadline the line carries the trace id alone.
         assert_eq!(
-            encode_request_with(&QueryRequest::Stats, None, None),
-            encode_request_traced(&QueryRequest::Stats, None),
+            encode_request_with(&QueryRequest::Stats, Some("req-1"), None),
+            "stats tid=req%2D1",
         );
         assert_eq!(
             decode_command(&encode_update_at(99, Some(12))),
@@ -2042,7 +2037,7 @@ mod tests {
     #[test]
     fn trace_ids_roundtrip_on_requests_and_envelopes() {
         for tid in ["client-3", "a b=c|d", "héllo", ""] {
-            let line = encode_request_traced(&QueryRequest::Stats, Some(tid));
+            let line = encode_request_with(&QueryRequest::Stats, Some(tid), None);
             assert_eq!(
                 decode_command(&line),
                 Ok(Command::Query {
@@ -2059,7 +2054,7 @@ mod tests {
             });
         }
         assert_eq!(
-            encode_request_traced(&QueryRequest::Stats, Some("")),
+            encode_request_with(&QueryRequest::Stats, Some(""), None),
             "stats tid=%",
         );
     }

@@ -16,18 +16,15 @@
 //! client-side request tallies (each run gets its own [`Registry`] so the
 //! three worker counts can run concurrently in one process).
 
-use flowistry_core::{analyze, AnalysisParams, Condition, FunctionSummary};
+use flowistry_core::{analyze, AnalysisParams, Condition};
+use flowistry_corpus::layered_program;
 use flowistry_engine::{
-    AnalysisEngine, EngineConfig, FlowService, QueryRequest, QueryResponse, ServiceConfig,
+    AnalysisEngine, EngineConfig, FlowService, Policy, QueryRequest, QueryResponse, Reference,
+    ServiceConfig,
 };
-use flowistry_ifc::{IfcDiagnostic, Policy, PolicyChecker};
 use flowistry_lang::types::FuncId;
-use flowistry_lang::{CallGraph, CompiledProgram};
-use flowistry_lint::{LintFinding, Linter};
 use flowistry_obs::Registry;
 use flowistry_server::{ClientConfig, FlowClient, FlowServer, ServerConfig};
-use flowistry_slicer::{Slice, Slicer};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// The value of the series named exactly `series` in Prometheus text.
@@ -43,124 +40,43 @@ fn sample(text: &str, series: &str) -> f64 {
     value.parse().unwrap_or_else(|e| panic!("{series}: {e}"))
 }
 
-/// Same layered workload as the engine stress tests: `modules` chains of
-/// `depth` functions; edits below touch bodies only, so `FuncId`s are
-/// stable across every version.
-fn layered_source(modules: usize, depth: usize) -> String {
-    let mut src = String::new();
-    for m in 0..modules {
-        for l in 0..depth {
-            if l == 0 {
-                let _ = writeln!(
-                    src,
-                    "fn m{m}_l0(p: &mut i32, v: i32) -> i32 {{
-                         if v > 0 {{ *p = *p + v; }} else {{ *p = v; }}
-                         let a = v * 2;
-                         let b = a + *p;
-                         return b;
-                     }}"
-                );
-            } else {
-                let prev = l - 1;
-                let _ = writeln!(
-                    src,
-                    "fn m{m}_l{l}(p: &mut i32, v: i32) -> i32 {{
-                         let r1 = m{m}_l{prev}(p, v + 1);
-                         let r2 = m{m}_l{prev}(p, r1);
-                         let mut acc = r1 + r2;
-                         if acc > 10 {{ acc = acc - v; }}
-                         return acc;
-                     }}"
-                );
-            }
-        }
-    }
-    src
-}
-
-/// Everything a response can be checked against, computed directly (no
-/// engine, no server) for one program version.
-struct Expected {
-    results: Vec<flowistry_core::InfoFlowResults>,
-    summaries: Vec<FunctionSummary>,
-    slices: Vec<Option<Slice>>,
-    policy: Vec<IfcDiagnostic>,
-    lints: Vec<Vec<LintFinding>>,
-}
-
-fn expected_for(program: &Arc<CompiledProgram>, params: &AnalysisParams) -> Expected {
-    let n = program.bodies.len();
-    let results: Vec<_> = (0..n)
-        .map(|i| analyze(program, FuncId(i as u32), params))
-        .collect();
-    let summaries: Vec<_> = (0..n)
-        .map(|i| FunctionSummary::from_results(program.body(FuncId(i as u32)), &results[i]))
-        .collect();
-    let slices: Vec<_> = (0..n)
-        .map(|i| Slicer::new(program, FuncId(i as u32), params.clone()).backward_slice_of_var("v"))
-        .collect();
-    // What `check_policy` serves: every function's diagnostics, flattened.
-    let policy = PolicyChecker::new(program, Policy::from_conventions(program))
-        .expect("convention policy resolves")
-        .with_params(params.clone())
-        .check_program()
-        .into_iter()
-        .flat_map(|r| r.diagnostics)
-        .collect();
-    let call_graph = CallGraph::extract(program);
-    let linter = Linter::with_call_graph(program, &call_graph);
-    let lints: Vec<_> = (0..n)
-        .map(|i| linter.lint_function(FuncId(i as u32), &summaries[i], &results[i]))
-        .collect();
-    Expected {
-        results,
-        summaries,
-        slices,
-        policy,
-        lints,
-    }
-}
-
 /// The scenario at one service worker count: 8 TCP clients race a TCP
 /// updater; every envelope is checked against the direct analysis of its
 /// own epoch; the run ends with a graceful wire shutdown.
 fn hammer_over_tcp(workers: usize) {
-    let base = layered_source(3, 3);
     let params = AnalysisParams::for_condition(Condition::WHOLE_PROGRAM);
     const VERSIONS: usize = 4;
 
-    // Version k prepends k padding statements to module 0's leaf body: the
-    // function set is unchanged (FuncIds stable), but shifted statement
-    // locations make each version's results pairwise distinct — an epoch
-    // mix-up cannot go unnoticed.
-    let sources: Vec<String> = (0..VERSIONS)
-        .map(|k| {
-            let pad: String = (0..k).map(|j| format!("let zpad{j} = v + 1; ")).collect();
-            base.replacen("let a = v * 2;", &format!("{pad}let a = v * 2;"), 1)
+    // Version k pads module 0's leaf body with k statements: the function
+    // set is unchanged (FuncIds stable), but shifted statement locations
+    // make each version's results pairwise distinct — an epoch mix-up
+    // cannot go unnoticed.
+    let sources: Vec<String> = (0..VERSIONS).map(|k| layered_program(3, 3, k)).collect();
+    let references: Vec<Reference> = sources
+        .iter()
+        .map(|src| {
+            let program = flowistry_lang::compile(src).expect("edited version compiles");
+            Reference::new(Arc::new(program), params.clone())
         })
         .collect();
-    let programs: Vec<Arc<CompiledProgram>> = sources
-        .iter()
-        .map(|src| Arc::new(flowistry_lang::compile(src).expect("edited version compiles")))
-        .collect();
-    let expected: Vec<Expected> = programs.iter().map(|p| expected_for(p, &params)).collect();
-    let num_funcs = programs[0].bodies.len();
+    let num_funcs = references[0].program().bodies.len();
+    let leaf = QueryRequest::Results(FuncId(0));
     for k in 1..VERSIONS {
         assert_ne!(
-            expected[k - 1].results[0],
-            expected[k].results[0],
+            references[k - 1].answer(&leaf),
+            references[k].answer(&leaf),
             "versions {} and {k} must be distinguishable",
             k - 1
         );
     }
     // Every version has the same function names, so one policy serves all.
-    let policy = Policy::from_conventions(&programs[0]);
+    let policy = Policy::from_conventions(references[0].program());
 
     // A private registry per run: the three worker-count tests run
     // concurrently in this process and must not pool their counters.
     let registry = Arc::new(Registry::new());
     let engine = AnalysisEngine::new(
-        programs[0].clone(),
+        references[0].program().clone(),
         EngineConfig::default()
             .with_params(params.clone())
             .with_metrics(registry.clone()),
@@ -181,56 +97,23 @@ fn hammer_over_tcp(workers: usize) {
     .expect("bind loopback");
     let addr = server.local_addr();
 
+    // Every envelope must equal the direct answer for its own epoch: a
+    // codec bug, an epoch mix-up or a half-swapped snapshot all fail here.
     let check = |epoch: u64, request: &QueryRequest, response: &QueryResponse| {
         assert!(
             (epoch as usize) < VERSIONS,
             "impossible epoch {epoch} in an envelope"
         );
-        let exp = &expected[epoch as usize];
         match (request, response) {
-            (QueryRequest::Results(f), QueryResponse::Results(got)) => {
-                assert_eq!(
-                    **got, exp.results[f.0 as usize],
-                    "Results({}) over TCP diverged from direct analyze at epoch {epoch}",
-                    f.0
-                );
-            }
-            (QueryRequest::Summary(f), QueryResponse::Summary(got)) => {
-                assert_eq!(
-                    got.as_ref(),
-                    Some(&exp.summaries[f.0 as usize]),
-                    "Summary({}) over TCP diverged at epoch {epoch}",
-                    f.0
-                );
-            }
-            (QueryRequest::BackwardSlice { func, .. }, QueryResponse::BackwardSlice(got)) => {
-                assert_eq!(
-                    got, &exp.slices[func.0 as usize],
-                    "BackwardSlice({}) over TCP diverged at epoch {epoch}",
-                    func.0
-                );
-            }
-            (QueryRequest::CheckPolicy(_), QueryResponse::CheckPolicy(got)) => {
-                assert_eq!(
-                    got, &exp.policy,
-                    "CheckPolicy over TCP diverged at epoch {epoch}"
-                );
-            }
-            (QueryRequest::Lint(f), QueryResponse::Lint(got)) => {
-                assert_eq!(
-                    got, &exp.lints[f.0 as usize],
-                    "Lint({}) over TCP diverged at epoch {epoch}",
-                    f.0
-                );
-            }
             (QueryRequest::Stats, QueryResponse::Stats(stats)) => {
                 assert_eq!(stats.epoch, epoch);
                 assert_eq!(stats.workers, workers);
             }
-            (req, QueryResponse::Error(msg)) => {
-                panic!("unexpected error for {req:?} at epoch {epoch}: {msg}")
-            }
-            (req, resp) => panic!("response variant mismatch: {req:?} -> {resp:?}"),
+            _ => assert_eq!(
+                Some(response),
+                references[epoch as usize].answer(request).as_ref(),
+                "{request:?} over TCP diverged from direct analysis at epoch {epoch}"
+            ),
         }
     };
 
@@ -266,7 +149,7 @@ fn hammer_over_tcp(workers: usize) {
                     for i in 0..30usize {
                         let request = make_request(i);
                         client
-                            .submit_traced(&request, Some(&tid))
+                            .submit_with(&request, Some(&tid), None)
                             .expect("traced submit");
                         let envelope = client.recv().expect("query round-trip");
                         assert_eq!(
@@ -282,7 +165,7 @@ fn hammer_over_tcp(workers: usize) {
                             (0..5).map(|j| make_request(burst * 5 + j)).collect();
                         for request in &requests {
                             client
-                                .submit_traced(request, Some(&tid))
+                                .submit_with(request, Some(&tid), None)
                                 .expect("pipelined traced submit");
                         }
                         assert_eq!(client.pending(), 5);
@@ -457,7 +340,7 @@ fn tcp_stress_eight_workers() {
 #[test]
 fn shutdown_lets_other_connections_flush_accepted_responses() {
     let program =
-        Arc::new(flowistry_lang::compile(&layered_source(2, 3)).expect("program compiles"));
+        Arc::new(flowistry_lang::compile(&layered_program(2, 3, 0)).expect("program compiles"));
     let params = AnalysisParams::for_condition(Condition::WHOLE_PROGRAM);
     let policy = Policy::from_conventions(&program);
     let engine = AnalysisEngine::new(program, EngineConfig::default().with_params(params.clone()));
