@@ -15,16 +15,17 @@ use flowistry_engine::{
     AnalysisEngine, EngineConfig, FlowService, Policy, QueryRequest, QueryResponse, Reference,
     ServiceConfig,
 };
-use flowistry_lang::mir::{Location, Place};
+use flowistry_lang::mir::{Local, Location, Place};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::CompiledProgram;
 use std::sync::Arc;
 
 /// Every request the reference answers for `program`: per function its
 /// summary, results, lint, a slice of every named local and of a name that
-/// does not exist, and the location-level slice of the return value at
-/// the exit; then two policies (one the checker rejects) and an unknown
-/// function id.
+/// does not exist, and the location-level slices of the return value and
+/// of the last local at each exit and at the entry; then two policies and,
+/// last, the only two requests that must fail: a policy the checker
+/// rejects and an unknown function id.
 fn requests(program: &CompiledProgram) -> Vec<QueryRequest> {
     let mut requests = Vec::new();
     for (i, body) in program.bodies.iter().enumerate() {
@@ -39,16 +40,13 @@ fn requests(program: &CompiledProgram) -> Vec<QueryRequest> {
             vars.chain(["no_such_var".to_string()])
                 .map(|var| QueryRequest::BackwardSlice { func, var }),
         );
-        requests.extend(
-            body.return_locations()
-                .into_iter()
-                .chain([Location::START])
-                .map(|loc| QueryRequest::BackwardSliceAt {
-                    func,
-                    place: Place::return_place(),
-                    loc,
-                }),
-        );
+        let last_local = Place::from(Local(body.local_decls.len() as u32 - 1));
+        for loc in body.return_locations().into_iter().chain([Location::START]) {
+            requests.extend(
+                [Place::return_place(), last_local.clone()]
+                    .map(|place| QueryRequest::BackwardSliceAt { func, place, loc }),
+            );
+        }
     }
     let policy = Policy::default()
         .with_param_label("f", "a", "Secret")
@@ -94,8 +92,15 @@ fn reference_answers_equal_served_answers_on_random_programs() {
                     EngineConfig::default().with_params(params),
                 );
                 let service = FlowService::new(engine, ServiceConfig::default().with_workers(2));
-                for request in &requests {
+                for (i, request) in requests.iter().enumerate() {
                     let served = service.query(request.clone()).response;
+                    // The reference shares the service's validation, so
+                    // equality alone would pass a rejected valid request.
+                    assert_eq!(
+                        matches!(served, QueryResponse::Error(_)),
+                        i + 2 >= requests.len(),
+                        "{case}: {request:?} answered {served:?}"
+                    );
                     assert_eq!(
                         Some(&served),
                         reference.answer(request).as_ref(),
@@ -107,6 +112,14 @@ fn reference_answers_equal_served_answers_on_random_programs() {
                         _ => {}
                     }
                 }
+                let n = program.bodies.len();
+                assert_eq!(
+                    reference.answer(&QueryRequest::Results(FuncId(n as u32))),
+                    Some(QueryResponse::Error(format!(
+                        "unknown function id {n} (program has {n} functions)"
+                    ))),
+                    "{case}"
+                );
                 for request in [QueryRequest::Stats, QueryRequest::Metrics] {
                     assert_eq!(reference.answer(&request), None, "{case}: {request:?}");
                 }

@@ -287,6 +287,13 @@ fn run(
             envelope.epoch == epoch,
             &format!("{what} answered from the pushed epoch"),
         )?;
+        // Only the bad id is an error: the reference shares the service's
+        // validation, so equality alone would not notice a rejected valid id.
+        let bad_id = matches!(request, QueryRequest::Summary(FuncId(999)));
+        check(
+            matches!(envelope.response, QueryResponse::Error(_)) == bad_id,
+            &format!("{what} answers an error iff the id is unknown"),
+        )?;
         check(
             Some(envelope.response) == reference.answer(&request),
             &format!("{what} == direct analysis"),

@@ -109,6 +109,9 @@ fn hammer_over_tcp(workers: usize) {
                 assert_eq!(stats.epoch, epoch);
                 assert_eq!(stats.workers, workers);
             }
+            (req, QueryResponse::Error(msg)) => {
+                panic!("unexpected error for {req:?} at epoch {epoch}: {msg}")
+            }
             _ => assert_eq!(
                 Some(response),
                 references[epoch as usize].answer(request).as_ref(),
