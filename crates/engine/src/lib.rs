@@ -270,12 +270,10 @@ pub struct RunStats {
 /// the next [`AnalysisEngine::analyze_all`] only re-analyzes functions
 /// whose content (or whose callees' content) changed.
 ///
-/// For convenience the builder forwards the snapshot query API
-/// ([`AnalysisEngine::results`], [`AnalysisEngine::backward_slice`],
-/// [`AnalysisEngine::slicer`], …) to its most recent snapshot; callers
-/// that serve concurrent traffic should take an
-/// [`AnalysisEngine::snapshot`] (or put a [`FlowService`] in front) instead
-/// of sharing the builder.
+/// Queries go to a snapshot: take an [`AnalysisEngine::snapshot`] (or put
+/// a [`FlowService`] in front). The builder itself answers only
+/// [`AnalysisEngine::summary`], [`AnalysisEngine::results`] and
+/// [`AnalysisEngine::invalidation_set`] from its most recent run.
 pub struct AnalysisEngine {
     program: Arc<CompiledProgram>,
     config: EngineConfig,
@@ -553,34 +551,6 @@ impl AnalysisEngine {
     /// [`AnalysisEngine::snapshot`]).
     pub fn results(&self, func: FuncId) -> Arc<flowistry_core::InfoFlowResults> {
         self.current_snapshot().results(func)
-    }
-
-    /// Forwards to [`AnalysisSnapshot::backward_slice`] on the current
-    /// snapshot.
-    pub fn backward_slice(&self, func: FuncId, var: &str) -> Option<flowistry_slicer::Slice> {
-        self.current_snapshot().backward_slice(func, var)
-    }
-
-    /// Forwards to [`AnalysisSnapshot::backward_slice_of_return`] on the
-    /// current snapshot.
-    pub fn backward_slice_of_return(&self, func: FuncId) -> flowistry_slicer::Slice {
-        self.current_snapshot().backward_slice_of_return(func)
-    }
-
-    /// Forwards to [`AnalysisSnapshot::backward_slice_at`] on the current
-    /// snapshot.
-    pub fn backward_slice_at(
-        &self,
-        func: FuncId,
-        place: &flowistry_lang::mir::Place,
-        loc: flowistry_lang::mir::Location,
-    ) -> BTreeSet<flowistry_lang::mir::Location> {
-        self.current_snapshot().backward_slice_at(func, place, loc)
-    }
-
-    /// Forwards to [`AnalysisSnapshot::slicer`] on the current snapshot.
-    pub fn slicer(&self, func: FuncId) -> flowistry_slicer::Slicer<'_> {
-        self.current_snapshot().slicer(func)
     }
 
     /// The set of functions whose summary would have to be recomputed if

@@ -270,21 +270,22 @@ fn batch_queries_share_one_engine() {
 
     // Slicing query.
     let compute = program.func_id("compute").unwrap();
-    let slice = engine.backward_slice(compute, "a").unwrap();
+    let snapshot = engine.snapshot();
+    let slice = snapshot.backward_slice(compute, "a").unwrap();
     assert!(!slice.lines.is_empty());
-    let ret = engine.backward_slice_of_return(compute);
+    let ret = snapshot.backward_slice_of_return(compute);
     assert_eq!(ret.criterion, "<return>");
 
     // IFC query on the same engine instance.
     let policy = Policy::from_conventions(&program);
-    let diagnostics = engine.snapshot().check_policy(policy).unwrap();
+    let diagnostics = snapshot.check_policy(policy).unwrap();
     assert_eq!(diagnostics.len(), 1);
     assert_eq!(diagnostics[0].in_function, "audit");
 
     // Raw location-level slice.
     let body = program.body(compute);
     let returns = body.return_locations();
-    let locs = engine.backward_slice_at(
+    let locs = snapshot.backward_slice_at(
         compute,
         &flowistry_lang::mir::Place::return_place(),
         returns[0],
@@ -656,10 +657,11 @@ fn engine_slicers_share_the_memoized_results() {
     engine.analyze_all();
     let func = program.func_id("m0_l1").unwrap();
 
-    let handle = engine.results(func); // memo + this handle = 2
+    let snapshot = engine.snapshot();
+    let handle = snapshot.results(func); // memo + this handle = 2
     assert_eq!(Arc::strong_count(&handle), 2);
-    let slicer_a = engine.slicer(func);
-    let slicer_b = engine.slicer(func);
+    let slicer_a = snapshot.slicer(func);
+    let slicer_b = snapshot.slicer(func);
     assert_eq!(
         Arc::strong_count(&handle),
         4,

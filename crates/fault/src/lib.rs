@@ -278,8 +278,7 @@ fn init_from_env() {
 /// is one relaxed atomic load and returns [`Fault::None`]; when the site
 /// is configured it consumes the next decision of the site's seeded
 /// stream. [`Fault::Delay`] is returned, not slept, so call sites can
-/// place the stall precisely; use [`inject_io`] for the common
-/// sleep-or-error shape.
+/// place the stall precisely.
 #[inline]
 pub fn check(site: &str) -> Fault {
     if STATE.load(Ordering::Relaxed) == DISABLED {
@@ -300,22 +299,6 @@ fn check_slow(site: &str) -> Fault {
     match registry.as_mut().and_then(|sites| sites.get_mut(site)) {
         Some(state) => state.decide(site),
         None => Fault::None,
-    }
-}
-
-/// The common I/O-shaped failpoint: sleeps through a `delay`, returns an
-/// injected error for `err`, panics for `panic`, and treats
-/// `partial_write` as a no-op (only sites that own a byte buffer can tear
-/// a write — they use [`check`] directly).
-pub fn inject_io(site: &str) -> io::Result<()> {
-    match check(site) {
-        Fault::None | Fault::PartialWrite(_) => Ok(()),
-        Fault::Delay(d) => {
-            std::thread::sleep(d);
-            Ok(())
-        }
-        Fault::Err => Err(injected_error(site)),
-        Fault::Panic => panic!("failpoint {site}: injected panic"),
     }
 }
 
@@ -482,15 +465,5 @@ mod tests {
             (800..1200).contains(&fired),
             "0.25 over 4000 draws fired {fired} times"
         );
-    }
-
-    #[test]
-    fn inject_io_maps_err_mode_to_io_error() {
-        let _guard = lock();
-        configure("io=err").unwrap();
-        let err = inject_io("io").unwrap_err();
-        assert!(err.to_string().contains("failpoint io"), "{err}");
-        clear();
-        assert!(inject_io("io").is_ok());
     }
 }

@@ -28,5 +28,5 @@ pub use log::{
     with_trace_id, Level, Record, Span, TraceIdGuard, DEFAULT_LEVEL,
 };
 pub use metrics::{
-    labeled, Counter, Gauge, Histogram, Registry, COUNTER_STRIPES, HISTOGRAM_BUCKETS,
+    labeled, sample, Counter, Gauge, Histogram, Registry, COUNTER_STRIPES, HISTOGRAM_BUCKETS,
 };

@@ -368,6 +368,19 @@ impl Registry {
     }
 }
 
+/// The value of the series named exactly `series` (its base name plus its
+/// `{label="value"}` block, if it has one) in Prometheus text exposition
+/// such as [`Registry::render_prometheus`] writes. `None` when no sample
+/// line carries that name, or its value does not parse; a longer name that
+/// merely begins with `series` does not match, and neither do the `#`
+/// comment lines.
+pub fn sample(text: &str, series: &str) -> Option<f64> {
+    text.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))?
+        .parse()
+        .ok()
+}
+
 /// Builds a labeled series name — `base{k1="v1",k2="v2"}` — with label
 /// values escaped per the Prometheus exposition rules (backslash, double
 /// quote, and newline become `\\`, `\"`, and `\n`). Callers registering
@@ -454,6 +467,34 @@ mod tests {
             .inc();
         let text = registry.render_prometheus();
         assert!(text.contains("t_total{backend=\"1\"} 1"), "{text}");
+    }
+
+    #[test]
+    fn series_lookup_reads_exactly_the_named_series() {
+        let registry = Registry::new();
+        registry.counter("req_total", "all requests").add(7);
+        registry.counter("req_total_errors", "longer name").add(2);
+        registry
+            .counter(&labeled("req_total", &[("kind", "stats")]), "")
+            .add(3);
+        registry.gauge("depth", "queue depth").set(-4);
+        let text = registry.render_prometheus();
+        assert_eq!(sample(&text, "req_total"), Some(7.0));
+        assert_eq!(sample(&text, "req_total{kind=\"stats\"}"), Some(3.0));
+        assert_eq!(sample(&text, "req_total_errors"), Some(2.0));
+        assert_eq!(sample(&text, "depth"), Some(-4.0));
+        // A longer name that begins with the one asked for is not it.
+        assert_eq!(sample(&text, "req"), None);
+        assert_eq!(sample(&text, "req_tot"), None);
+        // `# HELP`/`# TYPE` lines never match, even where they name it.
+        assert_eq!(
+            sample(
+                "# HELP req_total 5\n# TYPE req_total counter\n",
+                "req_total"
+            ),
+            None
+        );
+        assert_eq!(sample(&text, "missing_total"), None);
     }
 
     #[test]

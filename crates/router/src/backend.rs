@@ -238,25 +238,16 @@ impl BackendConn {
             }
         }
         let config = ClientConfig::default().with_connect_timeout(BACKEND_CONNECT_TIMEOUT);
-        let stream = {
-            // Reuse FlowClient's transient-retry logic for the raw stream.
-            let client = FlowClient::connect_retry(addr, &config, BACKEND_CONNECT_ATTEMPTS)?;
-            client.into_stream()?
-        };
-        let mut writer = stream.try_clone()?;
-        let mut reader = BufReader::new(stream);
+        let mut client = FlowClient::connect_retry(addr, &config, BACKEND_CONNECT_ATTEMPTS)?;
         if let Some(token) = auth_token {
-            writeln!(writer, "{}", flowistry_server::codec::encode_auth(token))?;
-            writer.flush()?;
-            let mut line = String::new();
-            reader.read_line(&mut line)?;
-            if line.trim_end() != flowistry_server::codec::AUTHED_LINE {
-                return Err(io::Error::new(
-                    io::ErrorKind::PermissionDenied,
-                    format!("backend {addr} rejected auth: {}", line.trim_end()),
-                ));
-            }
+            client.auth(token)?;
         }
+        // A backend sends nothing after `authed` until it gets a request,
+        // so the client's read buffer is empty and the raw stream loses
+        // nothing.
+        let stream = client.into_stream()?;
+        let writer = stream.try_clone()?;
+        let mut reader = BufReader::new(stream);
         let inflight: Arc<Mutex<VecDeque<Sender<String>>>> = Arc::new(Mutex::new(VecDeque::new()));
         let dead = Arc::new(AtomicBool::new(false));
         {
@@ -610,5 +601,29 @@ impl Backend {
         self.record_send_success();
         self.metrics.respawns.inc();
         Ok(addr)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn data_connections_authenticate_through_the_client_handshake() {
+        let launcher = InProcessLauncher {
+            source: "fn f(x: i32) -> i32 { return x; }".to_string(),
+            workers: 1,
+            cache_dir: None,
+            auth_token: Some("right".to_string()),
+        };
+        let backend = launcher.launch().expect("launch backend");
+        let refused = BackendConn::open(backend.addr, Some("wrong"))
+            .err()
+            .expect("wrong token accepted");
+        assert_eq!(refused.kind(), io::ErrorKind::PermissionDenied);
+        // After `authed`, the raw stream carries the first reply intact.
+        let mut conn = BackendConn::open(backend.addr, Some("right")).expect("right token");
+        let reply = conn.send("stats").expect("send").recv().expect("reply");
+        assert!(reply.starts_with("stats 0 "), "{reply}");
     }
 }

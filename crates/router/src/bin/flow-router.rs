@@ -24,6 +24,7 @@
 //! client connection, exactly like the same flags on `flow-server`.
 
 use flowistry_router::{FlowRouter, ProcessLauncher, RouterConfig};
+use flowistry_server::ServerConfig;
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -55,11 +56,11 @@ fn main() -> ExitCode {
     let mut cache_dir: Option<String> = None;
     let mut workers = 0usize;
     let mut vnodes = 0usize;
-    let mut auth_token = std::env::var("FLOW_ROUTER_AUTH_TOKEN").ok();
+    let mut edge = ServerConfig {
+        auth_token: std::env::var("FLOW_ROUTER_AUTH_TOKEN").ok(),
+        ..ServerConfig::default()
+    };
     let mut backend_auth_token = std::env::var("FLOW_SERVER_AUTH_TOKEN").ok();
-    let mut rate_limit = 0f64;
-    let mut burst = 0u32;
-    let mut max_line_bytes = 0usize;
 
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -95,28 +96,14 @@ fn main() -> ExitCode {
                 Some(v) => vnodes = v,
                 None => return usage(),
             },
-            "--auth-token" => match flag_value("--auth-token") {
-                Some(v) => auth_token = Some(v),
-                None => return usage(),
-            },
             "--backend-auth-token" => match flag_value("--backend-auth-token") {
                 Some(v) => backend_auth_token = Some(v),
                 None => return usage(),
             },
-            "--rate-limit" => match flag_value("--rate-limit").and_then(|v| v.parse().ok()) {
-                Some(v) => rate_limit = v,
-                None => return usage(),
+            flag if ServerConfig::FLAGS.contains(&flag) => match flag_value(flag) {
+                Some(v) if edge.set_flag(flag, &v) => {}
+                _ => return usage(),
             },
-            "--burst" => match flag_value("--burst").and_then(|v| v.parse().ok()) {
-                Some(v) => burst = v,
-                None => return usage(),
-            },
-            "--max-line-bytes" => {
-                match flag_value("--max-line-bytes").and_then(|v| v.parse().ok()) {
-                    Some(v) => max_line_bytes = v,
-                    None => return usage(),
-                }
-            }
             other if source_path.is_none() && !other.starts_with('-') => {
                 source_path = Some(other.to_string());
             }
@@ -165,11 +152,12 @@ fn main() -> ExitCode {
         })
         .collect();
 
-    let mut config = RouterConfig::default().with_rate_limit(rate_limit, burst);
-    config.vnodes = vnodes;
-    config.max_line_bytes = max_line_bytes;
-    config.auth_token = auth_token;
-    config.backend_auth_token = backend_auth_token;
+    let config = RouterConfig {
+        vnodes,
+        edge,
+        backend_auth_token,
+        ..RouterConfig::default()
+    };
 
     let router = match FlowRouter::start(launchers, addr.as_str(), config) {
         Ok(r) => r,

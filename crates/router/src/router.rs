@@ -44,28 +44,19 @@ const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 /// Attempts per routed request across ring successors.
 const RETRY_ATTEMPTS: u32 = 3;
 
-/// Fleet-front configuration. The budget knobs (auth, rate, line size)
-/// mirror [`flowistry_server::ServerConfig`] — the router applies them at
-/// the edge so hostile traffic is rejected before it touches a backend.
+/// Fleet-front configuration. The router applies the same budgets as a
+/// `flow-server` (auth, connection cap, rate, line and update size) at the
+/// shared connection edge, so hostile traffic is rejected before it
+/// touches a backend; `edge` holds them.
 #[derive(Clone, Debug, Default)]
 pub struct RouterConfig {
     /// Virtual nodes per backend on the hash ring (`0` = default).
     pub vnodes: usize,
-    /// Live client connection cap (`0` = `FLOWISTRY_ENGINE_THREADS` or
-    /// available parallelism).
-    pub max_connections: usize,
-    /// Token clients must present via `auth` (`None` = open front).
-    pub auth_token: Option<String>,
+    /// The client-facing edge's budgets, with the defaults
+    /// [`ServerConfig`] documents.
+    pub edge: ServerConfig,
     /// Token the router presents to backends (`None` = backends are open).
     pub backend_auth_token: Option<String>,
-    /// Per-connection request rate budget (`0.0` = unlimited).
-    pub rate_limit: f64,
-    /// Burst ceiling for the rate budget (`0` = 64).
-    pub rate_burst: u32,
-    /// Request-line size budget in bytes (`0` = 1 MiB).
-    pub max_line_bytes: usize,
-    /// `update` body size budget in bytes (`0` = 16 MiB).
-    pub max_update_bytes: usize,
     /// Health-probe period (`None` = 250ms).
     pub health_interval: Option<Duration>,
     /// Consecutive probe failures before a respawn (`0` = 3).
@@ -78,7 +69,7 @@ pub struct RouterConfig {
 impl RouterConfig {
     /// Sets the client-facing auth token.
     pub fn with_auth_token(mut self, token: impl Into<String>) -> Self {
-        self.auth_token = Some(token.into());
+        self.edge = self.edge.with_auth_token(token);
         self
     }
 
@@ -90,20 +81,19 @@ impl RouterConfig {
 
     /// Sets the per-connection rate budget.
     pub fn with_rate_limit(mut self, per_sec: f64, burst: u32) -> Self {
-        self.rate_limit = per_sec;
-        self.rate_burst = burst;
+        self.edge = self.edge.with_rate_limit(per_sec, burst);
         self
     }
 
     /// Sets the request-line size budget.
     pub fn with_max_line_bytes(mut self, bytes: usize) -> Self {
-        self.max_line_bytes = bytes;
+        self.edge = self.edge.with_max_line_bytes(bytes);
         self
     }
 
     /// Sets the live client connection cap.
     pub fn with_max_connections(mut self, max: usize) -> Self {
-        self.max_connections = max;
+        self.edge = self.edge.with_max_connections(max);
         self
     }
 
@@ -123,18 +113,6 @@ impl RouterConfig {
     pub fn with_registry(mut self, registry: Arc<Registry>) -> Self {
         self.registry = Some(registry);
         self
-    }
-
-    /// The budgets the shared connection edge enforces at the front.
-    fn edge_config(&self) -> ServerConfig {
-        ServerConfig {
-            max_connections: self.max_connections,
-            auth_token: self.auth_token.clone(),
-            rate_limit: self.rate_limit,
-            rate_burst: self.rate_burst,
-            max_line_bytes: self.max_line_bytes,
-            max_update_bytes: self.max_update_bytes,
-        }
     }
 
     fn effective_health_interval(&self) -> Duration {
@@ -556,7 +534,6 @@ impl FlowRouter {
         }
         let ring = HashRing::new(backends.len(), config.vnodes);
         let metrics = RouterMetrics::new(&registry);
-        let edge_config = config.edge_config();
         let shared = Arc::new(RouterShared {
             backends,
             ring,
@@ -567,7 +544,7 @@ impl FlowRouter {
             latest_update: Mutex::new(None),
             round_robin: AtomicU64::new(0),
         });
-        let edge = Edge::bind(shared.clone(), addr, edge_config, &registry)?;
+        let edge = Edge::bind(shared.clone(), addr, shared.config.edge.clone(), &registry)?;
         let health_handle = {
             let stop = edge.shutdown_flag();
             std::thread::Builder::new()

@@ -8,7 +8,7 @@ use flowistry_engine::{QueryRequest, QueryResponse};
 use flowistry_lang::types::FuncId;
 use flowistry_obs::Registry;
 use flowistry_router::{BackendLauncher, FlowRouter, InProcessLauncher, RouterConfig};
-use flowistry_server::{ClientConfig, FlowClient};
+use flowistry_server::{ClientConfig, FlowClient, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::sync::Arc;
 use std::time::Duration;
@@ -145,7 +145,7 @@ fn oversize_lines_are_drained_and_answered() {
 fn update_budget_is_configurable() {
     let config = RouterConfig {
         // Between the 46-byte replacement below and the 55-byte seed.
-        max_update_bytes: 50,
+        edge: ServerConfig::default().with_max_update_bytes(50),
         ..RouterConfig::default()
     };
     let router = fleet(config);

@@ -22,7 +22,7 @@ use flowistry_core::{AnalysisParams, Condition};
 use flowistry_corpus::layered_program;
 use flowistry_engine::{Policy, QueryRequest, QueryResponse, Reference};
 use flowistry_lang::types::FuncId;
-use flowistry_obs::Registry;
+use flowistry_obs::{sample, Registry};
 use flowistry_router::{BackendLauncher, FlowRouter, InProcessLauncher, RouterConfig};
 use flowistry_server::{ClientConfig, FlowClient};
 use std::sync::Arc;
@@ -30,19 +30,6 @@ use std::time::{Duration, Instant};
 
 const FRONT_TOKEN: &str = "fleet-front-token";
 const BACKEND_TOKEN: &str = "fleet-backend-token";
-
-/// The value of the series named exactly `series` in Prometheus text.
-fn sample(text: &str, series: &str) -> f64 {
-    let value = text
-        .lines()
-        .filter(|l| !l.starts_with('#'))
-        .find_map(|l| {
-            l.strip_prefix(series)
-                .and_then(|rest| rest.strip_prefix(' '))
-        })
-        .unwrap_or_else(|| panic!("series {series} missing from scrape"));
-    value.parse().unwrap_or_else(|e| panic!("{series}: {e}"))
-}
 
 /// Whether a response is the router's synthesized loss error — the one
 /// answer a client may legitimately see during the chaos window, and the
@@ -286,12 +273,12 @@ fn hammer_through_router(workers: usize) {
             &registry.render_prometheus(),
             "flow_router_backend_respawns_total{backend=\"1\"}",
         );
-        if respawns >= 1.0 && router.backend_healthy(1) {
+        if respawns >= Some(1.0) && router.backend_healthy(1) {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "backend 1 was never respawned (respawns={respawns}, healthy={})",
+            "backend 1 was never respawned (respawns={respawns:?}, healthy={})",
             router.backend_healthy(1)
         );
         std::thread::sleep(Duration::from_millis(25));
@@ -318,19 +305,22 @@ fn hammer_through_router(workers: usize) {
     // The router's own metrics answer the wire `metrics` verb (the fleet
     // registry, not any single backend's), and must record the run.
     let scrape = client.metrics().expect("router metrics scrape");
-    assert!(sample(&scrape, "flow_router_requests_total") >= (8 * 30) as f64);
-    assert_eq!(sample(&scrape, "flow_router_updates_total"), 3.0);
-    assert!(sample(&scrape, "flow_router_backend_respawns_total{backend=\"1\"}") >= 1.0);
+    assert!(sample(&scrape, "flow_router_requests_total") >= Some((8 * 30) as f64));
+    assert_eq!(sample(&scrape, "flow_router_updates_total"), Some(3.0));
+    assert!(sample(&scrape, "flow_router_backend_respawns_total{backend=\"1\"}") >= Some(1.0));
     assert_eq!(
         sample(&scrape, "flow_router_backend_respawns_total{backend=\"0\"}"),
-        0.0
+        Some(0.0)
     );
-    assert!(sample(&scrape, "flow_router_auth_failures_total") >= 3.0);
+    assert!(sample(&scrape, "flow_router_auth_failures_total") >= Some(3.0));
     assert_eq!(
         sample(&scrape, "flow_router_backend_healthy{backend=\"1\"}"),
-        1.0
+        Some(1.0)
     );
-    assert_eq!(sample(&scrape, "flow_router_decode_errors_total"), 0.0);
+    assert_eq!(
+        sample(&scrape, "flow_router_decode_errors_total"),
+        Some(0.0)
+    );
     // Route latency per kind the clients issued (decode to flush, including
     // any failover retries), read off the router's registry.
     for kind in ["results", "summary", "slice", "policy", "lint", "stats"] {
@@ -343,7 +333,7 @@ fn hammer_through_router(workers: usize) {
     }
     // 11 fronts: 8 stress clients, the updater, the unauthed probe, this
     // checker.
-    assert_eq!(sample(&scrape, "flow_router_connections_total"), 11.0);
+    assert_eq!(sample(&scrape, "flow_router_connections_total"), Some(11.0));
 
     // Graceful wire shutdown: the router acks with `bye`, tears the fleet
     // down, and `wait()` returns.

@@ -74,13 +74,12 @@ fn main() -> ExitCode {
     let mut addr = "127.0.0.1:0".to_string();
     let mut workers = 0usize;
     let mut queue = 256usize;
-    let mut max_conns = 0usize;
     let mut stats_interval = 0u64;
     let mut cache_dir: Option<String> = None;
-    let mut auth_token = std::env::var("FLOW_SERVER_AUTH_TOKEN").ok();
-    let mut rate_limit = 0f64;
-    let mut burst = 0u32;
-    let mut max_line_bytes = 0usize;
+    let mut edge = ServerConfig {
+        auth_token: std::env::var("FLOW_SERVER_AUTH_TOKEN").ok(),
+        ..ServerConfig::default()
+    };
 
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -105,7 +104,7 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--max-conns" => match flag_value("--max-conns").and_then(|v| v.parse().ok()) {
-                Some(v) => max_conns = v,
+                Some(v) => edge.max_connections = v,
                 None => return usage(),
             },
             "--stats-interval" => {
@@ -118,24 +117,10 @@ fn main() -> ExitCode {
                 Some(v) => cache_dir = Some(v),
                 None => return usage(),
             },
-            "--auth-token" => match flag_value("--auth-token") {
-                Some(v) => auth_token = Some(v),
-                None => return usage(),
+            flag if ServerConfig::FLAGS.contains(&flag) => match flag_value(flag) {
+                Some(v) if edge.set_flag(flag, &v) => {}
+                _ => return usage(),
             },
-            "--rate-limit" => match flag_value("--rate-limit").and_then(|v| v.parse().ok()) {
-                Some(v) => rate_limit = v,
-                None => return usage(),
-            },
-            "--burst" => match flag_value("--burst").and_then(|v| v.parse().ok()) {
-                Some(v) => burst = v,
-                None => return usage(),
-            },
-            "--max-line-bytes" => {
-                match flag_value("--max-line-bytes").and_then(|v| v.parse().ok()) {
-                    Some(v) => max_line_bytes = v,
-                    None => return usage(),
-                }
-            }
             other if source_path.is_none() && !other.starts_with('-') => {
                 source_path = Some(other.to_string());
             }
@@ -174,14 +159,7 @@ fn main() -> ExitCode {
             .with_workers(workers)
             .with_queue_capacity(queue),
     );
-    let mut server_config = ServerConfig::default()
-        .with_max_connections(max_conns)
-        .with_rate_limit(rate_limit, burst)
-        .with_max_line_bytes(max_line_bytes);
-    if let Some(token) = auth_token {
-        server_config = server_config.with_auth_token(token);
-    }
-    let server = match FlowServer::bind(service, addr.as_str(), server_config) {
+    let server = match FlowServer::bind(service, addr.as_str(), edge) {
         Ok(s) => s,
         Err(e) => {
             flowistry_obs::error!("cannot bind {addr}: {e}");

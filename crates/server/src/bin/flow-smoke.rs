@@ -29,12 +29,11 @@ use flowistry_engine::{Policy, QueryRequest, QueryResponse, Reference};
 use flowistry_lang::mir::{BasicBlock, Location, Place};
 use flowistry_lang::types::FuncId;
 use flowistry_lint::LintPass;
+use flowistry_obs::sample;
 use flowistry_server::{codec, ClientConfig, FlowClient};
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Transient-failure connect budget: ~12 attempts backing off 1ms → 100ms
 /// covers a server that is still binding without stalling a broken CI run
@@ -61,16 +60,6 @@ fn check(ok: bool, what: &str) -> Result<(), String> {
     }
 }
 
-/// The value of the first sample whose series name starts with `prefix`,
-/// from Prometheus exposition text.
-fn sample_value(text: &str, prefix: &str) -> Option<f64> {
-    text.lines()
-        .filter(|l| !l.starts_with('#'))
-        .find(|l| l.starts_with(prefix))
-        .and_then(|l| l.rsplit(' ').next())
-        .and_then(|v| v.parse().ok())
-}
-
 /// Scrapes metrics twice around one extra request and checks the required
 /// series are present with monotonically advancing counters.
 fn check_metrics(
@@ -91,7 +80,7 @@ fn check_metrics(
         "flow_server_request_wire_seconds_count{kind=\"stats\"}",
     ] {
         check(
-            sample_value(&first, series).is_some(),
+            sample(&first, series).is_some(),
             &format!("metrics scrape contains {series}"),
         )?;
     }
@@ -105,8 +94,8 @@ fn check_metrics(
         "flow_server_bytes_written_total",
         "flow_service_requests_total{kind=\"stats\"}",
     ] {
-        let a = sample_value(&first, series).unwrap_or(0.0);
-        let b = sample_value(&second, series).unwrap_or(0.0);
+        let a = sample(&first, series).unwrap_or(0.0);
+        let b = sample(&second, series).unwrap_or(0.0);
         check(
             b > a,
             &format!("{series} advanced across scrapes ({a} -> {b})"),
@@ -114,35 +103,6 @@ fn check_metrics(
     }
     print!("{second}");
     Ok(())
-}
-
-/// Connects a raw socket, retrying transient refusals (server still
-/// binding) with the same capped backoff as [`FlowClient::connect_retry`].
-fn connect_raw_retry(addr: &str) -> std::io::Result<TcpStream> {
-    let mut backoff = Duration::from_millis(1);
-    let cap = Duration::from_millis(100);
-    let mut last_err = None;
-    for attempt in 0..CONNECT_ATTEMPTS {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::ConnectionRefused
-                        | std::io::ErrorKind::ConnectionReset
-                        | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                last_err = Some(e);
-                if attempt + 1 < CONNECT_ATTEMPTS {
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(cap);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last_err.expect("at least one attempt"))
 }
 
 /// Round-trips a `lint` query (checked bit-exact against the reference's
@@ -177,14 +137,24 @@ fn check_lint(
         "flow_lint_findings_total",
         "flow_service_requests_total{kind=\"lint\"}",
     ] {
-        let a = sample_value(&first, series).unwrap_or(0.0);
-        let b = sample_value(&second, series).unwrap_or(0.0);
+        let a = sample(&first, series).unwrap_or(0.0);
+        let b = sample(&second, series).unwrap_or(0.0);
         check(
             b > a,
             &format!("{series} advanced across scrapes ({a} -> {b})"),
         )?;
     }
     Ok(())
+}
+
+/// Connects with [`FlowClient::connect_retry`] and, given a token, sends
+/// the `auth` preamble.
+fn connect(addr: &str, auth: Option<&str>) -> std::io::Result<FlowClient> {
+    let mut client = FlowClient::connect_retry(addr, &ClientConfig::default(), CONNECT_ATTEMPTS)?;
+    if let Some(token) = auth {
+        client.auth(token)?;
+    }
+    Ok(client)
 }
 
 fn run(
@@ -196,22 +166,16 @@ fn run(
 ) -> Result<(), String> {
     let fail = |e: std::io::Error| format!("i/o against {addr}: {e}");
 
-    // Phase 1, raw socket: garbage never kills the connection — each bad
-    // line yields a structured `error` response and the line after it is
-    // served normally.
+    // Phase 1, the raw socket of an authenticated client: garbage never
+    // kills the connection — each bad line yields a structured `error`
+    // response and the line after it is served normally.
     {
-        let stream = connect_raw_retry(addr).map_err(fail)?;
+        let stream = connect(addr, auth)
+            .and_then(FlowClient::into_stream)
+            .map_err(fail)?;
         let mut reader = BufReader::new(stream.try_clone().map_err(fail)?);
         let mut writer = stream;
         let mut line = String::new();
-        if let Some(token) = auth {
-            writeln!(writer, "{}", codec::encode_auth(token)).map_err(fail)?;
-            reader.read_line(&mut line).map_err(fail)?;
-            check(
-                line.trim_end() == codec::AUTHED_LINE,
-                &format!("auth preamble acked (got {line:?})"),
-            )?;
-        }
         writer
             .write_all(b"complete garbage\nsummary notanumber\nstats\n")
             .map_err(fail)?;
@@ -246,11 +210,7 @@ fn run(
         "fixture produces an IFC violation",
     )?;
 
-    let mut client = FlowClient::connect_retry(addr, &ClientConfig::default(), CONNECT_ATTEMPTS)
-        .map_err(fail)?;
-    if let Some(token) = auth {
-        client.auth(token).map_err(fail)?;
-    }
+    let mut client = connect(addr, auth).map_err(fail)?;
     let epoch = client.update(SOURCE).map_err(fail)?;
 
     // Summary, full per-location results, the backward slice of the

@@ -318,20 +318,11 @@ fn decode_location(s: &str) -> Result<Location, String> {
 }
 
 fn encode_locations(locs: &BTreeSet<Location>) -> String {
-    if locs.is_empty() {
-        return "-".to_string();
-    }
-    locs.iter()
-        .map(|&l| encode_location(l))
-        .collect::<Vec<_>>()
-        .join("+")
+    join_or_dash(locs, '+', |out, &l| out.push_str(&encode_location(l)))
 }
 
 fn decode_locations(s: &str) -> Result<BTreeSet<Location>, String> {
-    if s == "-" {
-        return Ok(BTreeSet::new());
-    }
-    s.split('+').map(decode_location).collect()
+    split_list(s, '+').map(decode_location).collect()
 }
 
 fn encode_dep(dep: &flowistry_core::Dep) -> String {
@@ -427,17 +418,20 @@ fn push_delta<'a>(out: &mut String, rows: &mut RowIds<'a>, delta: &'a [DeltaEntr
     }
 }
 
-/// Joins encoded items with `sep`, or `-` for an empty list.
-fn join_or_dash<'a, T>(
-    items: &'a [T],
+/// Joins encoded items with `sep`, or `-` for an empty list; every list
+/// field of the grammar is written through this and read back through
+/// [`split_list`].
+fn join_or_dash<T>(
+    items: impl IntoIterator<Item = T>,
     sep: char,
-    mut encode: impl FnMut(&mut String, &'a T),
+    mut encode: impl FnMut(&mut String, T),
 ) -> String {
-    if items.is_empty() {
+    let mut items = items.into_iter().peekable();
+    if items.peek().is_none() {
         return "-".to_string();
     }
     let mut out = String::new();
-    for (i, item) in items.iter().enumerate() {
+    for (i, item) in items.enumerate() {
         if i > 0 {
             out.push(sep);
         }
@@ -671,40 +665,24 @@ fn decode_results(fields: &[&str]) -> Result<InfoFlowResults, String> {
 // Slices, IFC policies and reports, stats
 
 fn encode_lines(lines: &BTreeSet<usize>) -> String {
-    if lines.is_empty() {
-        return "-".to_string();
-    }
-    lines
-        .iter()
-        .map(|l| l.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
+    join_or_dash(lines, ',', |out, l| {
+        let _ = write!(out, "{l}");
+    })
 }
 
 fn decode_lines(s: &str) -> Result<BTreeSet<usize>, String> {
-    if s == "-" {
-        return Ok(BTreeSet::new());
-    }
-    s.split(',').map(|l| parse_num(l, "line")).collect()
+    split_list(s, ',').map(|l| parse_num(l, "line")).collect()
 }
 
 /// Encodes a list of `(function, name)` pairs as `f:n`, `,`-joined.
 fn encode_pairs(pairs: &[(String, String)]) -> String {
-    if pairs.is_empty() {
-        return "-".to_string();
-    }
-    pairs
-        .iter()
-        .map(|(f, n)| format!("{}:{}", esc(f), esc(n)))
-        .collect::<Vec<_>>()
-        .join(",")
+    join_or_dash(pairs, ',', |out, (f, n)| {
+        let _ = write!(out, "{}:{}", esc(f), esc(n));
+    })
 }
 
 fn decode_pairs(s: &str) -> Result<Vec<(String, String)>, String> {
-    if s == "-" {
-        return Ok(Vec::new());
-    }
-    s.split(',')
+    split_list(s, ',')
         .map(|pair| {
             let (f, n) = pair
                 .split_once(':')
@@ -756,21 +734,13 @@ fn decode_opt_name(s: &str) -> Result<Option<String>, String> {
 
 /// Encodes `(function, name, label)` triples as `f:n:l`, `,`-joined.
 fn encode_triples(triples: &[(String, String, String)]) -> String {
-    if triples.is_empty() {
-        return "-".to_string();
-    }
-    triples
-        .iter()
-        .map(|(f, n, l)| format!("{}:{}:{}", esc(f), esc(n), esc(l)))
-        .collect::<Vec<_>>()
-        .join(",")
+    join_or_dash(triples, ',', |out, (f, n, l)| {
+        let _ = write!(out, "{}:{}:{}", esc(f), esc(n), esc(l));
+    })
 }
 
 fn decode_triples(s: &str) -> Result<Vec<(String, String, String)>, String> {
-    if s == "-" {
-        return Ok(Vec::new());
-    }
-    s.split(',')
+    split_list(s, ',')
         .map(|triple| {
             let fields: Vec<&str> = triple.split(':').collect();
             let [f, n, l] = fields[..] else {
@@ -797,21 +767,13 @@ fn decode_policy(fields: &[&str; 7]) -> Result<Policy, String> {
 /// Encodes a flow witness as `location:line` steps joined with `+` (`-`
 /// when empty) — shared between IFC diagnostics and lint findings.
 fn encode_witness(witness: &[WitnessStep]) -> String {
-    if witness.is_empty() {
-        return "-".to_string();
-    }
-    witness
-        .iter()
-        .map(|w| format!("{}:{}", encode_location(w.location), w.line))
-        .collect::<Vec<_>>()
-        .join("+")
+    join_or_dash(witness, '+', |out, w| {
+        let _ = write!(out, "{}:{}", encode_location(w.location), w.line);
+    })
 }
 
 fn decode_witness(s: &str) -> Result<Vec<WitnessStep>, String> {
-    if s == "-" {
-        return Ok(Vec::new());
-    }
-    s.split('+')
+    split_list(s, '+')
         .map(|step| {
             let (loc, line) = step
                 .rsplit_once(':')
@@ -825,42 +787,24 @@ fn decode_witness(s: &str) -> Result<Vec<WitnessStep>, String> {
 }
 
 fn encode_diagnostics(diags: &[IfcDiagnostic]) -> String {
-    if diags.is_empty() {
-        return "-".to_string();
-    }
-    diags
-        .iter()
-        .map(|d| {
-            let sources = if d.sources.is_empty() {
-                "-".to_string()
-            } else {
-                d.sources
-                    .iter()
-                    .map(|s| esc(s))
-                    .collect::<Vec<_>>()
-                    .join("+")
-            };
-            format!(
-                "{},{},{},{},{},{},{},{}",
-                esc(&d.in_function),
-                esc(&d.sink),
-                encode_location(d.location),
-                d.line,
-                esc(&d.incoming_label),
-                esc(&d.clearance),
-                sources,
-                encode_witness(&d.witness)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join("|")
+    join_or_dash(diags, '|', |out, d| {
+        let _ = write!(
+            out,
+            "{},{},{},{},{},{},{},{}",
+            esc(&d.in_function),
+            esc(&d.sink),
+            encode_location(d.location),
+            d.line,
+            esc(&d.incoming_label),
+            esc(&d.clearance),
+            join_or_dash(&d.sources, '+', |out, s| out.push_str(&esc(s))),
+            encode_witness(&d.witness)
+        );
+    })
 }
 
 fn decode_diagnostics(s: &str) -> Result<Vec<IfcDiagnostic>, String> {
-    if s == "-" {
-        return Ok(Vec::new());
-    }
-    s.split('|')
+    split_list(s, '|')
         .map(|diag| {
             let fields: Vec<&str> = diag.split(',').collect();
             let [in_function, sink, location, line, incoming, clearance, sources, witness] =
@@ -868,11 +812,9 @@ fn decode_diagnostics(s: &str) -> Result<Vec<IfcDiagnostic>, String> {
             else {
                 return Err(format!("diagnostic has {} fields, want 8", fields.len()));
             };
-            let sources = if sources == "-" {
-                Vec::new()
-            } else {
-                sources.split('+').map(unesc).collect::<Result<_, _>>()?
-            };
+            let sources = split_list(sources, '+')
+                .map(unesc)
+                .collect::<Result<_, _>>()?;
             let witness = decode_witness(witness)?;
             Ok(IfcDiagnostic {
                 in_function: unesc(in_function)?,
@@ -889,30 +831,21 @@ fn decode_diagnostics(s: &str) -> Result<Vec<IfcDiagnostic>, String> {
 }
 
 fn encode_findings(findings: &[LintFinding]) -> String {
-    if findings.is_empty() {
-        return "-".to_string();
-    }
-    findings
-        .iter()
-        .map(|f| {
-            format!(
-                "{},{},{},{},{}",
-                f.pass.name(),
-                esc(&f.function),
-                esc(&f.message),
-                f.line,
-                encode_witness(&f.witness)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join("|")
+    join_or_dash(findings, '|', |out, f| {
+        let _ = write!(
+            out,
+            "{},{},{},{},{}",
+            f.pass.name(),
+            esc(&f.function),
+            esc(&f.message),
+            f.line,
+            encode_witness(&f.witness)
+        );
+    })
 }
 
 fn decode_findings(s: &str) -> Result<Vec<LintFinding>, String> {
-    if s == "-" {
-        return Ok(Vec::new());
-    }
-    s.split('|')
+    split_list(s, '|')
         .map(|finding| {
             let fields: Vec<&str> = finding.split(',').collect();
             let [pass, function, message, line, witness] = fields[..] else {

@@ -54,6 +54,34 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
+    /// The budget flags `flow-server` and `flow-router` share, each taking
+    /// one value; [`ServerConfig::set_flag`] parses them for both.
+    pub const FLAGS: [&'static str; 4] = [
+        "--auth-token",
+        "--rate-limit",
+        "--burst",
+        "--max-line-bytes",
+    ];
+
+    /// Sets the budget that `flag`, one of [`ServerConfig::FLAGS`], names
+    /// from its command-line `value`. Returns `false`, leaving the config
+    /// as it was, when `value` does not parse or `flag` is not one of them.
+    pub fn set_flag(&mut self, flag: &str, value: &str) -> bool {
+        fn parse<T: std::str::FromStr>(value: &str, budget: &mut T) -> bool {
+            value.parse().map(|v| *budget = v).is_ok()
+        }
+        match flag {
+            "--auth-token" => {
+                self.auth_token = Some(value.to_string());
+                true
+            }
+            "--rate-limit" => parse(value, &mut self.rate_limit),
+            "--burst" => parse(value, &mut self.rate_burst),
+            "--max-line-bytes" => parse(value, &mut self.max_line_bytes),
+            _ => false,
+        }
+    }
+
     /// Sets the live-connection cap (`0` = auto).
     pub fn with_max_connections(mut self, max: usize) -> Self {
         self.max_connections = max;

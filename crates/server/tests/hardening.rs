@@ -10,7 +10,7 @@ use flowistry_engine::{
     AnalysisEngine, EngineConfig, FlowService, QueryRequest, QueryResponse, ServiceConfig,
 };
 use flowistry_lang::types::FuncId;
-use flowistry_obs::Registry;
+use flowistry_obs::{sample, Registry};
 use flowistry_server::{ClientConfig, FlowClient, FlowServer, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -62,19 +62,6 @@ fn expect_summary(client: &mut FlowClient) {
     );
 }
 
-/// The value of the series named exactly `series` in Prometheus text.
-fn sample(text: &str, series: &str) -> f64 {
-    text.lines()
-        .filter(|l| !l.starts_with('#'))
-        .find_map(|l| {
-            l.strip_prefix(series)
-                .and_then(|rest| rest.strip_prefix(' '))
-        })
-        .unwrap_or_else(|| panic!("series {series} missing from scrape"))
-        .parse()
-        .unwrap_or_else(|e| panic!("{series}: {e}"))
-}
-
 #[test]
 fn auth_gate_rejects_until_token_accepted() {
     let server = serve(ServerConfig::default().with_auth_token("hunter2"));
@@ -99,7 +86,7 @@ fn auth_gate_rejects_until_token_accepted() {
 
     // The failed attempts are visible in the scrape.
     let scrape = client.metrics().expect("metrics after auth");
-    assert!(sample(&scrape, "flow_server_auth_failures_total") >= 3.0);
+    assert!(sample(&scrape, "flow_server_auth_failures_total") >= Some(3.0));
 
     // Tokens with wire-hostile bytes round-trip through the escaper.
     let spicy_server = serve(ServerConfig::default().with_auth_token("a b=c|d%20"));
@@ -135,7 +122,7 @@ fn rate_budget_rejects_spikes_with_structured_errors() {
     let mut neighbor = FlowClient::connect(server.local_addr()).unwrap();
     expect_summary(&mut neighbor);
     let scrape = neighbor.metrics().expect("metrics scrape");
-    assert!(sample(&scrape, "flow_server_rate_limited_total") >= 1.0);
+    assert!(sample(&scrape, "flow_server_rate_limited_total") >= Some(1.0));
 }
 
 #[test]

@@ -23,22 +23,9 @@ use flowistry_engine::{
     ServiceConfig,
 };
 use flowistry_lang::types::FuncId;
-use flowistry_obs::Registry;
+use flowistry_obs::{sample, Registry};
 use flowistry_server::{ClientConfig, FlowClient, FlowServer, ServerConfig};
 use std::sync::Arc;
-
-/// The value of the series named exactly `series` in Prometheus text.
-fn sample(text: &str, series: &str) -> f64 {
-    let value = text
-        .lines()
-        .filter(|l| !l.starts_with('#'))
-        .find_map(|l| {
-            l.strip_prefix(series)
-                .and_then(|rest| rest.strip_prefix(' '))
-        })
-        .unwrap_or_else(|| panic!("series {series} missing from scrape"));
-    value.parse().unwrap_or_else(|e| panic!("{series}: {e}"))
-}
 
 /// The scenario at one service worker count: 8 TCP clients race a TCP
 /// updater; every envelope is checked against the direct analysis of its
@@ -224,39 +211,45 @@ fn hammer_over_tcp(workers: usize) {
     let scrape = client.metrics().expect("wire metrics scrape");
     assert_eq!(
         sample(&scrape, "flow_service_requests_total{kind=\"results\"}"),
-        41.0
+        Some(41.0)
     );
     assert_eq!(
         sample(&scrape, "flow_service_requests_total{kind=\"summary\"}"),
-        40.0
+        Some(40.0)
     );
     assert_eq!(
         sample(&scrape, "flow_service_requests_total{kind=\"slice\"}"),
-        40.0
+        Some(40.0)
     );
     assert_eq!(
         sample(&scrape, "flow_service_requests_total{kind=\"policy\"}"),
-        40.0
+        Some(40.0)
     );
     assert_eq!(
         sample(&scrape, "flow_service_requests_total{kind=\"lint\"}"),
-        40.0
+        Some(40.0)
     );
     assert_eq!(
         sample(&scrape, "flow_service_requests_total{kind=\"stats\"}"),
-        41.0
+        Some(41.0)
     );
     assert_eq!(
         sample(&scrape, "flow_service_requests_total{kind=\"metrics\"}"),
-        1.0
+        Some(1.0)
     );
     assert_eq!(
         sample(&scrape, "flow_service_requests_total{kind=\"slice_at\"}"),
-        0.0
+        Some(0.0)
     );
-    assert_eq!(sample(&scrape, "flow_service_updates_applied_total"), 3.0);
-    assert_eq!(sample(&scrape, "flow_service_updates_failed_total"), 0.0);
-    assert_eq!(sample(&scrape, "flow_service_queue_depth"), 0.0);
+    assert_eq!(
+        sample(&scrape, "flow_service_updates_applied_total"),
+        Some(3.0)
+    );
+    assert_eq!(
+        sample(&scrape, "flow_service_updates_failed_total"),
+        Some(0.0)
+    );
+    assert_eq!(sample(&scrape, "flow_service_queue_depth"), Some(0.0));
     // Per-kind latency histograms: one total-latency observation per
     // already-answered request (the in-flight scrape itself is not yet
     // observed at render time).
@@ -265,14 +258,14 @@ fn hammer_over_tcp(workers: usize) {
             &scrape,
             "flow_service_request_seconds_count{kind=\"summary\"}"
         ),
-        40.0
+        Some(40.0)
     );
     assert_eq!(
         sample(
             &scrape,
             "flow_service_request_seconds_count{kind=\"results\"}"
         ),
-        41.0
+        Some(41.0)
     );
     // The same histograms as latency digests, read off the registry the
     // service records into: every exercised kind has a nonzero median and
@@ -290,11 +283,14 @@ fn hammer_over_tcp(workers: usize) {
     // Wire layer: 10 connections (8 stress clients, the updater, this
     // checker); every line decoded cleanly — 240 stress queries, 3
     // updates, and the checker's results + stats + metrics.
-    assert_eq!(sample(&scrape, "flow_server_connections_total"), 10.0);
-    assert_eq!(sample(&scrape, "flow_server_decode_errors_total"), 0.0);
-    assert_eq!(sample(&scrape, "flow_server_requests_total"), 246.0);
-    assert!(sample(&scrape, "flow_server_bytes_read_total") > 0.0);
-    assert!(sample(&scrape, "flow_server_bytes_written_total") > 0.0);
+    assert_eq!(sample(&scrape, "flow_server_connections_total"), Some(10.0));
+    assert_eq!(
+        sample(&scrape, "flow_server_decode_errors_total"),
+        Some(0.0)
+    );
+    assert_eq!(sample(&scrape, "flow_server_requests_total"), Some(246.0));
+    assert!(sample(&scrape, "flow_server_bytes_read_total") > Some(0.0));
+    assert!(sample(&scrape, "flow_server_bytes_written_total") > Some(0.0));
     // Wire latency is observed *after* the response bytes flush, so a
     // connection's last observation can still be in flight when the
     // scrape renders: allow one lagging request per client per kind.
@@ -304,14 +300,14 @@ fn hammer_over_tcp(workers: usize) {
             &format!("flow_server_request_wire_seconds_count{{kind=\"{kind}\"}}"),
         );
         assert!(
-            (32.0..=42.0).contains(&count),
-            "wire latency count for {kind} is {count}, expected ~40"
+            count.is_some_and(|count| (32.0..=42.0).contains(&count)),
+            "wire latency count for {kind} is {count:?}, expected ~40"
         );
     }
     // The engine under all of this analyzed every function at least once
     // per program version pushed.
     assert!(
-        sample(&scrape, "flow_engine_functions_analyzed_total") >= num_funcs as f64,
+        sample(&scrape, "flow_engine_functions_analyzed_total") >= Some(num_funcs as f64),
         "engine telemetry missing from the shared registry"
     );
 
