@@ -1,8 +1,9 @@
 //! The `results` wire form against real analyses of generated corpus
 //! crates: every function round-trips to an equal value, decoded states
 //! share exactly one row allocation per row-table entry, tree-domain and
-//! indexed results decode to equal values, and the `rav1e` driver payloads
-//! stay under a size gate.
+//! indexed results decode to equal values, the `rav1e` driver payloads
+//! stay under a size gate, and the encoded bytes of two whole crates are
+//! pinned by a hash.
 //!
 //! ```text
 //! cargo test --release -p flowistry-server --test results_wire
@@ -11,6 +12,7 @@
 use flowistry_core::{analyze, AnalysisParams, BitSet, Condition, DomainKind, InfoFlowResults};
 use flowistry_corpus::{paper_profiles, GeneratedCrate, DEFAULT_SEED};
 use flowistry_engine::{QueryEnvelope, QueryResponse};
+use flowistry_lang::types::FuncId;
 use flowistry_server::codec;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -138,4 +140,40 @@ fn rav1e_driver_payloads_stay_under_the_size_gate() {
         bytes <= GATE_BYTES,
         "{bytes} payload bytes exceed the {GATE_BYTES}-byte gate"
     );
+}
+
+/// 64-bit FNV-1a, folded over `bytes` starting from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The exact bytes of every `results` line of `rav1e` and `rocket`, under
+/// the Whole-program and Modular conditions. A codec change that keeps
+/// values equal but moves a byte (a different row numbering, a reordered
+/// entry) round-trips fine and still fails here: the other tests compare
+/// lines only with the same codec's own output.
+#[test]
+fn results_wire_bytes_of_two_crates_are_pinned() {
+    const LINES: usize = 224;
+    const BYTES: usize = 2_100_887;
+    const HASH: u64 = 0xe13a_80d7_d5e8_9e47;
+    let mut lines = 0;
+    let mut bytes = 0;
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for name in ["rav1e", "rocket"] {
+        let krate = corpus_crate(name);
+        for condition in [Condition::WHOLE_PROGRAM, Condition::MODULAR] {
+            let params = AnalysisParams::for_condition(condition);
+            for func in 0..krate.program.bodies.len() as u32 {
+                let line = encode(analyze(&krate.program, FuncId(func), &params));
+                lines += 1;
+                bytes += line.len();
+                hash = fnv1a(fnv1a(hash, line.as_bytes()), b"\n");
+            }
+        }
+    }
+    println!("{lines} results lines, {bytes} bytes, FNV-1a {hash:#018x}");
+    assert_eq!((lines, bytes, hash), (LINES, BYTES, HASH));
 }
