@@ -15,6 +15,7 @@ use crate::ast::{BinOp, Mutability, UnOp};
 use crate::span::Span;
 use crate::types::{FuncId, RegionVid, StructId, Ty};
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A local variable slot in a [`Body`].
 ///
@@ -99,32 +100,38 @@ pub enum PlaceElem {
 /// exactly by [`parse_projection`].
 pub fn encode_projection(projection: &[PlaceElem]) -> String {
     let mut out = String::new();
+    push_projection(&mut out, projection);
+    out
+}
+
+/// Appends [`encode_projection`]'s text for `projection` to `out`.
+pub fn push_projection(out: &mut String, projection: &[PlaceElem]) {
     for elem in projection {
         match elem {
             PlaceElem::Deref => out.push('*'),
             PlaceElem::Field(i) => {
                 out.push('.');
-                out.push_str(&i.to_string());
+                let _ = write!(out, "{i}");
             }
         }
     }
-    out
 }
 
 /// Parses [`encode_projection`]'s output. Returns `None` on any malformed
 /// text (codecs treat that as a decode failure, never a panic).
 pub fn parse_projection(text: &str) -> Option<Vec<PlaceElem>> {
     let mut out = Vec::new();
-    let mut chars = text.chars().peekable();
-    while let Some(c) = chars.next() {
+    let mut rest = text;
+    while let Some(c) = rest.bytes().next() {
         match c {
-            '*' => out.push(PlaceElem::Deref),
-            '.' => {
-                let mut digits = String::new();
-                while chars.peek().is_some_and(char::is_ascii_digit) {
-                    digits.push(chars.next()?);
-                }
-                out.push(PlaceElem::Field(digits.parse().ok()?));
+            b'*' => {
+                out.push(PlaceElem::Deref);
+                rest = &rest[1..];
+            }
+            b'.' => {
+                let digits = rest[1..].bytes().take_while(u8::is_ascii_digit).count();
+                out.push(PlaceElem::Field(rest[1..1 + digits].parse().ok()?));
+                rest = &rest[1 + digits..];
             }
             _ => return None,
         }

@@ -170,11 +170,16 @@ fn esc(s: &str) -> String {
     if s.is_empty() {
         return "%".to_string();
     }
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
     let mut out = String::with_capacity(s.len());
     for b in s.bytes() {
         match b {
-            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_' => out.push(b as char),
-            _ => out.push_str(&format!("%{b:02X}")),
+            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_' => out.push(char::from(b)),
+            _ => {
+                out.push('%');
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xF)]));
+            }
         }
     }
     out
@@ -203,6 +208,18 @@ fn unesc(s: &str) -> Result<String, String> {
 
 // ---------------------------------------------------------------------------
 // Trailing attributes
+
+/// The whitespace-separated fields of a line, as `line.split_whitespace()`
+/// gives them. A line of printable ASCII and spaces, as every well-formed
+/// line is, has no other whitespace, so it splits at its spaces with a
+/// byte search instead of a Unicode test per character.
+fn split_fields(line: &str) -> Vec<&str> {
+    if line.bytes().all(|b| (b' '..=b'~').contains(&b)) {
+        line.split(' ').filter(|field| !field.is_empty()).collect()
+    } else {
+        line.split_whitespace().collect()
+    }
+}
 
 /// Whether `key` is a valid attribute key (`[a-z][a-z0-9_]*`) — the shape
 /// no payload token's prefix-before-`=` can take (see the module docs).
@@ -270,7 +287,10 @@ fn num_attr(attrs: &[(&str, &str)], name: &str) -> Result<Option<u64>, String> {
 /// Appends ` <name>=<value>` for a present numeric attribute.
 fn append_num_attr(mut line: String, name: &str, value: Option<u64>) -> String {
     if let Some(value) = value {
-        line.push_str(&format!(" {name}={value}"));
+        line.push(' ');
+        line.push_str(name);
+        line.push('=');
+        push_num(&mut line, value);
     }
     line
 }
@@ -278,33 +298,72 @@ fn append_num_attr(mut line: String, name: &str, value: Option<u64>) -> String {
 // ---------------------------------------------------------------------------
 // Scalars, places, locations, dependency sets
 
+/// Writes the decimal digits of `n` into `buf`, ending before `end`, and
+/// returns where they start.
+fn put_digits(buf: &mut [u8], mut end: usize, mut n: u64) -> usize {
+    loop {
+        end -= 1;
+        buf[end] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return end;
+        }
+    }
+}
+
+/// Appends the decimal digits of `n`.
+fn push_num(out: &mut String, n: u64) {
+    let mut buf = [0u8; 20];
+    let start = put_digits(&mut buf, 20, n);
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits"));
+}
+
 fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse::<T>().map_err(|_| format!("bad {what} {s:?}"))
 }
 
-fn encode_place(place: &Place) -> String {
+/// Parses a place id, row id or dependency id of a `results` payload: a
+/// token of 1 to 9 plain digits straight from its bytes, any other token
+/// through [`parse_num`], so a sign, an overflow or a stray byte is
+/// accepted or rejected, with the same text, as there.
+fn parse_id(s: &str, what: &str) -> Result<u32, String> {
+    let bytes = s.as_bytes();
+    if !(1..=9).contains(&bytes.len()) {
+        return parse_num(s, what);
+    }
+    let mut n = 0;
+    for &b in bytes {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return parse_num(s, what);
+        }
+        n = n * 10 + u32::from(digit);
+    }
+    Ok(n)
+}
+
+fn encode_place(out: &mut String, place: &Place) {
     // Local digits + the same projection grammar the summary codec uses
     // (shared with flowistry-core through `flowistry_lang::mir`).
-    format!(
-        "{}{}",
-        place.local.0,
-        flowistry_lang::mir::encode_projection(&place.projection)
-    )
+    push_num(out, place.local.0.into());
+    flowistry_lang::mir::push_projection(out, &place.projection);
 }
 
 fn decode_place(s: &str) -> Result<Place, String> {
-    let digits: String = s.chars().take_while(char::is_ascii_digit).collect();
-    if digits.is_empty() {
+    let digits = s.bytes().take_while(u8::is_ascii_digit).count();
+    if digits == 0 {
         return Err(format!("bad place {s:?}: missing local"));
     }
-    let local = Local(parse_num(&digits, "local")?);
-    let projection = flowistry_lang::mir::parse_projection(&s[digits.len()..])
+    let local = Local(parse_num(&s[..digits], "local")?);
+    let projection = flowistry_lang::mir::parse_projection(&s[digits..])
         .ok_or_else(|| format!("bad place {s:?}: malformed projection"))?;
     Ok(Place { local, projection })
 }
 
-fn encode_location(loc: Location) -> String {
-    format!("{}.{}", loc.block.0, loc.statement_index)
+fn encode_location(out: &mut String, loc: Location) {
+    push_num(out, loc.block.0.into());
+    out.push('.');
+    push_num(out, loc.statement_index as u64);
 }
 
 fn decode_location(s: &str) -> Result<Location, String> {
@@ -318,17 +377,23 @@ fn decode_location(s: &str) -> Result<Location, String> {
 }
 
 fn encode_locations(locs: &BTreeSet<Location>) -> String {
-    join_or_dash(locs, '+', |out, &l| out.push_str(&encode_location(l)))
+    join_or_dash(locs, '+', |out, &l| encode_location(out, l))
 }
 
 fn decode_locations(s: &str) -> Result<BTreeSet<Location>, String> {
     split_list(s, '+').map(decode_location).collect()
 }
 
-fn encode_dep(dep: &flowistry_core::Dep) -> String {
+fn encode_dep(out: &mut String, dep: &flowistry_core::Dep) {
     match dep {
-        flowistry_core::Dep::Arg(l) => format!("a{}", l.0),
-        flowistry_core::Dep::Instr(loc) => format!("i{}", encode_location(*loc)),
+        flowistry_core::Dep::Arg(l) => {
+            out.push('a');
+            push_num(out, l.0.into());
+        }
+        flowistry_core::Dep::Instr(loc) => {
+            out.push('i');
+            encode_location(out, *loc);
+        }
     }
 }
 
@@ -343,45 +408,65 @@ fn decode_dep(s: &str) -> Result<flowistry_core::Dep, String> {
 // ---------------------------------------------------------------------------
 // Full per-location results: tables, rows and states
 
-/// Row ids of one `results` payload, deduplicated by allocation first and
-/// by content second, numbered in order of first use.
-#[derive(Default)]
+/// Row ids of one `results` payload: one per distinct row content,
+/// numbered in order of first use.
 struct RowIds<'a> {
-    by_ptr: HashMap<*const BitSet, u32>,
     by_content: HashMap<&'a BitSet, u32>,
     rows: Vec<&'a BitSet>,
+    /// Per place, the row last seen for it and that row's id: a place
+    /// mostly keeps its row from one state to the next, and this skips
+    /// the content hash.
+    last: Vec<(*const BitSet, u32)>,
 }
 
 impl<'a> RowIds<'a> {
-    /// The id of a non-empty row, assigning the next one on first use.
-    fn id(&mut self, row: &'a BitSet) -> u32 {
-        if let Some(&id) = self.by_ptr.get(&(row as *const BitSet)) {
-            return id;
+    fn new(places: usize) -> Self {
+        RowIds {
+            by_content: HashMap::new(),
+            rows: Vec::new(),
+            last: vec![(std::ptr::null(), 0); places],
+        }
+    }
+
+    /// The id of `place`'s row in a state (`None`: no dependencies),
+    /// assigning the next id to a row content on its first use.
+    fn of(&mut self, place: u32, row: Option<&'a BitSet>) -> Option<u32> {
+        let row = row?;
+        let ptr = row as *const BitSet;
+        let mut unlisted = (std::ptr::null(), 0);
+        let last = self.last.get_mut(place as usize).unwrap_or(&mut unlisted);
+        if last.0 == ptr {
+            return Some(last.1);
+        }
+        if row.is_empty() {
+            return None;
         }
         let next = self.rows.len() as u32;
         let id = *self.by_content.entry(row).or_insert(next);
         if id == next {
             self.rows.push(row);
         }
-        self.by_ptr.insert(row, id);
-        id
-    }
-
-    /// The id of a state's row for one place (`None`: no dependencies).
-    fn of(&mut self, row: Option<&'a BitSet>) -> Option<u32> {
-        row.filter(|r| !r.is_empty()).map(|r| self.id(r))
+        *last = (ptr, id);
+        Some(id)
     }
 }
 
-/// Appends one state entry: `<place>` or `<place>:<row>`.
+/// Appends one state entry: `<place>` or `<place>:<row>`, after a `,`
+/// unless it is the first.
 fn push_entry(out: &mut String, first: &mut bool, place: u32, row: Option<u32>) {
-    if !std::mem::take(first) {
-        out.push(',');
-    }
-    let _ = write!(out, "{place}");
+    // Written right to left into one buffer, then appended at once.
+    let mut buf = [0u8; 22];
+    let mut start = buf.len();
     if let Some(row) = row {
-        let _ = write!(out, ":{row}");
+        start = put_digits(&mut buf, start, row.into()) - 1;
+        buf[start] = b':';
     }
+    start = put_digits(&mut buf, start, place.into());
+    if !std::mem::take(first) {
+        start -= 1;
+        buf[start] = b',';
+    }
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("ASCII entry"));
 }
 
 /// Appends a full state: every present place, in place order; `~` if
@@ -389,7 +474,7 @@ fn push_entry(out: &mut String, first: &mut bool, place: u32, row: Option<u32>) 
 fn push_state<'a>(out: &mut String, rows: &mut RowIds<'a>, state: &'a IndexedTheta) {
     let mut first = true;
     for (place, row) in state.entries() {
-        push_entry(out, &mut first, place, rows.of(row));
+        push_entry(out, &mut first, place, rows.of(place, row));
     }
     if first {
         out.push('~');
@@ -403,13 +488,14 @@ fn push_delta<'a>(out: &mut String, rows: &mut RowIds<'a>, delta: &'a [DeltaEntr
     for entry in delta {
         match entry {
             DeltaEntry::Set(place, row) => {
-                push_entry(out, &mut first, *place, rows.of(row.as_deref()))
+                push_entry(out, &mut first, *place, rows.of(*place, row.as_deref()))
             }
             DeltaEntry::Remove(place) => {
                 if !std::mem::take(&mut first) {
                     out.push(',');
                 }
-                let _ = write!(out, "!{place}");
+                out.push('!');
+                push_num(out, (*place).into());
             }
         }
     }
@@ -418,77 +504,115 @@ fn push_delta<'a>(out: &mut String, rows: &mut RowIds<'a>, delta: &'a [DeltaEntr
     }
 }
 
-/// Joins encoded items with `sep`, or `-` for an empty list; every list
-/// field of the grammar is written through this and read back through
-/// [`split_list`].
-fn join_or_dash<T>(
+/// Appends encoded items joined with `sep`, or `-` for an empty list;
+/// every list field of the grammar is written through this and read back
+/// through [`split_list`].
+fn push_list<T>(
+    out: &mut String,
     items: impl IntoIterator<Item = T>,
     sep: char,
     mut encode: impl FnMut(&mut String, T),
-) -> String {
+) {
     let mut items = items.into_iter().peekable();
     if items.peek().is_none() {
-        return "-".to_string();
+        out.push('-');
     }
-    let mut out = String::new();
     for (i, item) in items.enumerate() {
         if i > 0 {
             out.push(sep);
         }
-        encode(&mut out, item);
+        encode(out, item);
     }
+}
+
+/// [`push_list`] into a new string.
+fn join_or_dash<T>(
+    items: impl IntoIterator<Item = T>,
+    sep: char,
+    encode: impl FnMut(&mut String, T),
+) -> String {
+    let mut out = String::new();
+    push_list(&mut out, items, sep, encode);
     out
 }
 
-/// Encodes full [`InfoFlowResults`] into the 9 space-separated fields of a
-/// `results` response payload, straight from the indexed states.
-fn encode_results(results: &InfoFlowResults) -> String {
+/// Appends the 9 space-separated fields of a `results` response payload
+/// for `results`, straight from the indexed states.
+fn encode_results(out: &mut String, results: &InfoFlowResults) {
     let view = results.indexed();
     let view: &IndexedStates = &view;
-    let mut rows = RowIds::default();
-    let entry = join_or_dash(view.entry(), '|', |out, state| {
+    push_num(out, results.func().0.into());
+    out.push_str(if results.hit_boundary() { " 1 " } else { " 0 " });
+    push_num(out, results.iterations() as u64);
+    out.push(' ');
+    push_list(out, view.places(), ',', encode_place);
+    out.push(' ');
+    push_list(out, view.deps(), ',', encode_dep);
+    out.push(' ');
+    // Row ids count in order of first use by the states, which follow the
+    // row table on the line: the states are written aside first.
+    let mut rows = RowIds::new(view.places().len());
+    let mut states = String::new();
+    push_list(&mut states, view.entry(), '|', |out, state| {
         push_state(out, &mut rows, state)
     });
+    states.push(' ');
     // `IndexedStates` stores one entry state and at least one step delta
     // per block, in the canonical form the grammar ships.
     let deltas = view.deltas();
-    let mut after = String::new();
-    for block in 0..deltas.num_blocks() {
-        if block > 0 {
-            after.push('^');
-        }
+    push_list(&mut states, 0..deltas.num_blocks(), '^', |out, block| {
         for step in 0..deltas.num_steps(block) {
             if step > 0 {
-                after.push('|');
+                out.push('|');
             }
-            push_delta(&mut after, &mut rows, deltas.step(block, step));
+            push_delta(out, &mut rows, deltas.step(block, step));
         }
-    }
-    if after.is_empty() {
-        after.push('-');
-    }
-    let mut exit = String::new();
-    push_state(&mut exit, &mut rows, view.exit());
-    let places = join_or_dash(view.places(), ',', |out, place| {
-        out.push_str(&encode_place(place))
     });
-    let deps = join_or_dash(view.deps(), ',', |out, dep| out.push_str(&encode_dep(dep)));
-    let row_table = join_or_dash(&rows.rows, ',', |out, row| {
+    states.push(' ');
+    push_state(&mut states, &mut rows, view.exit());
+    push_list(out, &rows.rows, ',', |out, row| {
         for (i, bit) in row.iter().enumerate() {
-            let _ = write!(out, "{}{bit}", if i > 0 { "+" } else { "" });
+            if i > 0 {
+                out.push('+');
+            }
+            push_num(out, bit.into());
         }
     });
-    format!(
-        "{} {} {} {places} {deps} {row_table} {entry} {after} {exit}",
-        results.func().0,
-        u8::from(results.hit_boundary()),
-        results.iterations(),
-    )
+    out.push(' ');
+    out.push_str(&states);
 }
 
 /// Splits a list field: `-` is the empty list.
 fn split_list(s: &str, sep: char) -> impl Iterator<Item = &str> {
     (s != "-").then(|| s.split(sep)).into_iter().flatten()
+}
+
+/// `s.split(sep)` for a one-byte ASCII `sep`, scanning bytes: the items of
+/// a `results` payload are a few bytes long, too short for `str::split`'s
+/// searcher to pay off.
+fn split_byte(s: &str, sep: u8) -> impl Iterator<Item = &str> {
+    let mut rest = Some(s);
+    std::iter::from_fn(move || {
+        let s = rest?;
+        match s.bytes().position(|b| b == sep) {
+            Some(i) => {
+                rest = Some(&s[i + 1..]);
+                Some(&s[..i])
+            }
+            None => {
+                rest = None;
+                Some(s)
+            }
+        }
+    })
+}
+
+/// The `,`-joined entries of a state or delta field; `~` has none.
+fn state_entries(s: &str) -> impl Iterator<Item = &str> {
+    (s != "~")
+        .then(|| split_byte(s, b','))
+        .into_iter()
+        .flatten()
 }
 
 /// Decodes the states of one `results` payload against its tables,
@@ -503,7 +627,7 @@ struct StateDecoder {
 
 impl StateDecoder {
     fn place(&self, s: &str) -> Result<u32, String> {
-        let place: u32 = parse_num(s, "place id")?;
+        let place = parse_id(s, "place id")?;
         if place as usize >= self.places {
             return Err(format!(
                 "place id {place} is outside the {}-place table",
@@ -514,7 +638,7 @@ impl StateDecoder {
     }
 
     fn row(&mut self, s: &str) -> Result<Arc<BitSet>, String> {
-        let row: u32 = parse_num(s, "row id")?;
+        let row = parse_id(s, "row id")?;
         if row as usize >= self.rows.len() {
             return Err(format!(
                 "row id {row} is outside the {}-row table",
@@ -536,41 +660,35 @@ impl StateDecoder {
 
     /// One state entry, `<place>` or `<place>:<row>`, sharing the row.
     fn entry(&mut self, s: &str) -> Result<(u32, Option<Arc<BitSet>>), String> {
-        match s.split_once(':') {
-            Some((place, row)) => Ok((self.place(place)?, Some(self.row(row)?))),
+        match s.bytes().position(|b| b == b':') {
+            Some(colon) => Ok((self.place(&s[..colon])?, Some(self.row(&s[colon + 1..])?))),
             None => Ok((self.place(s)?, None)),
         }
     }
 
     /// Decodes a full state.
     fn full(&mut self, s: &str) -> Result<IndexedTheta, String> {
-        if s == "~" {
-            return Ok(IndexedTheta::from_entries([]));
-        }
-        let entries = s
-            .split(',')
-            .map(|entry| self.entry(entry))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(IndexedTheta::from_entries(entries))
+        let mut error = None;
+        let state = IndexedTheta::from_entries(
+            state_entries(s).map_while(|entry| self.entry(entry).map_err(|e| error = Some(e)).ok()),
+        );
+        error.map_or(Ok(state), Err)
     }
 
-    /// Decodes one step delta into `out`, as the wire lists it;
+    /// Decodes one step delta onto `deltas`, as the wire lists it;
     /// [`IndexedStates::new`] then checks that it is canonical.
-    fn delta(&mut self, s: &str, out: &mut Vec<DeltaEntry>) -> Result<(), String> {
-        out.clear();
-        if s == "~" {
-            return Ok(());
-        }
-        for entry in s.split(',') {
-            out.push(match entry.strip_prefix('!') {
-                Some(place) => DeltaEntry::Remove(self.place(place)?),
-                None => {
-                    let (place, row) = self.entry(entry)?;
-                    DeltaEntry::Set(place, row)
-                }
-            });
-        }
-        Ok(())
+    fn delta(&mut self, s: &str, deltas: &mut Deltas) -> Result<(), String> {
+        let mut error = None;
+        deltas.push_step(state_entries(s).map_while(|entry| {
+            let decoded = match entry.strip_prefix('!') {
+                Some(place) => self.place(place).map(DeltaEntry::Remove),
+                None => self
+                    .entry(entry)
+                    .map(|(place, row)| DeltaEntry::Set(place, row)),
+            };
+            decoded.map_err(|e| error = Some(e)).ok()
+        }));
+        error.map_or(Ok(()), Err)
     }
 }
 
@@ -598,8 +716,8 @@ fn decode_results(fields: &[&str]) -> Result<InfoFlowResults, String> {
         .map(|row| {
             let mut set = BitSet::new();
             let mut last = None;
-            for bit in row.split('+') {
-                let bit: u32 = parse_num(bit, "dependency id")?;
+            for bit in split_byte(row, b'+') {
+                let bit = parse_id(bit, "dependency id")?;
                 if bit as usize >= deps.len() {
                     return Err(format!(
                         "dependency id {bit} is outside the {}-dependency table",
@@ -636,11 +754,9 @@ fn decode_results(fields: &[&str]) -> Result<InfoFlowResults, String> {
         .map(|entry| decoder.full(entry))
         .collect::<Result<Vec<_>, _>>()?;
     let mut deltas = Deltas::default();
-    let mut step = Vec::new();
     for block in after_fields {
-        for delta in block.split('|') {
-            decoder.delta(delta, &mut step)?;
-            deltas.push_step(step.drain(..));
+        for delta in split_byte(block, b'|') {
+            decoder.delta(delta, &mut deltas)?;
         }
         deltas.end_block();
     }
@@ -768,7 +884,9 @@ fn decode_policy(fields: &[&str; 7]) -> Result<Policy, String> {
 /// when empty) — shared between IFC diagnostics and lint findings.
 fn encode_witness(witness: &[WitnessStep]) -> String {
     join_or_dash(witness, '+', |out, w| {
-        let _ = write!(out, "{}:{}", encode_location(w.location), w.line);
+        encode_location(out, w.location);
+        out.push(':');
+        push_num(out, w.line as u64);
     })
 }
 
@@ -788,12 +906,11 @@ fn decode_witness(s: &str) -> Result<Vec<WitnessStep>, String> {
 
 fn encode_diagnostics(diags: &[IfcDiagnostic]) -> String {
     join_or_dash(diags, '|', |out, d| {
+        let _ = write!(out, "{},{},", esc(&d.in_function), esc(&d.sink));
+        encode_location(out, d.location);
         let _ = write!(
             out,
-            "{},{},{},{},{},{},{},{}",
-            esc(&d.in_function),
-            esc(&d.sink),
-            encode_location(d.location),
+            ",{},{},{},{},{}",
             d.line,
             esc(&d.incoming_label),
             esc(&d.clearance),
@@ -915,13 +1032,12 @@ pub fn encode_request(request: &QueryRequest) -> String {
         QueryRequest::Summary(func) => format!("summary {}", func.0),
         QueryRequest::Results(func) => format!("results {}", func.0),
         QueryRequest::BackwardSlice { func, var } => format!("slice {} {}", func.0, esc(var)),
-        QueryRequest::BackwardSliceAt { func, place, loc } => format!(
-            "slice-at {} {} {} {}",
-            func.0,
-            encode_place(place),
-            loc.block.0,
-            loc.statement_index
-        ),
+        QueryRequest::BackwardSliceAt { func, place, loc } => {
+            let mut line = format!("slice-at {} ", func.0);
+            encode_place(&mut line, place);
+            let _ = write!(line, " {} {}", loc.block.0, loc.statement_index);
+            line
+        }
         QueryRequest::CheckPolicy(policy) => format!(
             "policy {} {} {} {} {} {} {}",
             encode_lattice_spec(&policy.lattice),
@@ -996,7 +1112,7 @@ pub fn decode_update_ack(line: &str) -> Result<u64, String> {
 /// input comes back as a descriptive `Err` for the server to answer with an
 /// `error` response.
 pub fn decode_command(line: &str) -> Result<Command, String> {
-    let all_fields: Vec<&str> = line.split_whitespace().collect();
+    let all_fields = split_fields(line);
     let (fields, attrs) = split_attrs(&all_fields);
     let trace_id = trace_id_from_attrs(&attrs)?;
     let deadline_ms = num_attr(&attrs, "deadline")?;
@@ -1076,7 +1192,11 @@ pub fn encode_envelope(envelope: &QueryEnvelope) -> String {
     let line = match &envelope.response {
         QueryResponse::Summary(None) => format!("summary {epoch} -"),
         QueryResponse::Summary(Some(summary)) => format!("summary {epoch} {}", summary.encode()),
-        QueryResponse::Results(results) => format!("results {epoch} {}", encode_results(results)),
+        QueryResponse::Results(results) => {
+            let mut line = format!("results {epoch} ");
+            encode_results(&mut line, results);
+            line
+        }
         QueryResponse::BackwardSlice(None) => format!("slice {epoch} -"),
         QueryResponse::BackwardSlice(Some(slice)) => format!(
             "slice {epoch} {} {} {}",
@@ -1105,7 +1225,7 @@ pub fn encode_envelope(envelope: &QueryEnvelope) -> String {
 /// test leans on this to check served answers bit-for-bit against direct
 /// analyses.
 pub fn decode_envelope(line: &str) -> Result<QueryEnvelope, String> {
-    let all_fields: Vec<&str> = line.split_whitespace().collect();
+    let all_fields = split_fields(line);
     let (fields, attrs) = split_attrs(&all_fields);
     let trace_id = trace_id_from_attrs(&attrs)?;
     let [tag, epoch, payload @ ..] = fields else {
@@ -1831,6 +1951,39 @@ mod tests {
                 let _ = decode_envelope(std::str::from_utf8(&bytes).unwrap());
             }
             bytes[i] = original;
+        }
+    }
+
+    /// The byte-level id reader and the digit writer agree with `str::parse`
+    /// and `Display` on every token shape: leading zeros, signs, overflow,
+    /// the 9/10-digit boundary of the fast path and stray bytes.
+    #[test]
+    fn id_reader_and_digit_writer_match_the_std_conversions() {
+        for token in [
+            "",
+            "0",
+            "7",
+            "007",
+            "+5",
+            "-1",
+            "1a",
+            " 1",
+            "999999999",
+            "1000000000",
+            "4294967295",
+            "4294967296",
+            "12345678901234567890",
+        ] {
+            assert_eq!(
+                parse_id(token, "row id"),
+                parse_num::<u32>(token, "row id"),
+                "{token:?}"
+            );
+        }
+        for n in [0, 9, 10, 99, 100, 4_294_967_295, u64::MAX] {
+            let mut out = String::from("x");
+            push_num(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
         }
     }
 

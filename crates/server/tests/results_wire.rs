@@ -2,8 +2,9 @@
 //! crates: every function round-trips to an equal value, decoded states
 //! share exactly one row allocation per row-table entry, tree-domain and
 //! indexed results decode to equal values, the `rav1e` driver payloads
-//! stay under a size gate, and the encoded bytes of two whole crates are
-//! pinned by a hash.
+//! stay under a size gate, the encoded bytes of two whole crates are
+//! pinned by a hash, and seeded byte mutations of real lines never panic
+//! the decoder.
 //!
 //! ```text
 //! cargo test --release -p flowistry-server --test results_wire
@@ -14,6 +15,8 @@ use flowistry_corpus::{paper_profiles, GeneratedCrate, DEFAULT_SEED};
 use flowistry_engine::{QueryEnvelope, QueryResponse};
 use flowistry_lang::types::FuncId;
 use flowistry_server::codec;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -176,4 +179,51 @@ fn results_wire_bytes_of_two_crates_are_pinned() {
     }
     println!("{lines} results lines, {bytes} bytes, FNV-1a {hash:#018x}");
     assert_eq!((lines, bytes, hash), (LINES, BYTES, HASH));
+}
+
+/// Seeded byte mutations of real `results` lines: one byte deleted,
+/// duplicated or replaced by a digit or separator of the grammar, or the
+/// line truncated. The decoder never panics on one, and every line it
+/// accepts re-encodes to a line that decodes to an equal value.
+#[test]
+fn mutated_results_lines_never_panic_and_accepted_ones_reencode() {
+    const CASES: usize = 2048;
+    const ALPHABET: &[u8] = b"0123456789,+:|^!~-";
+    let krate = corpus_crate("rocket");
+    let params = params(DomainKind::Indexed);
+    let lines: Vec<String> = krate
+        .crate_funcs
+        .iter()
+        .map(|&f| encode(analyze(&krate.program, f, &params)))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(0x6d75_7461_7465);
+    let mut accepted = 0;
+    for case in 0..CASES {
+        let line = lines[rng.gen_range(0..lines.len())].as_bytes();
+        let at = rng.gen_range(0..line.len());
+        let mut bytes = line.to_vec();
+        match rng.gen_range(0..4) {
+            0 => {
+                bytes.remove(at);
+            }
+            1 => bytes.insert(at, line[at]),
+            2 => bytes[at] = ALPHABET[rng.gen_range(0..ALPHABET.len())],
+            _ => bytes.truncate(at),
+        }
+        let mutated = String::from_utf8(bytes).expect("results lines are ASCII");
+        if let Ok(envelope) = codec::decode_envelope(&mutated) {
+            accepted += 1;
+            let again = codec::encode_envelope(&envelope);
+            assert_eq!(
+                codec::decode_envelope(&again).as_ref(),
+                Ok(&envelope),
+                "case {case}: {mutated:?} re-encodes to {again:?}"
+            );
+        }
+    }
+    println!("{accepted} of {CASES} mutated lines decode");
+    assert!(
+        (1..CASES).contains(&accepted),
+        "{accepted} of {CASES} mutated lines decode: the cases cover one outcome only"
+    );
 }
