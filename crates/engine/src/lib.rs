@@ -105,7 +105,7 @@ use flowistry_lang::types::FuncId;
 use flowistry_lang::{function_content_hash, CallGraph, CompiledProgram, StableHasher};
 use flowistry_obs::{Counter, Histogram, Registry};
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Configuration of an [`AnalysisEngine`].
@@ -170,6 +170,13 @@ impl EngineConfig {
     pub fn with_cache_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.cache_path = Some(path.into());
         self
+    }
+
+    /// Enables disk persistence of the summary cache inside directory
+    /// `dir`, which engines of a fleet can share: the cache path is
+    /// `dir/summaries.cache`, so the shards are `dir/summaries.<N>.cache`.
+    pub fn with_cache_dir(self, dir: impl AsRef<Path>) -> Self {
+        self.with_cache_path(dir.as_ref().join("summaries.cache"))
     }
 
     /// Overrides how many runs an unused cache entry survives.

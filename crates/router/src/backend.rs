@@ -170,7 +170,8 @@ pub struct InProcessLauncher {
     pub source: String,
     /// Engine/service worker threads per instance (`0` = auto).
     pub workers: usize,
-    /// Shared summary-cache directory, when warm-starting is wanted.
+    /// Shared summary-cache directory, when warm-starting is wanted (see
+    /// [`EngineConfig::with_cache_dir`](flowistry_engine::EngineConfig::with_cache_dir)).
     pub cache_dir: Option<std::path::PathBuf>,
     /// Auth token each instance requires, matching the router's
     /// backend token.
@@ -190,7 +191,7 @@ impl BackendLauncher for InProcessLauncher {
             .with_threads(self.workers)
             .with_metrics(Arc::new(Registry::new()));
         if let Some(dir) = &self.cache_dir {
-            engine_config = engine_config.with_cache_path(dir);
+            engine_config = engine_config.with_cache_dir(dir);
         }
         let engine = AnalysisEngine::new(Arc::new(program), engine_config);
         let service = FlowService::new(engine, ServiceConfig::default().with_workers(self.workers));

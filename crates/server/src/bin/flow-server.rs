@@ -17,7 +17,8 @@
 //! — visible with `FLOWISTRY_LOG=info`.
 //!
 //! Fleet knobs: `--cache-dir DIR` points the engine at a (shareable)
-//! on-disk summary cache, so replicas respawned by `flow-router`
+//! on-disk summary cache, the shard files `DIR/summaries.<N>.cache`
+//! (`DIR` is created if missing), so replicas respawned by `flow-router`
 //! warm-start from their siblings' work. `--auth-token TOKEN` requires
 //! the `auth` connection preamble (also readable from
 //! `FLOW_SERVER_AUTH_TOKEN` to keep tokens off the command line);
@@ -150,7 +151,11 @@ fn main() -> ExitCode {
         .with_params(AnalysisParams::for_condition(Condition::WHOLE_PROGRAM))
         .with_threads(workers);
     if let Some(dir) = &cache_dir {
-        engine_config = engine_config.with_cache_path(dir);
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            flowistry_obs::error!("cannot create cache dir {dir}: {e}");
+            return ExitCode::FAILURE;
+        }
+        engine_config = engine_config.with_cache_dir(dir);
     }
     let engine = AnalysisEngine::new(program, engine_config);
     let service = FlowService::new(

@@ -1,11 +1,12 @@
 //! `flow-server`'s command line: the edge budget flags it shares with
 //! `flow-router` ([`ServerConfig::FLAGS`]) exit 2 with the usage line on a
-//! missing or malformed value, and parse when well formed. No server
-//! starts: every run either fails in the flag parser or on the missing
-//! source file after it.
+//! missing or malformed value, and parse when well formed; those runs fail
+//! in the flag parser or on the missing source file after it. One server
+//! does start, to show where `--cache-dir` puts the summary cache.
 
-use flowistry_server::ServerConfig;
-use std::process::{Command, Output};
+use flowistry_server::{FlowClient, ServerConfig};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
 
 fn flow_server(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_flow-server"))
@@ -88,4 +89,64 @@ fn set_flag_sets_the_budget_each_flag_names() {
     assert!(!config.set_flag("--max-conns", "2"));
     assert_eq!(config.rate_burst, 8);
     assert_eq!(config.max_connections, 0);
+}
+
+/// The names of the entries of directory `dir`.
+fn entry_names(dir: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect()
+}
+
+/// `--cache-dir D` keeps the summary cache inside `D`: after a server ran
+/// and shut down, `D` holds its `summaries.<N>.cache` shards and nothing
+/// named `D.*` lies beside `D`.
+#[test]
+fn cache_dir_holds_the_summary_shards() {
+    let root = std::env::temp_dir().join(format!("flow-server-cli-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("create test dir");
+    let source = root.join("program.rox");
+    std::fs::write(
+        &source,
+        "fn bump(p: &mut i32) { *p = *p + 1; }\n\
+         fn main(v: i32) -> i32 { let mut x = v; bump(&mut x); return x; }\n",
+    )
+    .expect("write source");
+    let cache = root.join("cache");
+    let mut server = Command::new(env!("CARGO_BIN_EXE_flow-server"))
+        .arg(&source)
+        .arg("--cache-dir")
+        .arg(&cache)
+        .env_remove("FLOW_SERVER_AUTH_TOKEN")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn flow-server");
+    let mut line = String::new();
+    BufReader::new(server.stdout.take().expect("piped stdout"))
+        .read_line(&mut line)
+        .expect("read the listening line");
+    let addr = line
+        .trim()
+        .strip_prefix("flow-server listening on ")
+        .unwrap_or_else(|| panic!("unexpected first line {line:?}"));
+    FlowClient::connect(addr)
+        .expect("connect")
+        .shutdown_server()
+        .expect("shutdown");
+    assert!(server.wait().expect("wait").success());
+
+    let shards = entry_names(&cache)
+        .into_iter()
+        .filter(|name| name.starts_with("summaries.") && name.ends_with(".cache"))
+        .count();
+    assert!(shards > 0, "no summaries.*.cache in {}", cache.display());
+    let beside: Vec<String> = entry_names(&root)
+        .into_iter()
+        .filter(|name| name.starts_with("cache."))
+        .collect();
+    assert!(beside.is_empty(), "cache files beside the dir: {beside:?}");
+    let _ = std::fs::remove_dir_all(&root);
 }
