@@ -27,6 +27,11 @@
 //!   A smoke run writes only under `results/`; the tracked repo-root
 //!   `BENCH_chaos.json` and `BENCH_lints.json` change only on a full run.
 //!
+//! A full `lints` run at the same seed reproduces `BENCH_lints.json` byte
+//! for byte. Of `BENCH_chaos.json`, only `fault_spec` and `fault_log`
+//! follow from the seed; its tallies (`ok_responses`, `faults_injected`,
+//! `retries`, ...) depend on thread timing and differ from run to run.
+//!
 //! An unknown subcommand or flag, or a malformed value, is a usage error
 //! (exit status 2).
 
