@@ -209,13 +209,16 @@ fn unesc(s: &str) -> Result<String, String> {
 // ---------------------------------------------------------------------------
 // Trailing attributes
 
-/// The whitespace-separated fields of a line, as `line.split_whitespace()`
-/// gives them. A line of printable ASCII and spaces, as every well-formed
-/// line is, has no other whitespace, so it splits at its spaces with a
-/// byte search instead of a Unicode test per character.
+/// The whitespace-separated fields of a response line, as
+/// `line.split_whitespace()` gives them. A line of printable ASCII and
+/// spaces, as every well-formed line is, has no other whitespace, so it
+/// splits at its spaces with a byte search instead of a Unicode test per
+/// character: a `results` line runs to tens of kilobytes.
 fn split_fields(line: &str) -> Vec<&str> {
     if line.bytes().all(|b| (b' '..=b'~').contains(&b)) {
-        line.split(' ').filter(|field| !field.is_empty()).collect()
+        split_byte(line, b' ')
+            .filter(|field| !field.is_empty())
+            .collect()
     } else {
         line.split_whitespace().collect()
     }
@@ -381,7 +384,7 @@ fn encode_locations(locs: &BTreeSet<Location>) -> String {
 }
 
 fn decode_locations(s: &str) -> Result<BTreeSet<Location>, String> {
-    split_list(s, '+').map(decode_location).collect()
+    split_list(s, b'+').map(decode_location).collect()
 }
 
 fn encode_dep(out: &mut String, dep: &flowistry_core::Dep) {
@@ -433,8 +436,7 @@ impl<'a> RowIds<'a> {
     fn of(&mut self, place: u32, row: Option<&'a BitSet>) -> Option<u32> {
         let row = row?;
         let ptr = row as *const BitSet;
-        let mut unlisted = (std::ptr::null(), 0);
-        let last = self.last.get_mut(place as usize).unwrap_or(&mut unlisted);
+        let last = &mut self.last[place as usize];
         if last.0 == ptr {
             return Some(last.1);
         }
@@ -583,13 +585,13 @@ fn encode_results(out: &mut String, results: &InfoFlowResults) {
 }
 
 /// Splits a list field: `-` is the empty list.
-fn split_list(s: &str, sep: char) -> impl Iterator<Item = &str> {
-    (s != "-").then(|| s.split(sep)).into_iter().flatten()
+fn split_list(s: &str, sep: u8) -> impl Iterator<Item = &str> {
+    (s != "-").then(|| split_byte(s, sep)).into_iter().flatten()
 }
 
 /// `s.split(sep)` for a one-byte ASCII `sep`, scanning bytes: the items of
 /// a `results` payload are a few bytes long, too short for `str::split`'s
-/// searcher to pay off.
+/// searcher to pay off. Every separator of the grammar is split with this.
 fn split_byte(s: &str, sep: u8) -> impl Iterator<Item = &str> {
     let mut rest = Some(s);
     std::iter::from_fn(move || {
@@ -660,8 +662,8 @@ impl StateDecoder {
 
     /// One state entry, `<place>` or `<place>:<row>`, sharing the row.
     fn entry(&mut self, s: &str) -> Result<(u32, Option<Arc<BitSet>>), String> {
-        match s.bytes().position(|b| b == b':') {
-            Some(colon) => Ok((self.place(&s[..colon])?, Some(self.row(&s[colon + 1..])?))),
+        match s.split_once(':') {
+            Some((place, row)) => Ok((self.place(place)?, Some(self.row(row)?))),
             None => Ok((self.place(s)?, None)),
         }
     }
@@ -706,13 +708,13 @@ fn decode_results(fields: &[&str]) -> Result<InfoFlowResults, String> {
         other => return Err(format!("bad boundary flag {other:?}")),
     };
     let iterations = parse_num(iters, "iteration count")?;
-    let places = split_list(places, ',')
+    let places = split_list(places, b',')
         .map(decode_place)
         .collect::<Result<Vec<_>, _>>()?;
-    let deps = split_list(deps, ',')
+    let deps = split_list(deps, b',')
         .map(decode_dep)
         .collect::<Result<Vec<_>, _>>()?;
-    let rows = split_list(rows, ',')
+    let rows = split_list(rows, b',')
         .map(|row| {
             let mut set = BitSet::new();
             let mut last = None;
@@ -738,8 +740,8 @@ fn decode_results(fields: &[&str]) -> Result<InfoFlowResults, String> {
         next_row: 0,
         places: places.len(),
     };
-    let entry_fields: Vec<&str> = split_list(entry, '|').collect();
-    let after_fields: Vec<&str> = split_list(after, '^').collect();
+    let entry_fields: Vec<&str> = split_list(entry, b'|').collect();
+    let after_fields: Vec<&str> = split_list(after, b'^').collect();
     if entry_fields.len() != after_fields.len() {
         return Err(format!(
             "{} entry states for {} blocks of after-states",
@@ -787,7 +789,7 @@ fn encode_lines(lines: &BTreeSet<usize>) -> String {
 }
 
 fn decode_lines(s: &str) -> Result<BTreeSet<usize>, String> {
-    split_list(s, ',').map(|l| parse_num(l, "line")).collect()
+    split_list(s, b',').map(|l| parse_num(l, "line")).collect()
 }
 
 /// Encodes a list of `(function, name)` pairs as `f:n`, `,`-joined.
@@ -798,7 +800,7 @@ fn encode_pairs(pairs: &[(String, String)]) -> String {
 }
 
 fn decode_pairs(s: &str) -> Result<Vec<(String, String)>, String> {
-    split_list(s, ',')
+    split_list(s, b',')
         .map(|pair| {
             let (f, n) = pair
                 .split_once(':')
@@ -826,7 +828,9 @@ fn encode_lattice_spec(spec: &LatticeSpec) -> String {
 
 fn decode_lattice_spec(s: &str) -> Result<LatticeSpec, String> {
     if let Some(levels) = s.strip_prefix("linear:") {
-        let levels: Vec<String> = levels.split(':').map(unesc).collect::<Result<_, _>>()?;
+        let levels: Vec<String> = split_byte(levels, b':')
+            .map(unesc)
+            .collect::<Result<_, _>>()?;
         return Ok(LatticeSpec::Linear(levels));
     }
     LatticeSpec::parse(s).ok_or_else(|| format!("unknown lattice spec {s:?}"))
@@ -856,9 +860,9 @@ fn encode_triples(triples: &[(String, String, String)]) -> String {
 }
 
 fn decode_triples(s: &str) -> Result<Vec<(String, String, String)>, String> {
-    split_list(s, ',')
+    split_list(s, b',')
         .map(|triple| {
-            let fields: Vec<&str> = triple.split(':').collect();
+            let fields: Vec<&str> = split_byte(triple, b':').collect();
             let [f, n, l] = fields[..] else {
                 return Err(format!("bad name triple {triple:?}"));
             };
@@ -891,7 +895,7 @@ fn encode_witness(witness: &[WitnessStep]) -> String {
 }
 
 fn decode_witness(s: &str) -> Result<Vec<WitnessStep>, String> {
-    split_list(s, '+')
+    split_list(s, b'+')
         .map(|step| {
             let (loc, line) = step
                 .rsplit_once(':')
@@ -921,15 +925,15 @@ fn encode_diagnostics(diags: &[IfcDiagnostic]) -> String {
 }
 
 fn decode_diagnostics(s: &str) -> Result<Vec<IfcDiagnostic>, String> {
-    split_list(s, '|')
+    split_list(s, b'|')
         .map(|diag| {
-            let fields: Vec<&str> = diag.split(',').collect();
+            let fields: Vec<&str> = split_byte(diag, b',').collect();
             let [in_function, sink, location, line, incoming, clearance, sources, witness] =
                 fields[..]
             else {
                 return Err(format!("diagnostic has {} fields, want 8", fields.len()));
             };
-            let sources = split_list(sources, '+')
+            let sources = split_list(sources, b'+')
                 .map(unesc)
                 .collect::<Result<_, _>>()?;
             let witness = decode_witness(witness)?;
@@ -962,9 +966,9 @@ fn encode_findings(findings: &[LintFinding]) -> String {
 }
 
 fn decode_findings(s: &str) -> Result<Vec<LintFinding>, String> {
-    split_list(s, '|')
+    split_list(s, b'|')
         .map(|finding| {
-            let fields: Vec<&str> = finding.split(',').collect();
+            let fields: Vec<&str> = split_byte(finding, b',').collect();
             let [pass, function, message, line, witness] = fields[..] else {
                 return Err(format!("lint finding has {} fields, want 5", fields.len()));
             };
@@ -1112,7 +1116,7 @@ pub fn decode_update_ack(line: &str) -> Result<u64, String> {
 /// input comes back as a descriptive `Err` for the server to answer with an
 /// `error` response.
 pub fn decode_command(line: &str) -> Result<Command, String> {
-    let all_fields = split_fields(line);
+    let all_fields: Vec<&str> = line.split_whitespace().collect();
     let (fields, attrs) = split_attrs(&all_fields);
     let trace_id = trace_id_from_attrs(&attrs)?;
     let deadline_ms = num_attr(&attrs, "deadline")?;

@@ -6,7 +6,7 @@
 
 use flowistry_server::{FlowClient, ServerConfig};
 use std::io::{BufRead, BufReader};
-use std::process::{Command, Output, Stdio};
+use std::process::{Child, Command, Output, Stdio};
 
 fn flow_server(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_flow-server"))
@@ -99,6 +99,17 @@ fn entry_names(dir: &std::path::Path) -> Vec<String> {
         .collect()
 }
 
+/// A spawned server, killed and reaped if the test panics before it
+/// exits on its own.
+struct Server(Child);
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// `--cache-dir D` keeps the summary cache inside `D`: after a server ran
 /// and shut down, `D` holds its `summaries.<N>.cache` shards and nothing
 /// named `D.*` lies beside `D`.
@@ -115,17 +126,19 @@ fn cache_dir_holds_the_summary_shards() {
     )
     .expect("write source");
     let cache = root.join("cache");
-    let mut server = Command::new(env!("CARGO_BIN_EXE_flow-server"))
-        .arg(&source)
-        .arg("--cache-dir")
-        .arg(&cache)
-        .env_remove("FLOW_SERVER_AUTH_TOKEN")
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn flow-server");
+    let mut server = Server(
+        Command::new(env!("CARGO_BIN_EXE_flow-server"))
+            .arg(&source)
+            .arg("--cache-dir")
+            .arg(&cache)
+            .env_remove("FLOW_SERVER_AUTH_TOKEN")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn flow-server"),
+    );
     let mut line = String::new();
-    BufReader::new(server.stdout.take().expect("piped stdout"))
+    BufReader::new(server.0.stdout.take().expect("piped stdout"))
         .read_line(&mut line)
         .expect("read the listening line");
     let addr = line
@@ -136,7 +149,7 @@ fn cache_dir_holds_the_summary_shards() {
         .expect("connect")
         .shutdown_server()
         .expect("shutdown");
-    assert!(server.wait().expect("wait").success());
+    assert!(server.0.wait().expect("wait").success());
 
     let shards = entry_names(&cache)
         .into_iter()
